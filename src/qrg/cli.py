@@ -95,8 +95,6 @@ def _add_common(sub):
     sub.add_argument("--tsv", dest="fmt", action="store_const", const="tsv")
     sub.add_argument("--cap-order", type=int, default=None,
                      help="group enumeration cap (env QRG_CAP_ORDER)")
-    sub.add_argument("--cap-width", type=int, default=engine.WIDTH_ORDER_CAP,
-                     help="cap for commutator-width element sets")
     sub.set_defaults(fmt="json")
 
 

@@ -6,6 +6,16 @@ normal subgroups, cosocles, quotients and commutator questions.  Elements
 are carried either as permutations, as matrices over a prime field, as pairs
 (direct products) or as cosets (quotients).  Hot paths multiply whole index
 arrays at once through numpy.
+
+Permutation and matrix groups are enumerated breadth first, one layer at a
+time: every product x * h of a frontier element x with a generator h is
+formed in one array operation, and the products not seen before become the
+next frontier.  New elements are numbered in order of first occurrence over
+(frontier element, generator), frontier elements taken in index order.  Each
+element is found by a key of its flattened carrier row: a mixed-radix int64
+code while the code space fits (see _radix_powers), the row's bytes past
+that.  Matrix inverses follow the same BFS: if y = x * h then
+y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
 """
 
 from __future__ import annotations
@@ -16,10 +26,9 @@ from math import gcd
 import numpy as np
 
 from .errors import CapExceeded
-from .gf import FFMatrix, PrimeField, ff_inv, matrix_literal
+from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv, matrix_literal
 from .permutations import Permutation, cycle_string
 
-DEFAULT_ORDER_CAP = 500_000
 # Full order x order tables are only materialized below this size; everything
 # larger multiplies through batched carrier arithmetic instead.
 DENSE_TABLE_CAP = 4096
@@ -112,11 +121,10 @@ class GroupTable:
         # mat carrier
         self.field = None
         self._M = None
-        # code lookup (perm/mat)
+        # row-key lookup (perm/mat): radix powers, or None for byte keys
         self._pow = None
         self._sorted_codes = None
         self._sorted_pos = None
-        self._key_index = None
         # prod carrier
         self.factors = None
         # quot carrier
@@ -180,28 +188,10 @@ class GroupTable:
 
     # -- batched ops --------------------------------------------------------
 
-    def _lookup_perm_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self._pow is not None:
-            codes = rows @ self._pow
-            pos = np.searchsorted(self._sorted_codes, codes)
-            return self._sorted_pos[pos]
-        return np.fromiter(
-            (self._key_index[r.tobytes()] for r in np.ascontiguousarray(rows)),
-            dtype=np.int64,
-            count=len(rows),
-        )
-
-    def _lookup_mat_stack(self, stack: np.ndarray) -> np.ndarray:
-        flat = stack.reshape(len(stack), -1)
-        if self._pow is not None:
-            codes = flat @ self._pow
-            pos = np.searchsorted(self._sorted_codes, codes)
-            return self._sorted_pos[pos]
-        return np.fromiter(
-            (self._key_index[r.tobytes()] for r in np.ascontiguousarray(flat)),
-            dtype=np.int64,
-            count=len(flat),
-        )
+    def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of elements given as flattened carrier rows, all members."""
+        pos = np.searchsorted(self._sorted_codes, _row_keys(rows, self._pow))
+        return self._sorted_pos[pos]
 
     def mul_left_batch(self, i: int, js: np.ndarray) -> np.ndarray:
         """Indices of element(i) * element(j) for each j in js."""
@@ -211,11 +201,10 @@ class GroupTable:
         if self._dense is not None:
             return self._dense[i, js].astype(np.int64)
         if self.kind == "perm":
-            rows = self._P[i][self._P[js]]
-            return self._lookup_perm_rows(rows)
+            return self._lookup_rows(self._P[i][self._P[js]])
         if self.kind == "mat":
             stack = np.einsum("ij,ajk->aik", self._M[i], self._M[js]) % self.field.p
-            return self._lookup_mat_stack(stack)
+            return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors
             o2 = g2.order
@@ -235,11 +224,10 @@ class GroupTable:
         if self._dense is not None:
             return self._dense[is_, j].astype(np.int64)
         if self.kind == "perm":
-            rows = self._P[is_][:, self._P[j]]
-            return self._lookup_perm_rows(rows)
+            return self._lookup_rows(self._P[is_][:, self._P[j]])
         if self.kind == "mat":
             stack = np.einsum("aij,jk->aik", self._M[is_], self._M[j]) % self.field.p
-            return self._lookup_mat_stack(stack)
+            return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors
             o2 = g2.order
@@ -260,10 +248,10 @@ class GroupTable:
             return self._dense[is_, js].astype(np.int64)
         if self.kind == "perm":
             rows = np.take_along_axis(self._P[is_], self._P[js], axis=1)
-            return self._lookup_perm_rows(rows)
+            return self._lookup_rows(rows)
         if self.kind == "mat":
             stack = np.einsum("aij,ajk->aik", self._M[is_], self._M[js]) % self.field.p
-            return self._lookup_mat_stack(stack)
+            return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors
             o2 = g2.order
@@ -325,16 +313,11 @@ class GroupTable:
         raise KeyError(f"index_of is not supported for {self.kind} groups")
 
     def _lookup_checked(self, flat_row: np.ndarray) -> int:
-        if self._pow is not None:
-            code = int(flat_row @ self._pow)
-            pos = int(np.searchsorted(self._sorted_codes, code))
-            if pos < self.order and self._sorted_codes[pos] == code:
-                return int(self._sorted_pos[pos])
-            raise KeyError("element not in group")
-        key = np.ascontiguousarray(flat_row, dtype=np.int64).tobytes()
-        if key not in self._key_index:
-            raise KeyError("element not in group")
-        return self._key_index[key]
+        key = _row_keys(np.asarray(flat_row, dtype=np.int64).reshape(1, -1), self._pow)
+        pos = int(np.searchsorted(self._sorted_codes, key)[0])
+        if pos < self.order and self._sorted_codes[pos : pos + 1] == key:
+            return int(self._sorted_pos[pos])
+        raise KeyError("element not in group")
 
     # -- conjugacy ----------------------------------------------------------
 
@@ -517,120 +500,182 @@ def _iter_bits(bits: int):
 # -- construction -------------------------------------------------------------
 
 
-def _perm_codes(P: np.ndarray):
-    order, degree = P.shape
-    if degree == 0:
-        return np.zeros(order, dtype=np.int64)
-    if degree ** degree <= (1 << 62):
-        powers = np.array([degree**k for k in range(degree)], dtype=np.int64)
-        return P @ powers
-    return None
+def _radix_powers(base: int, width: int) -> np.ndarray | None:
+    """Digit weights base**0 .. base**(width - 1) of an int64 row code.
+
+    A row of `width` digits in [0, base) codes to sum(d_k * base**k), which
+    is below base**width.  Codes are used only while base**width <= 2**62, so
+    they and their sums stay inside int64; past that limit this returns None
+    and rows are keyed by their bytes instead.  That happens for permutations
+    of degree 16 and up and for n x n matrices with p**(n*n) > 2**62.
+    """
+    if base**width > 1 << 62:
+        return None
+    return base ** np.arange(width, dtype=np.int64)
 
 
-def _mat_codes(M: np.ndarray, p: int):
-    order = M.shape[0]
-    n2 = M.shape[1] * M.shape[2]
-    if p**n2 <= (1 << 62):
-        powers = np.array([p**k for k in range(n2)], dtype=np.int64)
-        return M.reshape(order, n2) @ powers
-    return None
+def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
+    """One sortable key per row: its int64 code, or its bytes when powers is
+    None.  Both kinds work with np.unique, np.sort and np.searchsorted."""
+    if powers is not None:
+        return rows @ powers
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _install_lookup(g: GroupTable, codes, flat_keys):
-    if codes is not None:
-        order = np.argsort(codes, kind="stable")
-        g._sorted_codes = codes[order]
-        g._sorted_pos = order.astype(np.int64)
-        if g.kind == "perm":
-            degree = g._P.shape[1]
-            g._pow = np.array(
-                [max(degree, 1) ** k for k in range(degree)], dtype=np.int64
-            )
-        else:
-            n2 = g._M.shape[1] * g._M.shape[2]
-            g._pow = np.array([g.field.p**k for k in range(n2)], dtype=np.int64)
-    else:
-        g._key_index = {row.tobytes(): i for i, row in enumerate(flat_keys)}
+class _KeySet:
+    """A set of row keys kept as sorted runs, each more than twice the size
+    of the next; a new run is merged into the runs below it until that
+    holds again.  Adding n keys in batches then costs O(n log n) in all,
+    however thin the batches, and a membership test searches O(log n) runs.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.runs = [np.sort(keys)]
+
+    def missing(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the keys that are not in the set."""
+        out = np.ones(len(keys), dtype=bool)
+        for run in self.runs:
+            pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            out &= run[pos] != keys
+        return out
+
+    def add(self, keys: np.ndarray):
+        """Add sorted keys, none of which is in the set yet."""
+        self.runs.append(keys)
+        while len(self.runs) > 1 and len(self.runs[-2]) <= 2 * len(self.runs[-1]):
+            top = self.runs.pop()
+            low = self.runs.pop()
+            self.runs.append(np.insert(low, np.searchsorted(low, top), top))
+
+
+def _carrier(gens):
+    """Kind, identity row, generator rows, row product and key powers for a
+    generating set; rows are carrier elements flattened to int64 vectors,
+    and the product of two row stacks broadcasts like numpy arithmetic."""
+    if all(isinstance(x, Permutation) for x in gens):
+        degrees = {x.degree for x in gens}
+        if len(degrees) != 1:
+            raise MixedCarriers(f"permutation degrees differ: {sorted(degrees)}")
+        degree = degrees.pop()
+
+        def compose(a, b):
+            # rows of a * b, which maps i to a(b(i)); leading axes broadcast
+            return np.take_along_axis(a, b, axis=-1)
+
+        rows = np.array([x.images for x in gens], dtype=np.int64).reshape(len(gens), degree)
+        identity = np.arange(degree, dtype=np.int64)
+        return "perm", identity, rows, compose, _radix_powers(degree, degree)
+    if all(isinstance(x, FFMatrix) for x in gens):
+        fields = {x.field for x in gens}
+        sizes = {x.n for x in gens}
+        if len(fields) != 1 or len(sizes) != 1:
+            raise MixedCarriers("matrix generators must share field and size")
+        p, n = gens[0].field.p, gens[0].n
+
+        def compose(a, b):
+            # leading axes broadcast; each entry sums n terms below
+            # p**2 < 2**32, far inside int64
+            prod = a.reshape(*a.shape[:-1], n, n) @ b.reshape(*b.shape[:-1], n, n)
+            prod %= p
+            return prod.reshape(*prod.shape[:-2], n * n)
+
+        rows = np.array([x.entries for x in gens], dtype=np.int64).reshape(len(gens), n * n)
+        identity = np.eye(n, dtype=np.int64).ravel()
+        return "mat", identity, rows, compose, _radix_powers(p, n * n)
+    raise MixedCarriers(
+        "generators must be all Permutation or all FFMatrix, not a mixture"
+    )
 
 
 def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Closure of a generating set under multiplication, identity at index 0.
 
     All generators must share one carrier: permutations of equal degree or
-    matrices over one field and size.  Raises MixedCarriers otherwise and
-    CapExceeded when the closure grows past cap.
+    matrices over one field and size.  Raises MixedCarriers otherwise.
+
+    The closure is built breadth first, a whole layer per step: all products
+    x * h of the previous layer with the generators are formed at once and
+    keyed (int64 codes, or row bytes past the limit in _radix_powers); the
+    keys already known are dropped by a search in sorted key runs.  The new
+    elements get the next indices in order of first occurrence over
+    (frontier element, generator), so index 0 is the identity and the
+    numbering equals that of an element-by-element BFS.  CapExceeded is
+    raised as soon as the order would pass cap, before that layer's rows
+    are kept.
+
+    Permutation inverses are the argsort of each row.  Matrix inverses come
+    from the BFS: an element y first reached as x * h has y^-1 = h^-1 * x^-1,
+    with x from the layer before, so only the generators are inverted by
+    elimination.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    if all(isinstance(x, Permutation) for x in gens):
-        degrees = {x.degree for x in gens}
-        if len(degrees) != 1:
-            raise MixedCarriers(f"permutation degrees differ: {sorted(degrees)}")
-        degree = degrees.pop()
-        identity = Permutation.identity(degree)
-        kind = "perm"
-    elif all(isinstance(x, FFMatrix) for x in gens):
-        fields = {x.field for x in gens}
-        sizes = {x.n for x in gens}
-        if len(fields) != 1 or len(sizes) != 1:
-            raise MixedCarriers("matrix generators must share field and size")
-        identity = FFMatrix.identity(gens[0].field, gens[0].n)
-        kind = "mat"
-    else:
-        raise MixedCarriers(
-            "generators must be all Permutation or all FFMatrix, not a mixture"
-        )
+    kind, identity, gen_rows, compose, powers = _carrier(gens)
+    k, width = gen_rows.shape
+    if kind == "mat":
+        gen_inv = [ff_inv(x.entries, gens[0].field.p) for x in gens]
+        if any(x is None for x in gen_inv):
+            raise SingularMatrix("matrix generators must be invertible")
+        gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
 
-    index = {identity: 0}
-    elements = [identity]
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for h in gens:
-                y = x * h
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new.append(y)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"group enumeration passed cap {cap}; "
-                            "raise the cap to continue"
-                        )
-        frontier = new
+    layers = [identity[None, :]]
+    # for each layer after the first and each y = x * h in it: the index
+    # of x and the position of h in gens
+    parent, via = [], []
+    known = _KeySet(_row_keys(layers[0], powers))
+    order = 1
+    while True:
+        frontier = layers[-1]
+        first = order - len(frontier)
+        # candidate a * k + b is frontier[a] * gens[b]
+        cand = compose(frontier[:, None], gen_rows[None]).reshape(len(frontier) * k, width)
+        uniq, at = np.unique(_row_keys(cand, powers), return_index=True)
+        fresh = known.missing(uniq)
+        if not fresh.any():
+            break
+        pick = np.sort(at[fresh])
+        if order + len(pick) > cap:
+            raise CapExceeded(
+                f"group enumeration passed cap {cap}; raise the cap to continue"
+            )
+        known.add(uniq[fresh])
+        layers.append(cand[pick])
+        parent.append(first + pick // k)
+        via.append(pick % k)
+        order += len(pick)
+        del cand  # free before the next layer's products exist
 
     g = GroupTable()
     g.kind = kind
-    g.order = len(elements)
+    g.order = order
+    elements = np.concatenate(layers)
+    keys = _row_keys(elements, powers)
+    g._pow = powers
+    g._sorted_pos = np.argsort(keys, kind="stable")
+    g._sorted_codes = keys[g._sorted_pos]
     if kind == "perm":
-        g.degree = degree
-        g._P = np.array([e.images for e in elements], dtype=np.int64)
+        g.degree = width
+        g._P = elements
         g._P.setflags(write=False)
-        codes = _perm_codes(g._P)
-        _install_lookup(g, codes, g._P)
-        inv_rows = np.argsort(g._P, axis=1)
-        g.inv = g._lookup_perm_rows(inv_rows)
-        g.label = f"permutation group on {degree} points"
+        g.inv = g._lookup_rows(np.argsort(elements, axis=1))
+        g.label = f"permutation group on {width} points"
     else:
-        field = elements[0].field
+        field = gens[0].field
         g.field = field
-        g._M = np.array([e.entries for e in elements], dtype=np.int64)
+        g._M = elements.reshape(order, *gens[0].entries.shape)
         g._M.setflags(write=False)
-        codes = _mat_codes(g._M, field.p)
-        _install_lookup(g, codes, g._M.reshape(g.order, -1))
-        inv_stack = np.array(
-            [ff_inv(e.entries, field.p) for e in elements], dtype=np.int64
-        )
-        g.inv = g._lookup_mat_stack(inv_stack)
+        g.inv = np.zeros(order, dtype=np.int64)
+        stop = 1
+        for par, h in zip(parent, via):
+            start, stop = stop, stop + len(par)
+            g.inv[start:stop] = g._lookup_rows(compose(gen_inv[h], elements[g.inv[par]]))
         g.label = f"matrix group over {field}"
-    seen = set()
-    for h in gens:
-        idx = index[h]
-        if idx != 0 and idx not in seen:
-            seen.add(idx)
-            g.gens.append(idx)
+    for idx in g._lookup_rows(gen_rows):
+        if idx != 0 and idx not in g.gens:
+            g.gens.append(int(idx))
     if not g.gens:
         g.gens = [0]
     return g
@@ -695,10 +740,6 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     q.label = f"({g.label}) / N of order {n.order}"
     g._quotients[n.class_bits] = q
     return q
-
-
-def conjugacy_classes(g: GroupTable) -> list[ConjClass]:
-    return g.classes
 
 
 def normal_subgroup_from_classes(g: GroupTable, class_idxs) -> NormalSubgroup:

@@ -97,6 +97,43 @@ def group_closure(gens, mul):
     return elements
 
 
+def bfs_enumeration(gens, mul):
+    """Group elements in first-seen breadth-first order: the identity, then
+    for each frontier element x in order and each generator h in order the
+    product y = mul(x, h) whenever y is new."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    identity = gens[0]
+    while mul(identity, gens[0]) != gens[0]:
+        identity = mul(identity, gens[0])
+    elements = [identity]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for h in gens:
+                y = mul(x, h)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elements
+
+
+def matmul_mod(p: int):
+    """Product of square matrices over GF(p) given as flat row-major tuples."""
+    def mul(x, y):
+        n = int(round(len(x) ** 0.5))
+        return tuple(
+            sum(x[i * n + k] * y[k * n + j] for k in range(n)) % p
+            for i in range(n)
+            for j in range(n)
+        )
+    return mul
+
+
 def conjugacy_partition(elements, gens, mul, inv):
     """Classes as frozensets, via conjugation orbits under the generators."""
     pending = set(elements)

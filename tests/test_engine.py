@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qrg import engine, gf
 from qrg.errors import CapExceeded
 from qrg.gf import FFMatrix, PrimeField
+from qrg.groupspec import build_group, parse_spec
 from qrg.permutations import Permutation
 
 
@@ -180,10 +183,17 @@ def test_commutator_width():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        engine.enumerate_group(
-            [Permutation((1, 2, 0, 3, 4)), Permutation((0, 1, 3, 4, 2))], cap=59
+    # CapExceeded exactly when the order passes the cap, on both carriers
+    a5_gens = [Permutation((1, 2, 0, 3, 4)), Permutation((0, 1, 3, 4, 2))]
+    sl25_gens = gf.classical_generators("SL", 2, PrimeField(5))
+    for gens, order in ((a5_gens, 60), (sl25_gens, 120)):
+        cap = order - 1
+        with pytest.raises(CapExceeded) as err:
+            engine.enumerate_group(gens, cap=cap)
+        assert str(err.value) == (
+            f"group enumeration passed cap {cap}; raise the cap to continue"
         )
+        assert engine.enumerate_group(gens, cap=order).order == order
 
 
 def test_mixed_carriers_rejected():
@@ -193,8 +203,109 @@ def test_mixed_carriers_rejected():
         )
 
 
+def test_singular_generator_rejected():
+    with pytest.raises(gf.SingularMatrix):
+        engine.enumerate_group([FFMatrix(PrimeField(5), [[1, 2], [2, 4]])])
+
+
 def test_element_labels():
     g = s4()
     assert g.element_label(0) == "()"
     sl = sl25()
     assert sl.element_label(0) == "mat:p=5:[[1,0],[0,1]]"
+
+
+# -- enumeration against a plain element-by-element BFS ------------------------
+
+
+def _table(g):
+    """Element i of a perm or mat group as a flat tuple, for every i."""
+    if g.kind == "perm":
+        return [g.element(i).images for i in range(g.order)]
+    return [tuple(int(x) for x in g.element(i).entries.ravel()) for i in range(g.order)]
+
+
+def _check_against_bfs(g, gens, mul):
+    """Same elements in the same order, the same generator indices, and
+    inverses that multiply to the identity."""
+    want = oracles.bfs_enumeration(gens, mul)
+    assert _table(g) == want
+    index = {x: i for i, x in enumerate(want)}
+    want_gens = []
+    for h in gens:
+        if index[h] != 0 and index[h] not in want_gens:
+            want_gens.append(index[h])
+    assert g.gens == (want_gens or [0])
+    every = np.arange(g.order)
+    assert not g.mul_pairwise(every, g.inv).any()
+
+
+@st.composite
+def perm_generators(draw):
+    degree = draw(st.integers(0, 7))
+    return draw(
+        st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3)
+    )
+
+
+@st.composite
+def matrix_generators(draw):
+    # |GL_3(5)| = 1,488,000 is past the default cap, so n = 3 stops at p = 3
+    p, n = draw(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+    )
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n).filter(
+        lambda e: oracles.det_mod_p([e[i * n : i * n + n] for i in range(n)], p)
+    )
+    return p, n, draw(st.lists(entries.map(tuple), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_generators())
+def test_enumeration_matches_bfs_oracle_on_random_permutation_groups(gens):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    _check_against_bfs(g, gens, oracles.compose)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_generators())
+def test_enumeration_matches_bfs_oracle_on_random_matrix_groups(drawn):
+    p, n, gens = drawn
+    field = PrimeField(p)
+    g = engine.enumerate_group([FFMatrix(field, np.reshape(x, (n, n))) for x in gens])
+    _check_against_bfs(g, gens, oracles.matmul_mod(p))
+
+
+def test_wide_keys_match_bfs_oracle():
+    # codes would overflow int64 here (16**16, 17**17 and 127**9 are all
+    # past 2**62), so rows are keyed by their bytes
+    c16 = [tuple((i + 1) % 16 for i in range(16))]
+    d17 = [
+        tuple((i + 1) % 17 for i in range(17)),
+        tuple((17 - i) % 17 for i in range(17)),
+    ]
+    diag = [(3, 0, 0, 0, 9, 0, 0, 0, 5)]
+    diag_carrier = [FFMatrix(PrimeField(127), np.reshape(diag[0], (3, 3)))]
+    cases = [
+        ([Permutation(x) for x in c16], c16, oracles.compose),
+        ([Permutation(x) for x in d17], d17, oracles.compose),
+        (diag_carrier, diag, oracles.matmul_mod(127)),
+    ]
+    for carriers, gens, mul in cases:
+        g = engine.enumerate_group(carriers)
+        assert g._pow is None
+        _check_against_bfs(g, gens, mul)
+        for i in range(g.order):
+            assert g.index_of(g.element(i)) == i
+    assert engine._radix_powers(15, 15) is not None
+    assert engine._radix_powers(16, 16) is None
+
+
+@pytest.mark.parametrize("spec", ["SL2:7", "SL3:3", "Sp4:3"])
+def test_bfs_inverses_match_elimination(spec):
+    g = build_group(parse_spec(spec))
+    p = g.field.p
+    rng = np.random.default_rng(2)
+    for i in rng.choice(g.order, size=200, replace=False):
+        want = gf.ff_inv(g.element(int(i)).entries, p)
+        assert np.array_equal(g.element(int(g.inv[i])).entries, want)
