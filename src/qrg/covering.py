@@ -212,11 +212,14 @@ def double_covering_feasible(
     m1 = resolve_m(g, x, m1)
     m2 = resolve_m(g, y, m2)
     full = g.full_class_bits()
+    b_sets = {
+        kfold_product(class_of_element(g, g.power(y, j), symmetric=True), k2).bits
+        for j in range(1, m2 + 1)
+    }
     for i in range(1, m1 + 1):
         a = kfold_product(class_of_element(g, g.power(x, i), symmetric=True), k1)
-        for j in range(1, m2 + 1):
-            b = kfold_product(class_of_element(g, g.power(y, j), symmetric=True), k2)
-            if g.class_set_product_bits(a.bits, b.bits) != full:
+        for b in b_sets:
+            if g.class_set_product_bits(a.bits, b) != full:
                 return False
     return True
 

@@ -16,6 +16,15 @@ element is found by a key of its flattened carrier row: a mixed-radix int64
 code while the code space fits (see _radix_powers), the row's bytes past
 that.  Matrix inverses follow the same BFS: if y = x * h then
 y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
+
+Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
+and every subgroup question is answered from cached class-pair products
+rather than element by element.  A class union N containing the identity
+is a subgroup exactly when N * N = N; the join of two normal subgroups A
+and B is their product set A * B; the normal closure of some classes is the
+fixed point of N <- N * S, with S those classes plus the identity.  Powers
+of an element are read from its cycle x, x^2, ..., 1, walked once and
+cached.
 """
 
 from __future__ import annotations
@@ -136,11 +145,10 @@ class GroupTable:
         self._classes = None
         self._class_of = None
         self._inv_class = None
-        self._elt_order: dict[int, int] = {}
+        self._cycles: dict[int, list[int]] = {}
         self._normals = None
         self._cosocle = None
         self._derived_bits = None
-        self._closure_bits_cache: dict[int, int] = {}
         self._pair_prod_cache: dict[tuple[int, int], int] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._quotients: dict[int, "GroupTable"] = {}
@@ -156,28 +164,24 @@ class GroupTable:
     def inv_of(self, i: int) -> int:
         return int(self.inv[i])
 
+    def _cycle(self, i: int) -> list[int]:
+        """Indices of x, x^2, ..., x^o = 1 for x = element(i) of order o."""
+        got = self._cycles.get(i)
+        if got is None:
+            got = [i]
+            while got[-1] != 0:
+                got.append(self.mul(got[-1], i))
+            self._cycles[i] = got
+        return got
+
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv_of(i), -k)
-        result = 0
-        base = i
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """Index of element(i)**k for any integer k, read from the cycle of
+        element(i): x^k = x^(k mod o), which sits at position (k - 1) mod o."""
+        cycle = self._cycle(i)
+        return cycle[(k - 1) % len(cycle)]
 
     def order_of(self, i: int) -> int:
-        got = self._elt_order.get(i)
-        if got is None:
-            k = 1
-            j = i
-            while j != 0:
-                j = self.mul(j, i)
-                k += 1
-            got = self._elt_order[i] = k
-        return got
+        return len(self._cycle(i))
 
     def exponent(self) -> int:
         out = 1
@@ -445,49 +449,25 @@ class GroupTable:
 
     # -- subgroup machinery ---------------------------------------------------
 
-    def subgroup_closure(self, gen_idxs) -> np.ndarray:
-        """Sorted member indices of the subgroup generated by gen_idxs."""
-        member = np.zeros(self.order, dtype=bool)
-        member[0] = True
-        gens = sorted({int(g) for g in gen_idxs} - {0})
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size and gens:
-            batches = [self.mul_right_batch(frontier, g) for g in gens]
-            cand = np.unique(np.concatenate(batches))
-            fresh = cand[~member[cand]]
-            member[fresh] = True
-            frontier = fresh
-        return np.nonzero(member)[0].astype(np.int64)
-
     def normal_closure_bits(self, seed_class_idxs) -> int:
-        """Class bitmask of the normal closure of the given classes."""
-        seed_bits = 0
+        """Class bitmask of the normal closure of the given classes.
+
+        With S the seed classes plus the identity class, this is the fixed
+        point of N <- N * S from N = S.  N only grows, since 1 is in S; once
+        N * S = N, N holds every product of members of S, and in a finite
+        group that set is the subgroup S generates.  That subgroup is normal
+        because S is a union of classes, hence invariant under conjugation.
+        Each step is a cached class-set product.
+        """
+        s_bits = 1
         for c in seed_class_idxs:
-            seed_bits |= 1 << int(c)
-        got = self._closure_bits_cache.get(seed_bits)
-        if got is not None:
-            return got
-        classes = self.classes
-        gen_elts = {classes[c].rep for c in _iter_bits(seed_bits)}
+            s_bits |= 1 << int(c)
+        bits = s_bits
         while True:
-            members = self.subgroup_closure(gen_elts)
-            mask = np.zeros(self.order, dtype=bool)
-            mask[members] = True
-            touched = {int(c) for c in np.unique(self.class_of[members])}
-            size = sum(classes[c].size for c in touched)
-            if size == len(members):
-                bits = 0
-                for c in touched:
-                    bits |= 1 << c
-                self._closure_bits_cache[seed_bits] = bits
+            grown = self.class_set_product_bits(bits, s_bits)
+            if grown == bits:
                 return bits
-            # for every class the closure only partially contains, pull in one
-            # member from outside; each sits inside the normal closure, so the
-            # subgroup grows strictly and the loop terminates
-            for c in touched:
-                outside = classes[c].members[~mask[classes[c].members]]
-                if outside.size:
-                    gen_elts.add(int(outside[0]))
+            bits = grown
 
 
 def _iter_bits(bits: int):
@@ -707,10 +687,9 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
         return cached
     # a union of classes is automatically conjugation invariant; still verify
     # it is a subgroup
-    members = n.members
-    closed = g.subgroup_closure(int(x) for x in members)
-    if len(closed) != n.order or not np.array_equal(closed, members):
+    if not _is_subgroup(g, n.class_bits):
         raise NotNormal("the given class union is not a subgroup")
+    members = n.members
 
     proj = np.full(g.order, -1, dtype=np.int64)
     reps = []
@@ -742,16 +721,20 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     return q
 
 
+def _is_subgroup(g: GroupTable, bits: int) -> bool:
+    """Whether a class union is a subgroup, hence a normal one: it must hold
+    the identity class 0 and be closed, N * N = N."""
+    return bool(bits & 1) and g.class_set_product_bits(bits, bits) == bits
+
+
 def normal_subgroup_from_classes(g: GroupTable, class_idxs) -> NormalSubgroup:
     """Build a NormalSubgroup from class indices, verifying it is a subgroup."""
     bits = 0
     for c in class_idxs:
         bits |= 1 << int(c)
-    n = NormalSubgroup(g, bits)
-    closed = g.subgroup_closure(int(x) for x in n.members)
-    if len(closed) != n.order:
+    if not _is_subgroup(g, bits):
         raise NotNormal("class union is not closed under multiplication")
-    return n
+    return NormalSubgroup(g, bits)
 
 
 def normal_subgroup_from_elements(g: GroupTable, idxs) -> NormalSubgroup:
@@ -766,7 +749,10 @@ def normal_subgroup_from_elements(g: GroupTable, idxs) -> NormalSubgroup:
 
 
 def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
-    """All normal subgroups: closures of class unions, closed under join."""
+    """All normal subgroups: closures of single classes, closed under join.
+
+    The join of normal subgroups A and B is their product set A * B.
+    """
     if g._normals is not None:
         return list(g._normals)
     classes = g.classes
@@ -783,10 +769,10 @@ def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
         added = False
         for idx_a, a in enumerate(current):
             for b in current[idx_a + 1 :]:
-                u = a | b
-                if u in found:
+                # a | b in found is a subgroup, so it already equals a * b
+                if a | b in found:
                     continue
-                j = g.normal_closure_bits(list(_iter_bits(u)))
+                j = g.class_set_product_bits(a, b)
                 if j not in found:
                     found.add(j)
                     added = True

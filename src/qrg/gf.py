@@ -119,9 +119,6 @@ class FFMatrix:
         self._check(other)
         return FFMatrix(self.field, (self.entries - other.entries) % self.field.p)
 
-    def scale(self, c: int) -> "FFMatrix":
-        return FFMatrix(self.field, (self.entries * (c % self.field.p)) % self.field.p)
-
     def inverse(self) -> "FFMatrix":
         inv = ff_inv(self.entries, self.field.p)
         if inv is None:

@@ -149,6 +149,20 @@ def test_not_normal_rejected():
     swap = g.index_of(Permutation((1, 0, 2, 3)))
     with pytest.raises(engine.NotNormal):
         engine.normal_subgroup_from_elements(g, [0, swap])
+    # class unions that reach the subgroup check itself: the identity with
+    # the transpositions (not closed), and V4's double transpositions
+    # without the identity class
+    one = int(g.class_of[0])
+    transpositions = int(g.class_of[swap])
+    doubles = int(g.class_of[g.index_of(Permutation((1, 0, 3, 2)))])
+    for class_idxs in ([one, transpositions], [doubles]):
+        with pytest.raises(engine.NotNormal, match="not closed under multiplication"):
+            engine.normal_subgroup_from_classes(g, class_idxs)
+        bits = sum(1 << c for c in class_idxs)
+        with pytest.raises(engine.NotNormal, match="not a subgroup"):
+            engine.quotient(g, engine.NormalSubgroup(g, bits))
+    v4 = engine.normal_subgroup_from_classes(g, [one, doubles])
+    assert engine.quotient(g, v4).order == 6
 
 
 def test_center_and_cosocle():
@@ -241,8 +255,8 @@ def _check_against_bfs(g, gens, mul):
 
 
 @st.composite
-def perm_generators(draw):
-    degree = draw(st.integers(0, 7))
+def perm_generators(draw, max_degree=7):
+    degree = draw(st.integers(0, max_degree))
     return draw(
         st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3)
     )
@@ -309,3 +323,99 @@ def test_bfs_inverses_match_elimination(spec):
     for i in rng.choice(g.order, size=200, replace=False):
         want = gf.ff_inv(g.element(int(i)).entries, p)
         assert np.array_equal(g.element(int(g.inv[i])).entries, want)
+
+
+# -- class-level subgroup machinery against the oracles ------------------------
+
+
+def _carrier(x):
+    """Plain tuple form of a group element, as the oracles take it."""
+    if isinstance(x, Permutation):
+        return x.images
+    if isinstance(x, FFMatrix):
+        return tuple(int(v) for v in x.entries.ravel())
+    return tuple(_carrier(y) for y in x)
+
+
+def _oracle_mul(g):
+    if g.kind == "perm":
+        return oracles.compose
+    if g.kind == "mat":
+        return oracles.matmul_mod(g.field.p)
+    mul1, mul2 = (_oracle_mul(f) for f in g.factors)
+    return lambda a, b: (mul1(a[0], b[0]), mul2(a[1], b[1]))
+
+
+def _check_normal_closures(g):
+    """Every single-class normal closure is the subgroup the class generates."""
+    mul = _oracle_mul(g)
+    for c in g.classes:
+        got = engine.NormalSubgroup(g, g.normal_closure_bits([c.index])).members
+        want = oracles.group_closure([_carrier(g.element(int(x))) for x in c.members], mul)
+        assert {_carrier(g.element(int(x))) for x in got} == want
+
+
+def _check_lattice(g):
+    """The lattice is every class union that holds the identity and is closed
+    under the oracle product."""
+    mul = _oracle_mul(g)
+    classes = [{_carrier(g.element(int(x))) for x in c.members} for c in g.classes]
+    identity = next(x for x in set().union(*classes) if mul(x, x) == x)
+    want = set()
+    for bits in range(1, 1 << len(classes)):
+        union = set().union(*(classes[c] for c in range(len(classes)) if bits >> c & 1))
+        if identity in union and all(mul(a, b) in union for a in union for b in union):
+            want.add(bits)
+    assert {n.class_bits for n in engine.normal_subgroups(g)} == want
+
+
+def _check_powers(g):
+    """power(i, k) for k in [-o, 2o] and order_of(i), by repeated products."""
+    mul = _oracle_mul(g)
+    elements = [_carrier(g.element(i)) for i in range(g.order)]
+    identity = next(x for x in elements if mul(x, x) == x)
+    for i, x in enumerate(elements):
+        ups = [identity]
+        while len(ups) == 1 or ups[-1] != identity:
+            ups.append(mul(ups[-1], x))
+        o = len(ups) - 1
+        assert g.order_of(i) == o
+        for _ in range(o):
+            ups.append(mul(ups[-1], x))
+        downs = [identity]
+        inverse = ups[o - 1]  # x^(o-1) x = 1
+        for _ in range(o):
+            downs.append(mul(downs[-1], inverse))
+        for k in range(-o, 2 * o + 1):
+            want = ups[k] if k >= 0 else downs[-k]
+            assert elements[g.power(i, k)] == want
+
+
+FIXED_SPECS = ["S4", "A5", "SL2:5", "D7", "prod(A5,C2)"]
+
+
+@pytest.mark.parametrize("spec", FIXED_SPECS)
+def test_normal_closures_match_oracle(spec):
+    _check_normal_closures(build_group(parse_spec(spec)))
+
+
+@pytest.mark.parametrize("spec", FIXED_SPECS)
+def test_lattice_matches_bruteforce_class_unions(spec):
+    g = build_group(parse_spec(spec))
+    assert len(g.classes) <= 10
+    _check_lattice(g)
+
+
+@pytest.mark.parametrize("spec", FIXED_SPECS)
+def test_powers_match_repeated_products(spec):
+    _check_powers(build_group(parse_spec(spec)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_generators(max_degree=6))
+def test_class_algebra_matches_oracle_on_random_permutation_groups(gens):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    _check_normal_closures(g)
+    if len(g.classes) <= 10:
+        _check_lattice(g)
+    _check_powers(g)
