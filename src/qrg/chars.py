@@ -5,7 +5,8 @@ field F_ell with ell = 1 (mod exp(G)): the class-sum multiplication
 matrices commute, their simultaneous eigenvectors are the primitive
 central idempotents, and the degrees fall out of the orthogonality
 normalization.  Everything is exact integer arithmetic; no floating
-point appears anywhere in this module.
+point appears anywhere in this module.  Null spaces and column reductions
+come from the one elimination kernel in gf (ff_nullspace, ff_rref).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .engine import GroupTable, TrivialGroup, normal_subgroups
 from .errors import CapExceeded
-from .gf import is_prime
+from .gf import ff_nullspace, ff_rref, is_prime
 
 DEGREE_ORDER_CAP = 20_000
 _PRIME_ATTEMPTS = 8
@@ -82,6 +83,12 @@ def _class_coefficients(g: GroupTable, i: int) -> np.ndarray:
     return a
 
 
+def _check_residue_sums(terms: int, ell: int):
+    """Raise unless a sum of `terms` products of two residues mod ell fits int64."""
+    if terms * (ell - 1) ** 2 >= 1 << 63:
+        raise OverflowError(f"sums of {terms} products of residues mod {ell} overflow int64")
+
+
 def _charpoly_mod(a: np.ndarray, ell: int) -> list[int]:
     """Characteristic polynomial coefficients mod ell, leading first.
 
@@ -89,6 +96,7 @@ def _charpoly_mod(a: np.ndarray, ell: int) -> list[int]:
     matrix dimension, so the divisions by k are invertible.
     """
     m = len(a)
+    _check_residue_sums(m, ell)
     power = np.eye(m, dtype=np.int64)
     psums = []
     for _ in range(m):
@@ -112,64 +120,6 @@ def _poly_roots_mod(coeffs: Sequence[int], ell: int) -> list[int]:
     return [int(x) for x in xs[acc == 0]]
 
 
-def _nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
-    """Column basis of ker(a) over F_ell, shape (n, dim)."""
-    m = a.copy() % ell
-    rows, cols = m.shape
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        sub = np.nonzero(m[rank:, c])[0]
-        if len(sub) == 0:
-            continue
-        p = rank + int(sub[0])
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, c]), -1, ell) % ell
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != rank]
-        if len(others):
-            m[others] = (m[others] - np.outer(m[others, c], m[rank])) % ell
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[fc, idx] = 1
-        for ri, pc in enumerate(pivots):
-            basis[pc, idx] = (-int(m[ri, fc])) % ell
-    return basis
-
-
-def _column_reduce(b: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
-    """Column-reduce b mod ell so that b[pivots] is the identity."""
-    m = (b.T % ell).copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        sub = np.nonzero(m[rank:, c])[0]
-        if len(sub) == 0:
-            continue
-        p = rank + int(sub[0])
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, c]), -1, ell) % ell
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != rank]
-        if len(others):
-            m[others] = (m[others] - np.outer(m[others, c], m[rank])) % ell
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    if rank != rows:
-        raise ArithmeticError("subspace basis lost rank during reduction")
-    return m.T, pivots
-
-
 class _SplitFailure(Exception):
     """The class matrices failed to separate characters at this prime."""
 
@@ -178,6 +128,9 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
     classes = g.classes
     r = len(classes)
     order = g.order
+    # The degree normalization sums |C_j| v_j v_j* over the classes, at most
+    # |G| products of two residues; the class-matrix products sum r of them.
+    _check_residue_sums(order, ell)
     inv_class = np.fromiter((g.inverse_class(j) for j in range(r)), dtype=np.int64, count=r)
     sizes = np.fromiter((c.size for c in classes), dtype=np.int64, count=r)
 
@@ -197,10 +150,14 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
             found = 0
             for lam in _poly_roots_mod(_charpoly_mod(action, ell), ell):
                 shifted = (action - lam * np.eye(dim, dtype=np.int64)) % ell
-                kern = _nullspace_mod(shifted, ell)
+                kern = ff_nullspace(shifted, ell)
                 if kern.shape[1] == 0:
                     continue
-                next_spaces.append(_column_reduce((b @ kern) % ell, ell))
+                # Column-reduce the new basis so that its pivot rows are the identity.
+                rows, pivots = ff_rref(((b @ kern) % ell).T, ell)
+                if len(pivots) != kern.shape[1]:
+                    raise ArithmeticError("subspace basis lost rank during reduction")
+                next_spaces.append((rows.T, pivots))
                 found += kern.shape[1]
             if found != dim:
                 raise _SplitFailure(f"defective action at class {i}")

@@ -472,13 +472,14 @@ def _suite_jordan(args):
     checked = 0
     perm_fields = [gf.PrimeField(p) for p in (2, 3, 5)]
     for n in range(2, 9):
-        for images in itertools.permutations(range(n)):
-            perm = Permutation(images)
-            bound = Fraction(n - len(perm.cycles(include_fixed=True)), n)
-            for field in perm_fields:
-                checked += 1
-                if gf.jordan_length(constructions.perm_matrix(perm, field)) < bound:
-                    perm_failures += 1
+        perms = [Permutation(images) for images in itertools.permutations(range(n))]
+        bounds = [Fraction(n - len(perm.cycles(include_fixed=True)), n) for perm in perms]
+        # 0/1 entries, the same over every field
+        mats = np.array([constructions.perm_matrix(q, perm_fields[0]).entries for q in perms])
+        for field in perm_fields:
+            lengths = gf.jordan_lengths(mats, field.p)
+            perm_failures += sum(ln < bd for ln, bd in zip(lengths, bounds))
+            checked += len(perms)
     yield (
         "permutation matrices meet the (n-k)/n bound for degree <= 8",
         perm_failures == 0,

@@ -207,7 +207,7 @@ class GroupTable:
         if self.kind == "perm":
             return self._lookup_rows(self._P[i][self._P[js]])
         if self.kind == "mat":
-            stack = np.einsum("ij,ajk->aik", self._M[i], self._M[js]) % self.field.p
+            stack = (self._M[i] @ self._M[js]) % self.field.p
             return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors
@@ -230,7 +230,7 @@ class GroupTable:
         if self.kind == "perm":
             return self._lookup_rows(self._P[is_][:, self._P[j]])
         if self.kind == "mat":
-            stack = np.einsum("aij,jk->aik", self._M[is_], self._M[j]) % self.field.p
+            stack = (self._M[is_] @ self._M[j]) % self.field.p
             return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors
@@ -254,7 +254,7 @@ class GroupTable:
             rows = np.take_along_axis(self._P[is_], self._P[js], axis=1)
             return self._lookup_rows(rows)
         if self.kind == "mat":
-            stack = np.einsum("aij,ajk->aik", self._M[is_], self._M[js]) % self.field.p
+            stack = (self._M[is_] @ self._M[js]) % self.field.p
             return self._lookup_rows(stack.reshape(len(stack), -1))
         if self.kind == "prod":
             g1, g2 = self.factors

@@ -2,6 +2,17 @@
 
 Matrices are numpy int64 arrays reduced mod p; all elimination is exact.
 Extension fields GF(p^k), k >= 2, are out of scope.
+
+Every elimination runs through one kernel, _eliminate, which fully reduces
+a (b, n, m) stack of matrices: a loop over the m columns, vectorized over
+the b matrices.  It never swaps rows.  In each column a matrix takes its
+first unused row with a nonzero entry as the pivot row, scales it to a
+leading 1, clears the column in every other row and marks the row used.
+Rank, determinant, inverse, nullspace and reduced row echelon form are read
+off its pivot map, and the Jordan length ranks a*I - g for every a at once.
+The kernel multiplies two residues below p, so it requires p < 2**31
+(p**2 < 2**62), checked where it is entered; callers such as the character
+degrees pass primes above MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -15,6 +26,13 @@ import numpy as np
 from .errors import CapExceeded, ParseError
 
 MAX_PRIME = 1 << 16
+# Elimination multiplies two residues below p: p**2 < 2**62 keeps that and
+# the difference it is subtracted from inside int64.
+_ELIM_PRIME_LIMIT = 1 << 31
+
+# Matrix entries per rank call in jordan_lengths (8 MB of int64), which
+# bounds its memory whatever the number of matrices and the prime.
+_JORDAN_ENTRIES = 1 << 20
 
 # Enumeration cap shared with the group engine; classical_generators refuses
 # families whose full group would not be enumerable anyway.
@@ -111,14 +129,6 @@ class FFMatrix:
         self._check(other)
         return FFMatrix(self.field, (self.entries @ other.entries) % self.field.p)
 
-    def __add__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check(other)
-        return FFMatrix(self.field, (self.entries + other.entries) % self.field.p)
-
-    def __sub__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check(other)
-        return FFMatrix(self.field, (self.entries - other.entries) % self.field.p)
-
     def inverse(self) -> "FFMatrix":
         inv = ff_inv(self.entries, self.field.p)
         if inv is None:
@@ -158,108 +168,119 @@ class FFMatrix:
         return f"FFMatrix({matrix_literal(self)!r})"
 
 
-def ff_rank(a: np.ndarray, p: int) -> int:
-    """Rank by forward Gaussian elimination mod p."""
-    m = (np.array(a, dtype=np.int64) % p).copy()
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
+def _eliminate(stack: np.ndarray, p: int):
+    """Fully reduce every matrix of a (b, n, m) stack mod p, without swapping rows.
+
+    For each column, each matrix takes its first unused row with a nonzero
+    entry as the pivot row, scales it to a leading 1, clears the column in
+    every other row and marks the row used.  Returns the reduced stack, the
+    pivot row of each column as a (b, m) array (-1 where there is none) and
+    the product mod p of each matrix's pivots before scaling.
+    """
+    if not 2 <= p < _ELIM_PRIME_LIMIT:
+        raise ValueError(f"elimination needs 2 <= p < 2**31, got {p}")
+    a = np.asarray(stack, dtype=np.int64, order="C") % p
+    b, n, m = a.shape
+    flat = a.reshape(b * n, m)
+    first = np.arange(0, b * n, n)
+    free = np.ones(b * n, dtype=bool)
+    pivot_row = np.full((b, m), -1, dtype=np.int64)
+    product = np.ones(b, dtype=np.int64)
+    left = b * n
+    for c in range(m):
+        if not left:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        col = flat[:, c]
+        cand = (col != 0) & free
+        r = cand.reshape(b, n).argmax(axis=1)
+        at = first + r
+        has = cand[at]
+        k = np.count_nonzero(has)
+        if not k:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1 :, c]
-        if below.size:
-            m[r + 1 :] = (m[r + 1 :] - np.outer(below, m[r])) % p
-        r += 1
-    return r
+        piv = col[at] * has
+        inv = np.array([pow(v, -1, p) if v else 0 for v in piv.tolist()], dtype=np.int64)
+        row = flat[at] * inv[:, None] % p
+        # A matrix without a pivot here has row = 0, so it is left unchanged.
+        a -= col.reshape(b, n, 1) * row[:, None, :]
+        a %= p
+        flat[at] += row
+        free[at[has]] = False
+        pivot_row[:, c] = np.where(has, r, -1)
+        product = product * np.where(has, piv, 1) % p
+        left -= k
+    return a, pivot_row, product
+
+
+def ff_rank(a: np.ndarray, p: int):
+    """Rank mod p of a matrix, or the array of ranks of a (b, n, m) stack."""
+    a = np.asarray(a, dtype=np.int64)
+    _, pivot_row, _ = _eliminate(a[None] if a.ndim == 2 else a, p)
+    ranks = np.count_nonzero(pivot_row >= 0, axis=1)
+    return int(ranks[0]) if a.ndim == 2 else ranks
 
 
 def ff_det(a: np.ndarray, p: int) -> int:
-    """Determinant mod p via elimination."""
-    m = (np.array(a, dtype=np.int64) % p).copy()
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        piv = c + int(nz[0])
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-            det = (-det) % p
-        det = (det * int(m[c, c])) % p
-        inv = pow(int(m[c, c]), -1, p)
-        m[c] = (m[c] * inv) % p
-        below = m[c + 1 :, c]
-        if below.size:
-            m[c + 1 :] = (m[c + 1 :] - np.outer(below, m[c])) % p
-    return det % p
+    """Determinant mod p: the pivot product times the sign of column -> pivot row."""
+    _, pivot_row, product = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
+    rows = pivot_row[0]
+    if (rows < 0).any():
+        return 0
+    inversions = np.count_nonzero(np.triu(rows[:, None] > rows[None, :], 1))
+    return int(product[0]) * (-1) ** inversions % p
 
 
 def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse mod p, or None when singular."""
-    m = (np.array(a, dtype=np.int64) % p).copy()
-    n = m.shape[0]
-    aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(aug[r:, c])[0]
-        if nz.size == 0:
-            return None
-        piv = r + int(nz[0])
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        inv = pow(int(aug[r, c]), -1, p)
-        aug[r] = (aug[r] * inv) % p
-        others = np.nonzero(aug[:, c])[0]
-        for i in others:
-            if i != r:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
-        r += 1
-    return aug[:, n:]
+    """Inverse mod p, or None when singular: the right half of the reduced [A | I]."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    reduced, pivot_row, _ = _eliminate(aug[None], p)
+    rows = pivot_row[0, :n]
+    if (rows < 0).any():
+        return None
+    return reduced[0, rows, n:]
+
+
+def ff_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form mod p: its nonzero rows and their pivot columns."""
+    reduced, pivot_row, _ = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
+    cols = np.flatnonzero(pivot_row[0] >= 0)
+    return reduced[0, pivot_row[0, cols]], cols
 
 
 def ff_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Column basis of the kernel, in reduced form (free rows carry identity)."""
-    m = (np.array(a, dtype=np.int64) % p).copy()
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        others = np.nonzero(m[:, c])[0]
-        for i in others:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for ri, pc in enumerate(pivots):
-            basis[pc, k] = (-m[ri, fc]) % p
+    rows, pivots = ff_rref(a, p)
+    is_free = np.ones(rows.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((rows.shape[1], len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -rows[:, free] % p
     return basis
 
 
-def rank(m: FFMatrix) -> int:
-    return ff_rank(m.entries, m.field.p)
+def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
+    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g.
+
+    m_g = max over a in F* of dim ker(a - g).  One rank call covers a*I - g
+    for a = 0..p-1: a = 0 gives -g, of rank n exactly when g is invertible,
+    and n - m_g is the least rank over a >= 1.  Stacks past _JORDAN_ENTRIES
+    entries are ranked in calls of that size.
+    """
+    g = np.asarray(stack, dtype=np.int64)
+    b, n, _ = g.shape
+    eye = np.eye(n, dtype=np.int64)
+    step = max(1, _JORDAN_ENTRIES // (n * n))
+    ranks = np.empty(b * p, dtype=np.int64)
+    for lo in range(0, b * p, step):
+        k = np.arange(lo, min(lo + step, b * p))  # matrix k // p, shifted by a = k % p
+        ranks[lo : lo + len(k)] = ff_rank((k % p)[:, None, None] * eye - g[k // p], p)
+    ranks = ranks.reshape(b, p)
+    if (ranks[:, 0] < n).any():
+        raise SingularMatrix("jordan length requires an invertible matrix")
+    return [Fraction(int(k), n) for k in ranks[:, 1:].min(axis=1)]
 
 
 def jordan_length(g: FFMatrix) -> Fraction:
@@ -267,17 +288,7 @@ def jordan_length(g: FFMatrix) -> Fraction:
 
     Only defined for invertible g.
     """
-    p = g.field.p
-    n = g.n
-    if ff_det(g.entries, p) == 0:
-        raise SingularMatrix("jordan length requires an invertible matrix")
-    best = 0
-    for a in range(1, p):
-        shifted = (a * np.eye(n, dtype=np.int64) - g.entries) % p
-        dim = n - ff_rank(shifted, p)
-        if dim > best:
-            best = dim
-    return Fraction(n - best, n)
+    return jordan_lengths(g.entries[None], g.field.p)[0]
 
 
 def direct_sum(a: FFMatrix, b: FFMatrix) -> FFMatrix:

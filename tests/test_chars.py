@@ -78,6 +78,30 @@ def test_character_degrees_validation():
         chars.CharacterDegrees(degrees=(2, 2), group_order=8)
 
 
+def test_charpoly_int64_limit():
+    # sums of 2 products of residues below ell: 2 * (ell - 1)**2 < 2**63 holds
+    # for the prime 2**31 - 1 and reaches 2**63 at ell = 2**31 + 1
+    ell = 2**31 - 1
+    assert chars._charpoly_mod(np.eye(2, dtype=np.int64), ell) == [1, ell - 2, 1]
+    chars._check_residue_sums(2, 2**31)
+    for past in (2**31 + 1, 2**31 + 11):
+        with pytest.raises(OverflowError):
+            chars._charpoly_mod(np.eye(2, dtype=np.int64), past)
+
+
+def test_degree_normalization_int64_limit():
+    # |G| * (ell - 1)**2 < 2**63 bounds the sum of |C_j| v_j v_j*; for S3 the
+    # largest ell allowed is isqrt((2**63 - 1) // 6) + 1
+    s3 = build("S3")
+    top = math.isqrt((2**63 - 1) // 6) + 1
+    chars._check_residue_sums(s3.order, top)
+    with pytest.raises(OverflowError):
+        chars._check_residue_sums(s3.order, top + 1)
+    with pytest.raises(OverflowError):
+        chars._degrees_at_prime(s3, top + 1)
+    assert chars._degrees_at_prime(s3, 7) == [1, 1, 2]
+
+
 def test_quasirandom_degree():
     assert chars.quasirandom_degree(build("A5")) == 3
     assert chars.quasirandom_degree(build("A6")) == 5

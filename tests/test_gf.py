@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from qrg import gf
@@ -40,10 +43,10 @@ def test_prime_field_validation():
 
 
 def test_rank_examples():
-    assert gf.rank(FFMatrix.identity(F5, 3)) == 3
-    assert gf.rank(FFMatrix(F5, np.zeros((3, 3), dtype=np.int64))) == 0
+    assert gf.ff_rank(FFMatrix.identity(F5, 3).entries, 5) == 3
+    assert gf.ff_rank(FFMatrix(F5, np.zeros((3, 3), dtype=np.int64)).entries, 5) == 0
     # second row is twice the first
-    assert gf.rank(FFMatrix(F5, [[1, 2], [2, 4]])) == 1
+    assert gf.ff_rank(FFMatrix(F5, [[1, 2], [2, 4]]).entries, 5) == 1
 
 
 def test_rank_det_against_reference():
@@ -81,12 +84,105 @@ def test_nullspace_kills_and_completes_rank():
             assert gf.ff_rank(ns, p) == ns.shape[1]
 
 
+@st.composite
+def stacks(draw, primes=(2, 3, 5, 7, 65521), max_dim=6):
+    """(p, stack): a (b, n, m) stack mod p, some matrices zero or of low rank."""
+    p = draw(st.sampled_from(primes))
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    a = draw(arrays(np.int64, (b, n, m), elements=st.integers(0, p - 1)))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, b - 1))] = 0
+    if n > 1 and draw(st.booleans()):
+        # the last row becomes a multiple of the first in every matrix
+        a[:, -1] = a[:, 0] * draw(st.integers(0, p - 1)) % p
+    return p, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_rank_and_det_match_oracle_on_stacks(case):
+    p, a = case
+    want = [oracles.rank_mod_p(x.tolist(), p) for x in a]
+    assert gf.ff_rank(a, p).tolist() == want
+    assert gf.ff_rank(np.asfortranarray(a), p).tolist() == want
+    k = min(a.shape[1:])
+    for x, rank in zip(a, want):
+        assert gf.ff_rank(x, p) == rank
+        assert gf.ff_det(x[:k, :k], p) == oracles.det_mod_p(x[:k, :k].tolist(), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_rref_is_reduced_and_keeps_the_row_space(case):
+    p, a = case
+    for x in a:
+        rows, cols = gf.ff_rref(x, p)
+        rank = oracles.rank_mod_p(x.tolist(), p)
+        assert rows.shape == (rank, x.shape[1]) and len(cols) == rank
+        assert (np.diff(cols) > 0).all()
+        assert (rows[:, cols] == np.eye(rank, dtype=np.int64)).all()
+        for i, c in enumerate(cols):
+            assert not rows[i, :c].any()
+        assert oracles.rank_mod_p(np.vstack([x, rows]).tolist(), p) == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_inverse_round_trips_on_stacks(case):
+    p, a = case
+    k = min(a.shape[1:])
+    for x in a[:, :k, :k]:
+        inv = gf.ff_inv(x, p)
+        if oracles.det_mod_p(x.tolist(), p) == 0:
+            assert inv is None
+        else:
+            assert (x @ inv % p == np.eye(k, dtype=np.int64)).all()
+            assert (inv @ x % p == np.eye(k, dtype=np.int64)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks(primes=(2, 3, 5, 7)), st.data())
+def test_stacked_jordan_lengths_match_reference(case, data):
+    p, a = case
+    k = min(a.shape[1:])
+    square = a[:, :k, :k]
+    invertible = [x for x in square if oracles.det_mod_p(x.tolist(), p)]
+    if invertible:
+        got = gf.jordan_lengths(np.array(invertible), p)
+        assert got == [oracles.jordan_length_reference(x.tolist(), p) for x in invertible]
+    stack = np.array(invertible + [np.zeros((k, k), dtype=np.int64)])
+    stack = np.roll(stack, data.draw(st.integers(0, len(stack) - 1)), axis=0)
+    with pytest.raises(gf.SingularMatrix, match="requires an invertible matrix"):
+        gf.jordan_lengths(stack, p)
+
+
+def test_jordan_lengths_in_bounded_calls(monkeypatch):
+    # 20 entries per rank call is two shifted 3 x 3 matrices, so the calls
+    # split the shifts of one matrix and mix those of neighbours
+    monkeypatch.setattr(gf, "_JORDAN_ENTRIES", 20)
+    rng = np.random.default_rng(15)
+    for p in (2, 5, 7):
+        mats = [random_invertible(rng, 3, PrimeField(p)).entries for _ in range(4)]
+        want = [oracles.jordan_length_reference(m.tolist(), p) for m in mats]
+        assert gf.jordan_lengths(np.array(mats), p) == want
+
+
+def test_elimination_prime_limit():
+    # p**2 must stay below 2**62: 2**31 - 1 is prime and allowed, 2**31 is refused.
+    p = 2**31 - 1
+    a = np.array([[p - 1, p - 2, 3], [p - 3, 5, p - 1], [2, p - 1, p - 4]], dtype=np.int64)
+    assert gf.ff_rank(a, p) == oracles.rank_mod_p(a.tolist(), p)
+    assert gf.ff_det(a, p) == oracles.det_mod_p(a.tolist(), p)
+    with pytest.raises(ValueError, match="2 <= p < 2\\*\\*31"):
+        gf.ff_rank(a, 2**31)
+
+
 def test_matrix_algebra_mod_p():
     a = FFMatrix(F5, [[1, 2], [3, 4]])
     b = FFMatrix(F5, [[0, 1], [1, 0]])
     assert (a * b).entries.tolist() == [[2, 1], [4, 3]]
-    assert (a + b).entries.tolist() == [[1, 3], [4, 4]]
-    assert (a - b).entries.tolist() == [[1, 1], [2, 4]]
     assert (a ** 2).entries.tolist() == ((a.entries @ a.entries) % 5).tolist()
     assert ((a ** -1) * a).is_identity()
     assert (a ** 0).is_identity()
