@@ -17,6 +17,14 @@ code while the code space fits (see _radix_powers), the row's bytes past
 that.  Matrix inverses follow the same BFS: if y = x * h then
 y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
 
+Conjugacy classes are the orbits of the generators' conjugation maps, each
+map formed for the whole group by two batched products; the orbits are
+found by min-label propagation over those index arrays, and the classes
+are numbered by ascending (size, smallest member).  The center is the
+union of the classes of size 1.  A quotient G/N labels every element with
+the smallest member of its coset, from batched products of the smallest
+unplaced elements with all of N, and numbers the cosets in that order.
+
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
 and every subgroup question is answered from cached class-pair products
 rather than element by element.  A class union N containing the identity
@@ -43,6 +51,8 @@ from .permutations import Permutation, cycle_string
 DENSE_TABLE_CAP = 4096
 CLASS_CAP = 64
 WIDTH_ORDER_CAP = 5000
+# Products formed at once when labelling the cosets of a quotient.
+_COSET_PRODUCTS = 1 << 20
 
 
 class MixedCarriers(TypeError):
@@ -346,69 +356,63 @@ class GroupTable:
         return int(self._inv_class[ci])
 
     def _ensure_classes(self):
+        """Partition the group into conjugacy classes.
+
+        The classes are the orbits of the conjugation maps c_h(x) = h x h^-1,
+        h running over the generators, each formed for all elements in one
+        batched pass.  Orbits are found by min-label propagation: every
+        element starts labelled by itself, then label <- min(label,
+        label[c_h]) for each h and label <- label[label], until nothing
+        changes.  Labels never leave an element's orbit and, at the fixed
+        point, are constant on each cycle of every c_h, so each element
+        ends labelled by the smallest member of its class.  Direct products
+        pair the classes of their factors instead.
+        """
         if self._classes is not None:
             return
         if self.kind == "prod":
-            self._classes_from_factors()
+            self._finish_classes(self._classes_from_factors())
             return
-        order = self.order
-        class_of = np.full(order, -1, dtype=np.int64)
-        raw: list[list[int]] = []
-        gens = [g for g in self.gens if g != 0]
-        inv_gens = [self.inv_of(g) for g in gens]
-        for start in range(order):
-            if class_of[start] >= 0:
-                continue
-            label = len(raw)
-            class_of[start] = label
-            members = [start]
-            frontier = np.array([start], dtype=np.int64)
-            while frontier.size:
-                batches = []
-                for g, gi in zip(gens, inv_gens):
-                    t = self.mul_left_batch(g, frontier)
-                    batches.append(self.mul_right_batch(t, gi))
-                if not batches:
-                    break
-                cand = np.unique(np.concatenate(batches))
-                fresh = cand[class_of[cand] < 0]
-                class_of[fresh] = label
-                members.extend(int(x) for x in fresh)
-                frontier = fresh
-            raw.append(sorted(members))
-        self._finish_classes(raw, class_of)
+        every = np.arange(self.order, dtype=np.int64)
+        conj = [
+            self.mul_right_batch(self.mul_left_batch(h, every), self.inv_of(h))
+            for h in self.gens
+            if h != 0
+        ]
+        label = every
+        while True:
+            new = label
+            for c in conj:
+                new = np.minimum(new, new[c])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        self._finish_classes(label)
 
-    def _classes_from_factors(self):
+    def _classes_from_factors(self) -> np.ndarray:
+        """Class labels of a direct product: (class in G1, class in G2)."""
         g1, g2 = self.factors
-        o2 = g2.order
-        raw = []
-        for c1 in g1.classes:
-            for c2 in g2.classes:
-                members = (c1.members[:, None] * o2 + c2.members[None, :]).reshape(-1)
-                raw.append([int(x) for x in members])
-        class_of = np.empty(self.order, dtype=np.int64)
-        for label, members in enumerate(raw):
-            class_of[members] = label
-        self._finish_classes(raw, class_of)
+        return (g1.class_of[:, None] * len(g2.classes) + g2.class_of[None, :]).reshape(-1)
 
-    def _finish_classes(self, raw, class_of):
-        # deterministic numbering: ascending (size, smallest member)
-        order_keys = sorted(range(len(raw)), key=lambda k: (len(raw[k]), raw[k][0]))
-        relabel = np.empty(len(raw), dtype=np.int64)
-        classes = []
-        for new_idx, old_idx in enumerate(order_keys):
-            relabel[old_idx] = new_idx
-            members = np.array(raw[old_idx], dtype=np.int64)
-            classes.append(
-                ConjClass(
-                    index=new_idx,
-                    rep=int(members[0]),
-                    size=len(members),
-                    members=members,
-                )
-            )
-        self._class_of = relabel[class_of]
-        self._classes = classes
+    def _finish_classes(self, label: np.ndarray):
+        """Number the classes from any labelling of the elements that is
+        constant exactly on classes: ascending (size, smallest member)."""
+        _, first, old_of, sizes = np.unique(
+            label, return_index=True, return_inverse=True, return_counts=True
+        )
+        # first[k] is the smallest member of old class k
+        new_to_old = np.lexsort((first, sizes))
+        relabel = np.empty_like(new_to_old)
+        relabel[new_to_old] = np.arange(len(new_to_old))
+        class_of = relabel[old_of]
+        # a stable sort keeps each class's members ascending
+        parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes[new_to_old])[:-1])
+        self._classes = [
+            ConjClass(index=k, rep=int(members[0]), size=len(members), members=members)
+            for k, members in enumerate(parts)
+        ]
+        self._class_of = class_of
 
     # -- class products (shared by covering and width computations) ---------
 
@@ -689,21 +693,26 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     # it is a subgroup
     if not _is_subgroup(g, n.class_bits):
         raise NotNormal("the given class union is not a subgroup")
+    # label each element by the smallest member of its coset x N: take the
+    # smallest elements not yet placed, whose cosets' smallest members are
+    # among them, and scatter-min each over its whole coset.  The batch is
+    # at most the index [G:N]: past it the sources mostly share cosets, and
+    # a large N would form 2**20 products to find a handful of cosets.
     members = n.members
-
-    proj = np.full(g.order, -1, dtype=np.int64)
-    reps = []
-    for i in range(g.order):
-        if proj[i] >= 0:
-            continue
-        c = len(reps)
-        reps.append(i)
-        coset = g.mul_left_batch(i, members)
-        proj[coset] = c
+    unplaced = g.order
+    least = np.full(g.order, unplaced, dtype=np.int64)
+    batch = max(1, min(g.order // n.order, _COSET_PRODUCTS // n.order))
+    while True:
+        todo = np.flatnonzero(least == unplaced)[:batch]
+        if not todo.size:
+            break
+        src = np.repeat(todo, n.order)
+        np.minimum.at(least, g.mul_pairwise(src, np.tile(members, len(todo))), src)
+    reps, proj = np.unique(least, return_inverse=True)
     q = GroupTable()
     q.kind = "quot"
     q.parent = g
-    q.coset_reps = np.array(reps, dtype=np.int64)
+    q.coset_reps = reps
     q.proj = proj
     q.order = len(reps)
     q.inv = proj[g.inv[q.coset_reps]]
@@ -813,11 +822,12 @@ def cosocle(g: GroupTable) -> NormalSubgroup:
 
 
 def center(g: GroupTable) -> NormalSubgroup:
-    all_idx = np.arange(g.order, dtype=np.int64)
-    mask = np.ones(g.order, dtype=bool)
-    for gi in g.gens:
-        mask &= g.mul_right_batch(all_idx, gi) == g.mul_left_batch(gi, all_idx)
-    return normal_subgroup_from_elements(g, np.nonzero(mask)[0])
+    """The center: the union of the classes of size 1."""
+    bits = 0
+    for c in g.classes:
+        if c.size == 1:
+            bits |= 1 << c.index
+    return NormalSubgroup(g, bits)
 
 
 def commutator_subgroup(g: GroupTable) -> NormalSubgroup:

@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: output schema, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qrg import cli
+from qrg import cli, gf
 
 
 def run(argv, capsys):
@@ -235,3 +238,49 @@ def test_module_invocation_round_trip():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["schema"] == "qrg/1" and obj["order"] == 1
+
+
+def _fresh_process(argv):
+    """Exit code and stdout of `python -m qrg argv` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrg", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_python_dash_m_qrg():
+    code, out = _fresh_process(["analyze", "C6"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["schema"] == "qrg/1" and obj["order"] == 6
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the argument parser is built once per process and reused by every call
+    calls = [
+        ["analyze", "S4"],
+        ["analyze", "C6", "--tsv"],
+        ["covering", "A5"],  # usage error: --element is missing
+        ["analyze", "S4"],
+    ]
+    got = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, capsys.readouterr().out))
+    assert got == [_fresh_process(argv) for argv in calls]
+    assert [code for code, _ in got] == [0, 0, 2, 0]
+
+
+def test_grouped_jordan_lengths_match_one_at_a_time():
+    # rows mix sizes and fields, so matrices of one row land in different calls
+    rng = np.random.default_rng(4)
+    rows = []
+    for _ in range(30):
+        field = gf.PrimeField(int(rng.choice([2, 3, 5, 7])))
+        rows.append([cli._random_invertible(rng, int(rng.integers(1, 5)), field) for _ in range(3)])
+    want = [[gf.jordan_length(m) for m in row] for row in rows]
+    assert cli._jordan_lengths_grouped(rows) == want

@@ -342,6 +342,10 @@ def _oracle_mul(g):
         return oracles.compose
     if g.kind == "mat":
         return oracles.matmul_mod(g.field.p)
+    if g.kind == "quot":
+        parent_mul = _oracle_mul(g.parent)
+        # the set product of two cosets of a normal subgroup is a coset
+        return lambda a, b: frozenset(parent_mul(x, y) for x in a for y in b)
     mul1, mul2 = (_oracle_mul(f) for f in g.factors)
     return lambda a, b: (mul1(a[0], b[0]), mul2(a[1], b[1]))
 
@@ -419,3 +423,116 @@ def test_class_algebra_matches_oracle_on_random_permutation_groups(gens):
     if len(g.classes) <= 10:
         _check_lattice(g)
     _check_powers(g)
+
+
+# -- classes, center and quotients against the oracles -------------------------
+
+
+def _elements(g):
+    """Every element of g in index order, in the oracles' plain form; a
+    coset is the frozenset of its members' forms."""
+    if g.kind == "quot":
+        parent = _elements(g.parent)
+        return [frozenset(parent[int(x)] for x in g.element(i)) for i in range(g.order)]
+    return [_carrier(g.element(i)) for i in range(g.order)]
+
+
+def _oracle_inverse(mul, identity, x):
+    y = x
+    while mul(y, x) != identity:
+        y = mul(y, x)
+    return y
+
+
+def _check_classes_and_center(g):
+    """Classes are the oracle's conjugation orbits, numbered by ascending
+    (size, smallest member); the center is every element that commutes with
+    all generators."""
+    mul = _oracle_mul(g)
+    elements = _elements(g)
+    identity = next(x for x in elements if mul(x, x) == x)
+    gens = [elements[h] for h in g.gens]
+    inverses = {h: _oracle_inverse(mul, identity, h) for h in gens}
+    want = oracles.conjugacy_partition(elements, gens, mul, inverses.__getitem__)
+    got = [frozenset(elements[int(x)] for x in c.members) for c in g.classes]
+    assert len(got) == len(want) and set(got) == set(want)
+
+    index = {x: i for i, x in enumerate(elements)}
+    numbering = sorted((len(c), min(index[x] for x in c)) for c in want)
+    assert [(c.size, c.rep) for c in g.classes] == numbering
+    for k, c in enumerate(g.classes):
+        assert c.index == k
+        assert c.members.tolist() == sorted(c.members.tolist())
+        assert (g.class_of[c.members] == k).all()
+
+    central = [i for i, x in enumerate(elements) if all(mul(x, h) == mul(h, x) for h in gens)]
+    assert engine.center(g).members.tolist() == central
+
+
+def _check_quotients(g):
+    """G/N for every normal N: x and y share a coset iff x^-1 y is in N,
+    cosets are numbered by their smallest member, and inverses, generators
+    and products agree with the oracle."""
+    mul = _oracle_mul(g)
+    elements = _elements(g)
+    index = {x: i for i, x in enumerate(elements)}
+    normals = engine.normal_subgroups(g)
+    assert normals[0].order == 1 and normals[-1].order == g.order
+    rng = np.random.default_rng(3)
+    for n in normals:
+        q = engine.quotient(g, n)
+        members = [elements[int(x)] for x in n.members]
+        coset = [-1] * g.order
+        reps = []
+        for i, x in enumerate(elements):
+            if coset[i] < 0:
+                for m in members:
+                    coset[index[mul(x, m)]] = len(reps)
+                reps.append(i)
+        assert q.order == len(reps)
+        assert q.proj.tolist() == coset
+        assert q.coset_reps.tolist() == reps
+
+        def coset_of_product(a, b):
+            return coset[index[mul(elements[reps[a]], elements[reps[b]])]]
+
+        for c in range(q.order):
+            assert coset_of_product(c, int(q.inv[c])) == 0
+        want_gens = list(dict.fromkeys(coset[h] for h in g.gens if coset[h] != 0))
+        assert q.gens == (want_gens or [0])
+        if q.order**2 <= 4096:
+            a, b = np.divmod(np.arange(q.order**2), q.order)
+        else:
+            a, b = rng.integers(0, q.order, size=(2, 500))
+        got = q.mul_pairwise(a, b).tolist()
+        assert got == [coset_of_product(int(x), int(y)) for x, y in zip(a, b)]
+
+
+# in prod(S3,S3) classes of equal size are told apart only by their
+# smallest member; PSL2:7 is a quotient group
+QUOTIENT_SPECS = FIXED_SPECS + ["prod(S3,S3)", "PSL2:7"]
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_SPECS)
+def test_classes_center_and_quotients_match_oracle(spec):
+    g = build_group(parse_spec(spec))
+    _check_classes_and_center(g)
+    _check_quotients(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_generators())
+def test_classes_center_and_quotients_match_oracle_on_random_permutation_groups(gens):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    _check_classes_and_center(g)
+    _check_quotients(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_generators())
+def test_classes_center_and_quotients_match_oracle_on_random_matrix_groups(drawn):
+    p, n, gens = drawn
+    field = PrimeField(p)
+    g = engine.enumerate_group([FFMatrix(field, np.reshape(x, (n, n))) for x in gens])
+    _check_classes_and_center(g)
+    _check_quotients(g)
