@@ -73,13 +73,10 @@ def _class_coefficients(g: GroupTable, i: int) -> np.ndarray:
     classes = g.classes
     r = len(classes)
     reps = np.fromiter((c.rep for c in classes), dtype=np.int64, count=r)
-    xs = classes[i].members
-    xinv = g.inv[xs]
-    left = np.repeat(xinv, r)
-    right = np.tile(reps, len(xs))
-    ys = g.mul_pairwise(left, right)
+    xinv = g.inv[classes[i].members]
+    ys = g.mul_pairwise(xinv[:, None], reps)
     a = np.zeros((r, r), dtype=np.int64)
-    np.add.at(a, (g.class_of[ys], np.tile(np.arange(r), len(xs))), 1)
+    np.add.at(a, (g.class_of[ys], np.arange(r)), 1)
     return a
 
 
@@ -286,7 +283,7 @@ def gowers_mixing(g: GroupTable, subset: Iterable[int], eps1, eps2) -> MixingRep
     else:
         good = 0
         for x in range(g.order):
-            shifted = g.mul_left_batch(x, a_idx)
+            shifted = g.mul_pairwise(x, a_idx)
             if int(mask[shifted].sum()) >= threshold_pairs:
                 good += 1
     x_target = (1 - e1) * alpha * alpha * g.order

@@ -71,7 +71,10 @@ def _build(args) -> engine.GroupTable:
 
 def _parse_element(g: engine.GroupTable, text: str) -> int:
     if text.startswith("idx:"):
-        idx = int(text[4:])
+        try:
+            idx = int(text[4:])
+        except ValueError:
+            raise ParseError(f"element index {text[4:]!r} is not an integer", pos=4) from None
         if not 0 <= idx < g.order:
             raise ValueError(f"element index {idx} out of range for order {g.order}")
         return idx
@@ -87,7 +90,12 @@ def _parse_element(g: engine.GroupTable, text: str) -> int:
 def _parse_m(text: str):
     if text == "inf":
         return math.inf
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"power range must be an integer or 'inf', not {text!r}"
+        ) from None
 
 
 def _add_common(sub):
@@ -153,13 +161,12 @@ def cmd_covering(args) -> int:
             growth_trace=[[k, c] for k, c in rep.growth_trace],
         ), args.fmt)
         return EXIT_PASS
-    m = _parse_m(args.m)
     if args.mod_cosocle:
         holds = covering.covering_mod(
-            g, engine.cosocle(g), x, args.K, m, symmetric=args.symmetric
+            g, engine.cosocle(g), x, args.K, args.m, symmetric=args.symmetric
         )
     else:
-        holds = covering.covering_property(g, x, args.K, m, symmetric=args.symmetric)
+        holds = covering.covering_property(g, x, args.K, args.m, symmetric=args.symmetric)
     _emit(_report(
         "covering",
         spec=g.label,
@@ -167,7 +174,7 @@ def cmd_covering(args) -> int:
         mod_cosocle=args.mod_cosocle,
         symmetric=args.symmetric,
         K=args.K,
-        m="inf" if m == math.inf else m,
+        m="inf" if args.m == math.inf else args.m,
         holds=holds,
     ), args.fmt)
     return EXIT_PASS if holds else EXIT_FAIL
@@ -569,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycles, mat:p=..:[..], or idx:<k>")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--m", default="1", help="power range, integer or 'inf'")
+    p.add_argument("--m", type=_parse_m, default="1", help="power range, integer or 'inf'")
     p.add_argument("--mod-cosocle", action="store_true")
     p.add_argument("--max-k", type=int, default=None)
     _add_common(p)

@@ -4,8 +4,11 @@ A GroupTable stores every element of a finite group, indexed from 0 with the
 identity at index 0, and answers products, inverses, conjugacy classes,
 normal subgroups, cosocles, quotients and commutator questions.  Elements
 are carried either as permutations, as matrices over a prime field, as pairs
-(direct products) or as cosets (quotients).  Hot paths multiply whole index
-arrays at once through numpy.
+(direct products) or as cosets (quotients).  One product, mul_pairwise,
+multiplies index arrays that broadcast like numpy arrays: permutations and
+matrices compose their carrier rows with the row product enumeration uses
+and look the results up, a direct product multiplies in each factor, and a
+quotient multiplies coset representatives in its parent.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
 time: every product x * h of a frontier element x with a generator h is
@@ -18,7 +21,8 @@ that.  Matrix inverses follow the same BFS: if y = x * h then
 y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
 
 Conjugacy classes are the orbits of the generators' conjugation maps, each
-map formed for the whole group by two batched products; the orbits are
+map formed for the whole group by one composed row product h x h^-1 and
+one lookup (two products for quotients); the orbits are
 found by min-label propagation over those index arrays, and the classes
 are numbered by ascending (size, smallest member).  The center is the
 union of the classes of size 1.  A quotient G/N labels every element with
@@ -30,15 +34,15 @@ and every subgroup question is answered from cached class-pair products
 rather than element by element.  A class union N containing the identity
 is a subgroup exactly when N * N = N; the join of two normal subgroups A
 and B is their product set A * B; the normal closure of some classes is the
-fixed point of N <- N * S, with S those classes plus the identity.  Powers
-of an element are read from its cycle x, x^2, ..., 1, walked once and
-cached.
+fixed point of N <- N * S, with S those classes plus the identity.  The
+commutators are the union of the class products C * C^-1.  Powers of an
+element are read from its cycle x, x^2, ..., 1, walked once and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from .permutations import Permutation, cycle_string
 # larger multiplies through batched carrier arithmetic instead.
 DENSE_TABLE_CAP = 4096
 CLASS_CAP = 64
-WIDTH_ORDER_CAP = 5000
 # Products formed at once when labelling the cosets of a quotient.
 _COSET_PRODUCTS = 1 << 20
 
@@ -134,13 +137,13 @@ class GroupTable:
         self.gens: list[int] = []
         self.inv: np.ndarray | None = None
         self.label = ""
-        # perm carrier
-        self.degree = None
-        self._P = None
-        # mat carrier
-        self.field = None
-        self._M = None
-        # row-key lookup (perm/mat): radix powers, or None for byte keys
+        self.degree = None  # perm carrier
+        self.field = None  # mat carrier
+        # perm and mat carriers: one flattened int64 row per element, the
+        # row product of _carrier, and the row-key lookup (radix powers, or
+        # None for byte keys)
+        self._rows = None
+        self._compose = None
         self._pow = None
         self._sorted_codes = None
         self._sorted_pos = None
@@ -169,7 +172,7 @@ class GroupTable:
     def mul(self, i: int, j: int) -> int:
         if self._dense is not None:
             return int(self._dense[i, j])
-        return int(self.mul_left_batch(i, np.array([j], dtype=np.int64))[0])
+        return int(self.mul_pairwise(i, np.array([j], dtype=np.int64))[0])
 
     def inv_of(self, i: int) -> int:
         return int(self.inv[i])
@@ -203,78 +206,26 @@ class GroupTable:
     # -- batched ops --------------------------------------------------------
 
     def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of elements given as flattened carrier rows, all members."""
+        """Indices of elements given as carrier rows along the last axis,
+        all of them members."""
         pos = np.searchsorted(self._sorted_codes, _row_keys(rows, self._pow))
         return self._sorted_pos[pos]
 
-    def mul_left_batch(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Indices of element(i) * element(j) for each j in js."""
-        js = np.asarray(js, dtype=np.int64)
-        if js.size == 0:
-            return js
-        if self._dense is not None:
-            return self._dense[i, js].astype(np.int64)
-        if self.kind == "perm":
-            return self._lookup_rows(self._P[i][self._P[js]])
-        if self.kind == "mat":
-            stack = (self._M[i] @ self._M[js]) % self.field.p
-            return self._lookup_rows(stack.reshape(len(stack), -1))
-        if self.kind == "prod":
-            g1, g2 = self.factors
-            o2 = g2.order
-            i1, i2 = divmod(int(i), o2)
-            j1, j2 = np.divmod(js, o2)
-            return g1.mul_left_batch(i1, j1) * o2 + g2.mul_left_batch(i2, j2)
-        # quot
-        parent = self.parent
-        t = parent.mul_left_batch(int(self.coset_reps[i]), self.coset_reps[js])
-        return self.proj[t].astype(np.int64)
-
-    def mul_right_batch(self, is_: np.ndarray, j: int) -> np.ndarray:
-        """Indices of element(i) * element(j) for each i in is_."""
-        is_ = np.asarray(is_, dtype=np.int64)
-        if is_.size == 0:
-            return is_
-        if self._dense is not None:
-            return self._dense[is_, j].astype(np.int64)
-        if self.kind == "perm":
-            return self._lookup_rows(self._P[is_][:, self._P[j]])
-        if self.kind == "mat":
-            stack = (self._M[is_] @ self._M[j]) % self.field.p
-            return self._lookup_rows(stack.reshape(len(stack), -1))
-        if self.kind == "prod":
-            g1, g2 = self.factors
-            o2 = g2.order
-            i1, i2 = np.divmod(is_, o2)
-            j1, j2 = divmod(int(j), o2)
-            return g1.mul_right_batch(i1, j1) * o2 + g2.mul_right_batch(i2, j2)
-        parent = self.parent
-        t = parent.mul_right_batch(self.coset_reps[is_], int(self.coset_reps[j]))
-        return self.proj[t].astype(np.int64)
-
-    def mul_pairwise(self, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
-        """Indices of element(is_[k]) * element(js[k]) for each k."""
-        is_ = np.asarray(is_, dtype=np.int64)
-        js = np.asarray(js, dtype=np.int64)
-        if is_.size == 0:
-            return is_
+    def mul_pairwise(self, is_, js) -> np.ndarray:
+        """Indices of element(i) * element(j); the index arguments broadcast
+        like numpy arrays, so either may be a scalar, a vector or a grid."""
         if self._dense is not None:
             return self._dense[is_, js].astype(np.int64)
-        if self.kind == "perm":
-            rows = np.take_along_axis(self._P[is_], self._P[js], axis=1)
-            return self._lookup_rows(rows)
-        if self.kind == "mat":
-            stack = (self._M[is_] @ self._M[js]) % self.field.p
-            return self._lookup_rows(stack.reshape(len(stack), -1))
+        if self._rows is not None:
+            return self._lookup_rows(self._compose(self._rows[is_], self._rows[js]))
         if self.kind == "prod":
             g1, g2 = self.factors
             o2 = g2.order
-            i1, i2 = np.divmod(is_, o2)
-            j1, j2 = np.divmod(js, o2)
+            i1, i2 = divmod(is_, o2)
+            j1, j2 = divmod(js, o2)
             return g1.mul_pairwise(i1, j1) * o2 + g2.mul_pairwise(i2, j2)
-        parent = self.parent
-        t = parent.mul_pairwise(self.coset_reps[is_], self.coset_reps[js])
-        return self.proj[t].astype(np.int64)
+        # quot
+        return self.proj[self.parent.mul_pairwise(self.coset_reps[is_], self.coset_reps[js])]
 
     def dense(self) -> np.ndarray | None:
         """Materialize the full multiplication table when small enough."""
@@ -282,7 +233,7 @@ class GroupTable:
             all_idx = np.arange(self.order, dtype=np.int64)
             table = np.empty((self.order, self.order), dtype=np.int32)
             for i in range(self.order):
-                table[i] = self.mul_left_batch(i, all_idx)
+                table[i] = self.mul_pairwise(i, all_idx)
             self._dense = table
         return self._dense
 
@@ -290,9 +241,10 @@ class GroupTable:
 
     def element(self, i: int):
         if self.kind == "perm":
-            return Permutation(self._P[i])
+            return Permutation(self._rows[i])
         if self.kind == "mat":
-            return FFMatrix(self.field, self._M[i])
+            n = isqrt(self._rows.shape[1])
+            return FFMatrix(self.field, self._rows[i].reshape(n, n))
         if self.kind == "prod":
             g1, g2 = self.factors
             i1, i2 = divmod(int(i), g2.order)
@@ -304,9 +256,9 @@ class GroupTable:
 
     def element_label(self, i: int) -> str:
         if self.kind == "perm":
-            return cycle_string(Permutation(self._P[i]), with_degree=False)
+            return cycle_string(self.element(i), with_degree=False)
         if self.kind == "mat":
-            return matrix_literal(FFMatrix(self.field, self._M[i]))
+            return matrix_literal(self.element(i))
         if self.kind == "prod":
             g1, g2 = self.factors
             i1, i2 = divmod(int(i), g2.order)
@@ -315,20 +267,21 @@ class GroupTable:
 
     def index_of(self, elt) -> int:
         """Index of a carrier element (Permutation or FFMatrix)."""
-        if self.kind == "perm":
-            if not isinstance(elt, Permutation) or elt.degree != self.degree:
-                raise KeyError("element does not belong to this group")
-            row = np.array(elt.images, dtype=np.int64)
-            return int(self._lookup_checked(row))
-        if self.kind == "mat":
-            if not isinstance(elt, FFMatrix) or elt.field != self.field:
-                raise KeyError("element does not belong to this group")
-            return int(self._lookup_checked(elt.entries.reshape(-1)))
-        raise KeyError(f"index_of is not supported for {self.kind} groups")
-
-    def _lookup_checked(self, flat_row: np.ndarray) -> int:
-        key = _row_keys(np.asarray(flat_row, dtype=np.int64).reshape(1, -1), self._pow)
-        pos = int(np.searchsorted(self._sorted_codes, key)[0])
+        if self._rows is None:
+            raise KeyError(f"index_of is not supported for {self.kind} groups")
+        if self.kind == "perm" and isinstance(elt, Permutation) and elt.degree == self.degree:
+            row = elt.images
+        elif (
+            self.kind == "mat"
+            and isinstance(elt, FFMatrix)
+            and elt.field == self.field
+            and elt.entries.size == self._rows.shape[1]
+        ):
+            row = elt.entries.ravel()
+        else:
+            raise KeyError("element does not belong to this group")
+        key = _row_keys(np.asarray(row, dtype=np.int64), self._pow)
+        pos = int(np.searchsorted(self._sorted_codes, key))
         if pos < self.order and self._sorted_codes[pos : pos + 1] == key:
             return int(self._sorted_pos[pos])
         raise KeyError("element not in group")
@@ -374,11 +327,7 @@ class GroupTable:
             self._finish_classes(self._classes_from_factors())
             return
         every = np.arange(self.order, dtype=np.int64)
-        conj = [
-            self.mul_right_batch(self.mul_left_batch(h, every), self.inv_of(h))
-            for h in self.gens
-            if h != 0
-        ]
+        conj = [self._conjugation_map(h) for h in self.gens if h != 0]
         label = every
         while True:
             new = label
@@ -389,6 +338,15 @@ class GroupTable:
                 break
             label = new
         self._finish_classes(label)
+
+    def _conjugation_map(self, h: int) -> np.ndarray:
+        """Index of h x h^-1 for every element x: one composed row product
+        and one lookup for perm and mat groups, two products otherwise."""
+        h_inv = self.inv_of(h)
+        if self._rows is None:
+            return self.mul_pairwise(self.mul_pairwise(h, np.arange(self.order)), h_inv)
+        compose = self._compose
+        return self._lookup_rows(compose(compose(self._rows[h], self._rows), self._rows[h_inv]))
 
     def _classes_from_factors(self) -> np.ndarray:
         """Class labels of a direct product: (class in G1, class in G2)."""
@@ -427,7 +385,7 @@ class GroupTable:
         got = self._pair_prod_cache.get(key)
         if got is None:
             rep = self.classes[ci].rep
-            out = self.mul_left_batch(rep, self.classes[cj].members)
+            out = self.mul_pairwise(rep, self.classes[cj].members)
             got = 0
             for c in np.unique(self.class_of[out]):
                 got |= 1 << int(c)
@@ -504,7 +462,7 @@ def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     if powers is not None:
         return rows @ powers
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
 
 
 class _KeySet:
@@ -545,8 +503,17 @@ def _carrier(gens):
         degree = degrees.pop()
 
         def compose(a, b):
-            # rows of a * b, which maps i to a(b(i)); leading axes broadcast
-            return np.take_along_axis(a, b, axis=-1)
+            # rows of a * b, which maps i to a(b(i)); leading axes broadcast.
+            # A single row on either side is a plain index, several times
+            # faster than take_along_axis.
+            if a.ndim == 1:
+                return a[b]
+            if b.ndim == 1:
+                return a[..., b]
+            lead = max(a.ndim, b.ndim)
+            return np.take_along_axis(
+                a[(None,) * (lead - a.ndim)], b[(None,) * (lead - b.ndim)], axis=-1
+            )
 
         rows = np.array([x.images for x in gens], dtype=np.int64).reshape(len(gens), degree)
         identity = np.arange(degree, dtype=np.int64)
@@ -636,21 +603,20 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g.kind = kind
     g.order = order
     elements = np.concatenate(layers)
+    elements.setflags(write=False)
     keys = _row_keys(elements, powers)
+    g._rows = elements
+    g._compose = compose
     g._pow = powers
     g._sorted_pos = np.argsort(keys, kind="stable")
     g._sorted_codes = keys[g._sorted_pos]
     if kind == "perm":
         g.degree = width
-        g._P = elements
-        g._P.setflags(write=False)
         g.inv = g._lookup_rows(np.argsort(elements, axis=1))
         g.label = f"permutation group on {width} points"
     else:
         field = gens[0].field
         g.field = field
-        g._M = elements.reshape(order, *gens[0].entries.shape)
-        g._M.setflags(write=False)
         g.inv = np.zeros(order, dtype=np.int64)
         stop = 1
         for par, h in zip(parent, via):
@@ -706,8 +672,7 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
         todo = np.flatnonzero(least == unplaced)[:batch]
         if not todo.size:
             break
-        src = np.repeat(todo, n.order)
-        np.minimum.at(least, g.mul_pairwise(src, np.tile(members, len(todo))), src)
+        np.minimum.at(least, g.mul_pairwise(todo[:, None], members), todo[:, None])
     reps, proj = np.unique(least, return_inverse=True)
     q = GroupTable()
     q.kind = "quot"
@@ -848,26 +813,14 @@ def is_perfect(g: GroupTable) -> bool:
 
 
 def commutator_set_bits(g: GroupTable) -> int:
-    """Class bitmask of the set of all commutators [x, y]."""
-    got = g.cache.get("commutator_bits")
-    if got is not None:
-        return got
-    if g.order > WIDTH_ORDER_CAP:
-        raise CapExceeded(
-            f"commutator set computation capped at order {WIDTH_ORDER_CAP}"
-        )
-    all_idx = np.arange(g.order, dtype=np.int64)
-    inv_all = g.inv[all_idx]
-    seen = np.zeros(g.order, dtype=bool)
-    for a in range(g.order):
-        t = g.mul_left_batch(a, all_idx)
-        t = g.mul_right_batch(t, g.inv_of(a))
-        y = g.mul_pairwise(t, inv_all)
-        seen[y] = True
+    """Class bitmask of the set of all commutators [a, x] = a x a^-1 x^-1.
+
+    As x runs over G, x a^-1 x^-1 runs over the class of a^-1, so the
+    commutators are the union of the class products C * C^-1.
+    """
     bits = 0
-    for c in np.unique(g.class_of[np.nonzero(seen)[0]]):
-        bits |= 1 << int(c)
-    g.cache["commutator_bits"] = bits
+    for c in range(len(g.classes)):
+        bits |= g.class_pair_product_bits(c, g.inverse_class(c))
     return bits
 
 

@@ -76,6 +76,19 @@ def an_class_size(n: int, lengths) -> int:
     return size
 
 
+def commutator_set(elements):
+    """Every commutator a b a^-1 b^-1 of the given permutations (image
+    tuples), by brute force over all pairs (a, b); a vectorized loop over a."""
+    perms = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
+    invs = np.argsort(perms, axis=1)
+    out = set()
+    for a, a_inv in zip(perms, invs):
+        # row k maps i to a(b(a^-1(b^-1(i)))) for b = perms[k]
+        rows = np.take_along_axis(a[perms][:, a_inv], invs, axis=1)
+        out.update(map(tuple, rows.tolist()))
+    return out
+
+
 # -- generic group closure on hashable carriers ------------------------------
 
 def group_closure(gens, mul):
@@ -120,6 +133,24 @@ def bfs_enumeration(gens, mul):
                     nxt.append(y)
         frontier = nxt
     return elements
+
+
+def word_lengths(subset, mul, identity):
+    """Least k with x in S^k, for every x in the group the subset S
+    generates, when S holds the identity (so S^k grows with k); the
+    identity itself gets 0."""
+    dist = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in subset:
+                y = mul(x, s)
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
 
 
 def matmul_mod(p: int):

@@ -187,6 +187,21 @@ def test_bad_groupspec_is_usage_error(capsys):
     assert "offset" in lines[0]["message"]
 
 
+def test_malformed_element_index_is_usage_error(capsys):
+    code, lines = run(["covering", "S4", "--element", "idx:abc"], capsys)
+    assert code == 2
+    assert lines[0]["error"] == "parse"
+    assert "offset 4" in lines[0]["message"]
+
+
+@pytest.mark.parametrize("k_args", [[], ["--K", "2"]])
+def test_malformed_power_range_is_usage_error(capsys, k_args):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["covering", "S4", "--element", "idx:1", "--m", "abc"] + k_args)
+    assert err.value.code == 2
+    assert "power range must be an integer or 'inf'" in capsys.readouterr().err
+
+
 def test_domain_failures_exit_one(capsys):
     code, lines = run(["covering", "S4", "--element", "idx:99"], capsys)
     assert code == 1 and "out of range" in lines[0]["message"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -55,8 +55,8 @@ def test_batched_multiplication_matches_scalar():
     rng = np.random.default_rng(5)
     xs = rng.integers(0, g.order, size=40)
     for x in rng.integers(0, g.order, size=6):
-        left = g.mul_left_batch(int(x), xs)
-        right = g.mul_right_batch(xs, int(x))
+        left = g.mul_pairwise(int(x), xs)
+        right = g.mul_pairwise(xs, int(x))
         for k, y in enumerate(xs):
             assert left[k] == g.mul(int(x), int(y))
             assert right[k] == g.mul(int(y), int(x))
@@ -68,6 +68,8 @@ def test_index_of_round_trip():
         assert g.index_of(g.element(i)) == i
     with pytest.raises(KeyError):
         g.index_of(FFMatrix(PrimeField(5), [[2, 0], [0, 2]]))  # det 4, not in SL2
+    with pytest.raises(KeyError, match="does not belong"):
+        g.index_of(FFMatrix.identity(PrimeField(5), 3))
 
 
 def test_conjugacy_classes_match_bruteforce():
@@ -425,6 +427,20 @@ def test_class_algebra_matches_oracle_on_random_permutation_groups(gens):
     _check_powers(g)
 
 
+@settings(max_examples=30, deadline=None)
+@given(perm_generators(max_degree=6))
+def test_commutators_match_bruteforce_on_random_permutation_groups(gens):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    elements = [g.element(i).images for i in range(g.order)]
+    commutators = oracles.commutator_set(elements)
+    bits = engine.commutator_set_bits(g)
+    got = {elements[int(x)] for c in g.classes if bits >> c.index & 1 for x in c.members}
+    assert got == commutators
+    widths = oracles.word_lengths(list(commutators), oracles.compose, elements[0])
+    for i, x in enumerate(elements):
+        assert engine.commutator_width(g, i) == widths.get(x)
+
+
 # -- classes, center and quotients against the oracles -------------------------
 
 
@@ -536,3 +552,65 @@ def test_classes_center_and_quotients_match_oracle_on_random_matrix_groups(drawn
     g = engine.enumerate_group([FFMatrix(field, np.reshape(x, (n, n))) for x in gens])
     _check_classes_and_center(g)
     _check_quotients(g)
+
+
+# -- the broadcasting product on every carrier ---------------------------------
+
+
+def _oracle_index_mul(g):
+    """(i, j) -> index of element(i) * element(j) by the oracle products; a
+    quotient projects the product of its coset representatives."""
+    if g.kind == "quot":
+        parent = _oracle_index_mul(g.parent)
+        return lambda i, j: int(g.proj[parent(int(g.coset_reps[i]), int(g.coset_reps[j]))])
+    mul = _oracle_mul(g)
+    elements = _elements(g)
+    index = {x: k for k, x in enumerate(elements)}
+    return lambda i, j: index[mul(elements[i], elements[j])]
+
+
+def _check_products(g, rng):
+    """mul_pairwise broadcasts its index arguments like numpy and agrees
+    with the oracle and with mul on every pair."""
+    want = np.vectorize(_oracle_index_mul(g), otypes=[np.int64])
+    xs, ys = rng.integers(0, g.order, size=(2, 6))
+    empty = np.zeros(0, dtype=np.int64)
+    x = int(xs[0])
+    shapes = [
+        (x, ys), (xs, x), (xs, ys), (x, empty), (empty, x), (empty, empty),
+        (xs[:, None], ys[None, :]), (xs[:4, None], ys), (xs[1], ys[:, None]),
+    ]
+    for a, b in shapes:
+        got = g.mul_pairwise(a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+        assert got.tolist() == want(a, b).tolist()
+    assert [g.mul(int(i), int(j)) for i, j in zip(xs, ys)] == want(xs, ys).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    perm_generators(max_degree=5),
+    perm_generators(max_degree=4),
+    matrix_generators(),
+    st.integers(0, 2**32 - 1),
+)
+@example([()], [()], (2, 1, [(1,)]), 0)  # width-0 permutation rows
+def test_products_match_oracle_on_every_carrier(gens_a, gens_b, drawn, seed):
+    rng = np.random.default_rng(seed)
+    p, n, mat_gens = drawn
+    field = PrimeField(p)
+    perm = engine.enumerate_group([Permutation(x) for x in gens_a])
+    mat = engine.enumerate_group([FFMatrix(field, np.reshape(x, (n, n))) for x in mat_gens])
+    prod = engine.direct_product(perm, engine.enumerate_group([Permutation(x) for x in gens_b]))
+    groups = [prod, perm, mat]
+    for g in list(groups):
+        seed_class = int(rng.integers(len(g.classes)))
+        normal = engine.NormalSubgroup(g, g.normal_closure_bits([seed_class]))
+        groups.insert(0, engine.quotient(g, normal))
+    # carrier arithmetic first, then the dense tables of the groups small
+    # enough to have one
+    for g in groups:
+        _check_products(g, rng)
+    for g in groups:
+        if g.dense() is not None:
+            _check_products(g, rng)
