@@ -6,7 +6,9 @@ matrices commute, their simultaneous eigenvectors are the primitive
 central idempotents, and the degrees fall out of the orthogonality
 normalization.  Everything is exact integer arithmetic; no floating
 point appears anywhere in this module.  Null spaces and column reductions
-come from the one elimination kernel in gf (ff_nullspace, ff_rref).
+come from the one elimination kernel in gf (ff_nullspace, ff_rref).  The
+class-sum multiplication matrices are read from the engine's structure
+rows, the one place class products are formed.
 """
 
 from __future__ import annotations
@@ -67,17 +69,17 @@ def _suitable_primes(exponent: int, order: int, num_classes: int):
 def _class_coefficients(g: GroupTable, i: int) -> np.ndarray:
     """a[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}, as an r x r array.
 
-    For x in C_i and class rep t_k, the partner is y = x^-1 t_k; counting
-    the class of y over all x gives the k-column in one pass.
+    Read from the structure row of class i: counting the triples x y = z
+    with x in C_i, y in C_j, z in C_k once per x and once per z gives
+    a[j, k] = |C_i| N[i, j, k] / |C_k|.  The row is not cached, as r may
+    reach the thousands.
     """
-    classes = g.classes
-    r = len(classes)
-    reps = np.fromiter((c.rep for c in classes), dtype=np.int64, count=r)
-    xinv = g.inv[classes[i].members]
-    ys = g.mul_pairwise(xinv[:, None], reps)
-    a = np.zeros((r, r), dtype=np.int64)
-    np.add.at(a, (g.class_of[ys], np.arange(r)), 1)
-    return a
+    r = len(g.classes)
+    sizes = g.class_sizes
+    codes, counts = g.class_structure_row(i)
+    a = np.zeros(r * r, dtype=np.int64)
+    a[codes] = counts
+    return a.reshape(r, r) * sizes[i] // sizes
 
 
 def _check_residue_sums(terms: int, ell: int):
@@ -122,14 +124,11 @@ class _SplitFailure(Exception):
 
 
 def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
-    classes = g.classes
-    r = len(classes)
+    r = len(g.classes)
     order = g.order
     # The degree normalization sums |C_j| v_j v_j* over the classes, at most
     # |G| products of two residues; the class-matrix products sum r of them.
     _check_residue_sums(order, ell)
-    inv_class = np.fromiter((g.inverse_class(j) for j in range(r)), dtype=np.int64, count=r)
-    sizes = np.fromiter((c.size for c in classes), dtype=np.int64, count=r)
 
     # Subspaces of the class algebra, column-reduced; split until 1-dim.
     spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(r, dtype=np.int64), list(range(r)))]
@@ -170,7 +169,7 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
         v = b[:, 0] % ell
         if v[0] == 0:
             raise _SplitFailure("eigenvector vanishes at the identity class")
-        norm = int(np.sum(sizes * v * v[inv_class]) % ell)
+        norm = int(np.sum(g.class_sizes * v * v[g.class_inverses]) % ell)
         if norm == 0:
             raise _SplitFailure("orthogonality norm vanished")
         target = int(v[0]) ** 2 % ell * order * pow(norm, -1, ell) % ell

@@ -37,9 +37,6 @@ class ClassSet:
     def is_full(self) -> bool:
         return self.bits == self.group.full_class_bits()
 
-    def class_indices(self) -> list[int]:
-        return [c.index for c in self.group.classes if self.bits >> c.index & 1]
-
 
 def class_of_element(g: GroupTable, x: int, symmetric: bool = False) -> ClassSet:
     """C(x), or C(x) union C(x^{-1}) for the symmetric variant."""
@@ -53,9 +50,10 @@ def class_of_element(g: GroupTable, x: int, symmetric: bool = False) -> ClassSet
 def class_product(a: ClassSet, b: ClassSet) -> ClassSet:
     """Exact product set a*b, again a union of classes.
 
-    Computed by multiplying one representative of each class in a against
-    every element of b; conjugation invariance of both sides makes this
-    reach exactly the classes of the full product set.
+    Read from the group's class structure rows (one whole-group product
+    per class, cached as class bitmasks) of the side with fewer classes;
+    conjugation invariance of both sides makes the support of those rows
+    exactly the classes of the full product set.
     """
     if a.group is not b.group:
         raise GroupMismatch("class sets live over different groups")
@@ -112,39 +110,28 @@ def covering_number(
     exhausted.
     """
     label = g.element_label(x)
+
+    def report(K, trace, reason):
+        return CoveringReport(
+            element=label,
+            element_index=x,
+            symmetric=symmetric,
+            K=K,
+            m_checked=1,
+            property_holds=K is not None,
+            growth_trace=trace,
+            reason=reason,
+        )
+
     if max_k is None:
         max_k = len(g.classes)
     if g.order == 1:
-        return CoveringReport(
-            element=label,
-            element_index=x,
-            symmetric=symmetric,
-            K=1,
-            m_checked=1,
-            property_holds=True,
-            growth_trace=[(1, 1)],
-        )
+        return report(1, [(1, 1)], None)
     if x == 0:
-        return CoveringReport(
-            element=label,
-            element_index=x,
-            symmetric=symmetric,
-            K=None,
-            m_checked=1,
-            property_holds=False,
-            reason="trivial class",
-        )
+        return report(None, [], "trivial class")
     closure_bits = g.normal_closure_bits([int(g.class_of[x])])
     if closure_bits != g.full_class_bits():
-        return CoveringReport(
-            element=label,
-            element_index=x,
-            symmetric=symmetric,
-            K=None,
-            m_checked=1,
-            property_holds=False,
-            reason="proper normal closure",
-        )
+        return report(None, [], "proper normal closure")
     base = class_of_element(g, x, symmetric)
     trace = []
     seen = set()
@@ -153,37 +140,11 @@ def covering_number(
     while True:
         trace.append((k, s.element_count))
         if s.is_full():
-            return CoveringReport(
-                element=label,
-                element_index=x,
-                symmetric=symmetric,
-                K=k,
-                m_checked=1,
-                property_holds=True,
-                growth_trace=trace,
-            )
+            return report(k, trace, None)
         if s.bits in seen:
-            return CoveringReport(
-                element=label,
-                element_index=x,
-                symmetric=symmetric,
-                K=None,
-                m_checked=1,
-                property_holds=False,
-                growth_trace=trace,
-                reason="periodic growth without covering",
-            )
+            return report(None, trace, "periodic growth without covering")
         if k >= max_k:
-            return CoveringReport(
-                element=label,
-                element_index=x,
-                symmetric=symmetric,
-                K=None,
-                m_checked=1,
-                property_holds=False,
-                growth_trace=trace,
-                reason="max_k exceeded",
-            )
+            return report(None, trace, "max_k exceeded")
         seen.add(s.bits)
         s = class_product(s, base)
         k += 1

@@ -30,13 +30,15 @@ the smallest member of its coset, from batched products of the smallest
 unplaced elements with all of N, and numbers the cosets in that order.
 
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
-and every subgroup question is answered from cached class-pair products
-rather than element by element.  A class union N containing the identity
-is a subgroup exactly when N * N = N; the join of two normal subgroups A
-and B is their product set A * B; the normal closure of some classes is the
-fixed point of N <- N * S, with S those classes plus the identity.  The
-commutators are the union of the class products C * C^-1.  Powers of an
-element are read from its cycle x, x^2, ..., 1, walked once and cached.
+and every subgroup question is answered from class products: row j of the
+class structure constants is one whole-group product rep_j * G, and its
+support at i is the classes of C_i * C_j.  A class union N holding the
+identity is a subgroup exactly when N * N = N; the join of normal subgroups
+A and B is A * B; the normal closure of some classes is the fixed point of
+N <- N * S, with S those classes plus the identity.  The commutators, the
+union of the products C * C^-1, come from one pass multiplying each y by
+the representative of the class inverse to y's.  Powers of an element are
+read from its cycle x, x^2, ..., 1, walked once and cached.
 """
 
 from __future__ import annotations
@@ -93,9 +95,7 @@ class NormalSubgroup:
     def __init__(self, group: "GroupTable", class_bits: int):
         self.group = group
         self.class_bits = class_bits
-        self.order = sum(
-            c.size for c in group.classes if class_bits >> c.index & 1
-        )
+        self.order = group.class_bits_size(class_bits)
         self._members = None
 
     @property
@@ -157,12 +157,14 @@ class GroupTable:
         self._dense = None
         self._classes = None
         self._class_of = None
-        self._inv_class = None
+        self._class_sizes = None
+        self._class_reps = None
+        self._class_inverses = None
         self._cycles: dict[int, list[int]] = {}
         self._normals = None
         self._cosocle = None
         self._derived_bits = None
-        self._pair_prod_cache: dict[tuple[int, int], int] = {}
+        self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._quotients: dict[int, "GroupTable"] = {}
         self.cache: dict = {}
@@ -298,15 +300,22 @@ class GroupTable:
         self._ensure_classes()
         return self._class_of
 
+    @property
+    def class_sizes(self) -> np.ndarray:
+        self._ensure_classes()
+        return self._class_sizes
+
+    @property
+    def class_inverses(self) -> np.ndarray:
+        """Index of the class of inverses of each class."""
+        self._ensure_classes()
+        return self._class_inverses
+
     def inverse_class(self, ci: int) -> int:
         """Index of the class of inverses of class ci."""
-        if self._inv_class is None:
+        if self._class_inverses is None:
             self._ensure_classes()
-            self._inv_class = np.array(
-                [int(self._class_of[self.inv_of(c.rep)]) for c in self._classes],
-                dtype=np.int64,
-            )
-        return int(self._inv_class[ci])
+        return int(self._class_inverses[ci])
 
     def _ensure_classes(self):
         """Partition the group into conjugacy classes.
@@ -364,38 +373,62 @@ class GroupTable:
         relabel = np.empty_like(new_to_old)
         relabel[new_to_old] = np.arange(len(new_to_old))
         class_of = relabel[old_of]
+        self._class_sizes = sizes[new_to_old]
+        self._class_reps = first[new_to_old]
+        self._class_inverses = class_of[self.inv[self._class_reps]]
         # a stable sort keeps each class's members ascending
-        parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes[new_to_old])[:-1])
+        parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(self._class_sizes)[:-1])
         self._classes = [
             ConjClass(index=k, rep=int(members[0]), size=len(members), members=members)
             for k, members in enumerate(parts)
         ]
         self._class_of = class_of
 
-    # -- class products (shared by covering and width computations) ---------
+    # -- class products (shared by covering, the lattice and characters) -----
+
+    def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero N[j, i, k] = #{y in C_i : rep_j y in C_k}, as (codes, counts).
+
+        Codes are i * r + k, ascending, for r classes: one product rep_j * G
+        over the whole group, counted by (class of y, class of rep_j y).
+        Memory is O(|G|), and codes stay below r**2 <= |G|**2, far inside
+        int64 for any group that can be enumerated.
+        """
+        class_of = self.class_of
+        r = len(self._classes)
+        prod = self.mul_pairwise(self._class_reps[j], np.arange(self.order, dtype=np.int64))
+        return np.unique(class_of * r + class_of[prod], return_counts=True)
 
     def class_pair_product_bits(self, ci: int, cj: int) -> int:
-        """Bitmask of classes met by C_i * C_j.
+        """Bitmask of classes met by C_i * C_j: the support of structure row
+        j at i, each row's supports cached as one bitmask per class.
 
-        Since both factors are conjugation invariant, multiplying one
-        representative of C_i against all of C_j already meets every class
-        of the product set.
+        Every x y with x in C_j and y in C_i is conjugate to rep_j y' with y'
+        in C_i, and C_i * C_j = C_j * C_i as both are conjugation invariant.
+        The identity class's row is C_i -> C_i and forms no products.
         """
-        key = (ci, cj)
-        got = self._pair_prod_cache.get(key)
-        if got is None:
-            rep = self.classes[ci].rep
-            out = self.mul_pairwise(rep, self.classes[cj].members)
-            got = 0
-            for c in np.unique(self.class_of[out]):
-                got |= 1 << int(c)
-            self._pair_prod_cache[key] = got
-        return got
+        if cj == 0:
+            return 1 << ci
+        row = self._row_bits.get(cj)
+        if row is None:
+            r = len(self.classes)
+            row = [0] * r
+            codes, _ = self.class_structure_row(cj)
+            for i, k in zip(*(x.tolist() for x in np.divmod(codes, r))):
+                row[i] |= 1 << k
+            self._row_bits[cj] = row
+        return row[ci]
 
     def class_set_product_bits(self, bits_a: int, bits_b: int) -> int:
+        """Bitmask of classes met by A * B for class unions A and B, read
+        from the structure rows of the side with fewer classes, as
+        A * B = B * A; of B on a tie, as callers pass the fixed factor of a
+        growing product (N * S, S^(k-1) * S) second."""
         key = (bits_a, bits_b)
         got = self._set_prod_cache.get(key)
         if got is None:
+            if bits_a.bit_count() < bits_b.bit_count():
+                bits_a, bits_b = bits_b, bits_a
             got = 0
             for i in _iter_bits(bits_a):
                 for j in _iter_bits(bits_b):
@@ -421,15 +454,20 @@ class GroupTable:
         because S is a union of classes, hence invariant under conjugation.
         Each step is a cached class-set product.
         """
-        s_bits = 1
-        for c in seed_class_idxs:
-            s_bits |= 1 << int(c)
+        s_bits = 1 | _bits_of(seed_class_idxs)
         bits = s_bits
         while True:
             grown = self.class_set_product_bits(bits, s_bits)
             if grown == bits:
                 return bits
             bits = grown
+
+
+def _bits_of(class_idxs) -> int:
+    bits = 0
+    for c in class_idxs:
+        bits |= 1 << int(c)
+    return bits
 
 
 def _iter_bits(bits: int):
@@ -703,9 +741,7 @@ def _is_subgroup(g: GroupTable, bits: int) -> bool:
 
 def normal_subgroup_from_classes(g: GroupTable, class_idxs) -> NormalSubgroup:
     """Build a NormalSubgroup from class indices, verifying it is a subgroup."""
-    bits = 0
-    for c in class_idxs:
-        bits |= 1 << int(c)
+    bits = _bits_of(class_idxs)
     if not _is_subgroup(g, bits):
         raise NotNormal("class union is not closed under multiplication")
     return NormalSubgroup(g, bits)
@@ -788,11 +824,7 @@ def cosocle(g: GroupTable) -> NormalSubgroup:
 
 def center(g: GroupTable) -> NormalSubgroup:
     """The center: the union of the classes of size 1."""
-    bits = 0
-    for c in g.classes:
-        if c.size == 1:
-            bits |= 1 << c.index
-    return NormalSubgroup(g, bits)
+    return NormalSubgroup(g, _bits_of(np.flatnonzero(g.class_sizes == 1)))
 
 
 def commutator_subgroup(g: GroupTable) -> NormalSubgroup:
@@ -816,11 +848,18 @@ def commutator_set_bits(g: GroupTable) -> int:
     """Class bitmask of the set of all commutators [a, x] = a x a^-1 x^-1.
 
     As x runs over G, x a^-1 x^-1 runs over the class of a^-1, so the
-    commutators are the union of the class products C * C^-1.
+    commutators are the union of the class products C * C^-1.  C * C^-1
+    meets exactly the classes of rep(C) y for y in C^-1, so one product
+    per element y, by the representative of the class inverse to y's,
+    finds them all.  Cached.
     """
-    bits = 0
-    for c in range(len(g.classes)):
-        bits |= g.class_pair_product_bits(c, g.inverse_class(c))
+    bits = g.cache.get("commutators")
+    if bits is None:
+        class_of = g.class_of
+        prod = g.mul_pairwise(
+            g._class_reps[g.class_inverses[class_of]], np.arange(g.order, dtype=np.int64)
+        )
+        bits = g.cache["commutators"] = _bits_of(np.unique(class_of[prod]))
     return bits
 
 

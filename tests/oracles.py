@@ -226,6 +226,37 @@ def exact_product_sizes_rows(class_tuples, k: int):
     return sizes
 
 
+def class_structure_constants(elements, mul, classes):
+    """Structure constants of the class algebra, by brute force.
+
+    classes lists each conjugacy class as indices into elements, its first
+    listed member serving as the class's representative.  Returns two
+    r x r x r integer arrays:
+      n[j, i, k] = #{y in C_i : x_j y in C_k}, x_j the representative of C_j;
+      a[i, j, k] = #{(x, y) in C_i x C_j : x y = z_k}, z_k that of C_k,
+    the latter counted through the partner y = x^-1 z_k of each x in C_i,
+    with x^-1 the last power of x before the identity.
+    """
+    index = {x: t for t, x in enumerate(elements)}
+    class_of = {t: c for c, members in enumerate(classes) for t in members}
+    identity = next(x for x in elements if mul(x, x) == x)
+    reps = [elements[members[0]] for members in classes]
+    r = len(classes)
+    n = np.zeros((r, r, r), dtype=np.int64)
+    a = np.zeros((r, r, r), dtype=np.int64)
+    for i, members in enumerate(classes):
+        for t in members:
+            y = elements[t]
+            for j, x in enumerate(reps):
+                n[j, i, class_of[index[mul(x, y)]]] += 1
+            y_inv = y
+            while mul(y_inv, y) != identity:
+                y_inv = mul(y_inv, y)
+            for k, z in enumerate(reps):
+                a[i, class_of[index[mul(y_inv, z)]], k] += 1
+    return n, a
+
+
 # -- SL2(p) carrier ----------------------------------------------------------
 
 def sl2_gens(p: int):

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qrg import chars, engine
 from qrg.errors import CapExceeded
 from qrg.groupspec import build_group, parse_spec
+from qrg.permutations import Permutation
 
 
 def build(text):
@@ -41,6 +44,23 @@ def test_degrees_match_regular_representation_oracle(spec):
     gens, mul, inv = carrier_gens(g)
     want = oracles.degrees_regular_rep(gens, mul, inv)
     assert chars.character_degrees(g).degrees == want
+
+
+@st.composite
+def perm_generators(draw, max_degree=6):
+    degree = draw(st.integers(0, max_degree))
+    return draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_generators())
+@example([()])  # the degree-0 permutation group
+def test_degrees_match_oracles_on_random_permutation_groups(gens):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    got = chars.character_degrees(g).degrees
+    assert got == oracles.degrees_class_algebra(gens, oracles.compose, oracles.invert)
+    if g.order <= 60:
+        assert got == oracles.degrees_regular_rep(gens, oracles.compose, oracles.invert)
 
 
 def test_known_degree_tables():

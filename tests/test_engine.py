@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qrg import engine, gf
+from qrg import chars, engine, gf
 from qrg.errors import CapExceeded
 from qrg.gf import FFMatrix, PrimeField
 from qrg.groupspec import build_group, parse_spec
@@ -264,12 +264,14 @@ def perm_generators(draw, max_degree=7):
     )
 
 
+# (p, n) for random matrix groups; |GL_3(5)| = 1,488,000 is past the default
+# cap, so n = 3 stops at p = 3
+MATRIX_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
 @st.composite
-def matrix_generators(draw):
-    # |GL_3(5)| = 1,488,000 is past the default cap, so n = 3 stops at p = 3
-    p, n = draw(
-        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
-    )
+def matrix_generators(draw, shapes=MATRIX_SHAPES):
+    p, n = draw(st.sampled_from(shapes))
     entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n).filter(
         lambda e: oracles.det_mod_p([e[i * n : i * n + n] for i in range(n)], p)
     )
@@ -614,3 +616,75 @@ def test_products_match_oracle_on_every_carrier(gens_a, gens_b, drawn, seed):
     for g in groups:
         if g.dense() is not None:
             _check_products(g, rng)
+
+
+# -- class structure rows against brute-force structure constants -------------
+
+
+def _check_structure_rows(g, rng):
+    """Every structure row, pair bitmask and class coefficient matrix
+    against the brute-force constants.  The oracle takes each class's
+    largest member as its representative where g takes the smallest, so
+    the rows' independence of that choice is checked too."""
+    r = len(g.classes)
+    classes = [c.members.tolist()[::-1] for c in g.classes]
+    n, a = oracles.class_structure_constants(
+        list(range(g.order)), _oracle_index_mul(g), classes
+    )
+    # the identity class's row sends each class to itself
+    assert n[0].tolist() == np.diag([c.size for c in g.classes]).tolist()
+    supports = [
+        [sum(1 << int(k) for k in np.flatnonzero(n[j, i])) for i in range(r)] for j in range(r)
+    ]
+    for j in range(r):
+        codes, counts = g.class_structure_row(j)
+        assert (np.diff(codes) > 0).all() and (counts > 0).all()
+        row = np.zeros(r * r, dtype=np.int64)
+        row[codes] = counts
+        assert row.reshape(r, r).tolist() == n[j].tolist()
+        for i in range(r):
+            assert g.class_pair_product_bits(i, j) == supports[j][i]
+            assert g.class_pair_product_bits(j, i) == supports[j][i]
+    for i in range(r):
+        assert chars._class_coefficients(g, i).tolist() == a[i].tolist()
+    # set products read the rows of either side
+    for _ in range(5):
+        bits_a, bits_b = (
+            sum(1 << int(i) for i in np.flatnonzero(m)) for m in rng.integers(0, 2, size=(2, r))
+        )
+        want = 0
+        for i in range(r):
+            for j in range(r):
+                if bits_a >> i & 1 and bits_b >> j & 1:
+                    want |= supports[j][i]
+        assert g.class_set_product_bits(bits_a, bits_b) == want
+        assert g.class_set_product_bits(bits_b, bits_a) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    perm_generators(max_degree=6),
+    perm_generators(max_degree=4),
+    perm_generators(max_degree=3),
+    # GL_3(3) left out: the oracle takes about 10 s on its 11,232 elements
+    matrix_generators(shapes=[s for s in MATRIX_SHAPES if s != (3, 3)]),
+    st.integers(0, 2**32 - 1),
+)
+@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
+def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, drawn, seed):
+    rng = np.random.default_rng(seed)
+    p, n, mat_gens = drawn
+    field = PrimeField(p)
+    perm = engine.enumerate_group([Permutation(x) for x in gens_a])
+    mat = engine.enumerate_group([FFMatrix(field, np.reshape(x, (n, n))) for x in mat_gens])
+    prod = engine.direct_product(
+        engine.enumerate_group([Permutation(x) for x in gens_b]),
+        engine.enumerate_group([Permutation(x) for x in gens_c]),
+    )
+    groups = [perm, mat, prod]
+    for g in (perm, prod):
+        seed_class = int(rng.integers(len(g.classes)))
+        normal = engine.NormalSubgroup(g, g.normal_closure_bits([seed_class]))
+        groups.append(engine.quotient(g, normal))
+    for g in groups:
+        _check_structure_rows(g, rng)
