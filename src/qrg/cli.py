@@ -91,11 +91,24 @@ def _parse_m(text: str):
     if text == "inf":
         return math.inf
     try:
-        return int(text)
+        m = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"power range must be an integer or 'inf', not {text!r}"
         ) from None
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"power range must be at least 1, not {text!r}")
+    return m
+
+
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return k
 
 
 def _add_common(sub):
@@ -575,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True,
                    help="cycles, mat:p=..:[..], or idx:<k>")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--K", type=_positive_int, default=None)
     p.add_argument("--m", type=_parse_m, default="1", help="power range, integer or 'inf'")
     p.add_argument("--mod-cosocle", action="store_true")
     p.add_argument("--max-k", type=int, default=None)

@@ -4,6 +4,12 @@ All product sets here are unions of conjugacy classes, stored as class
 bitmasks on a GroupTable.  Products are exact k-fold products (no identity
 padding): S^k means S * S * ... * S with k factors.  The symmetric variant
 replaces a class C by C union C^{-1}.
+
+Covering properties over a power range 1 <= i <= m are decided on the
+distinct classes of the powers x^i, read from the group's class power map:
+the class of x^i depends only on the class of x and on i mod o(x).  The
+distinct k-fold products of those classes are cached on the group per
+(class, min(m, o), k, symmetric).
 """
 
 from __future__ import annotations
@@ -40,11 +46,15 @@ class ClassSet:
 
 def class_of_element(g: GroupTable, x: int, symmetric: bool = False) -> ClassSet:
     """C(x), or C(x) union C(x^{-1}) for the symmetric variant."""
-    c = int(g.class_of[x])
+    return ClassSet(g, _class_bits(g, int(g.class_of[x]), symmetric))
+
+
+def _class_bits(g: GroupTable, c: int, symmetric: bool) -> int:
+    """Bitmask of class c, with its inverse class for the symmetric variant."""
     bits = 1 << c
     if symmetric:
         bits |= 1 << g.inverse_class(c)
-    return ClassSet(g, bits)
+    return bits
 
 
 def class_product(a: ClassSet, b: ClassSet) -> ClassSet:
@@ -97,6 +107,25 @@ def resolve_m(g: GroupTable, x: int, m) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     return m
+
+
+def _power_kfold_sets(
+    g: GroupTable, x: int, m, k: int, symmetric: bool = False
+) -> frozenset[int]:
+    """Distinct class bitmasks of (C(x^i) [u C(x^-i)])^k over 1 <= i <= m.
+
+    Powers wrap at o = o(x), so m >= o takes every position of the class
+    power map of x.
+    """
+    c = int(g.class_of[x])
+    powers = g.power_classes(c)
+    n = min(resolve_m(g, x, m), len(powers))
+    key = ("power_kfold", c, n, k, symmetric)
+    got = g.cache.get(key)
+    if got is None:
+        bases = {_class_bits(g, p, symmetric) for p in powers[:n]}
+        got = g.cache[key] = frozenset(kfold_product(ClassSet(g, b), k).bits for b in bases)
+    return got
 
 
 def covering_number(
@@ -154,13 +183,8 @@ def covering_property(
     g: GroupTable, x: int, K: int, m, symmetric: bool = False
 ) -> bool:
     """Whether (C(x^i))^K = G for every power 1 <= i <= m."""
-    m = resolve_m(g, x, m)
-    for i in range(1, m + 1):
-        y = g.power(x, i)
-        s = kfold_product(class_of_element(g, y, symmetric), K)
-        if not s.is_full():
-            return False
-    return True
+    full = g.full_class_bits()
+    return all(s == full for s in _power_kfold_sets(g, x, m, K, symmetric))
 
 
 def double_covering_feasible(
@@ -170,19 +194,10 @@ def double_covering_feasible(
 
         (C(x^i) u C(x^-i))^k1 * (C(y^j) u C(y^-j))^k2 = G.
     """
-    m1 = resolve_m(g, x, m1)
-    m2 = resolve_m(g, y, m2)
     full = g.full_class_bits()
-    b_sets = {
-        kfold_product(class_of_element(g, g.power(y, j), symmetric=True), k2).bits
-        for j in range(1, m2 + 1)
-    }
-    for i in range(1, m1 + 1):
-        a = kfold_product(class_of_element(g, g.power(x, i), symmetric=True), k1)
-        for b in b_sets:
-            if g.class_set_product_bits(a.bits, b) != full:
-                return False
-    return True
+    a_sets = _power_kfold_sets(g, x, m1, k1, symmetric=True)
+    b_sets = _power_kfold_sets(g, y, m2, k2, symmetric=True)
+    return all(g.class_set_product_bits(a, b) == full for a in a_sets for b in b_sets)
 
 
 def covering_mod(

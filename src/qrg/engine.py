@@ -37,14 +37,19 @@ identity is a subgroup exactly when N * N = N; the join of normal subgroups
 A and B is A * B; the normal closure of some classes is the fixed point of
 N <- N * S, with S those classes plus the identity.  The commutators, the
 union of the products C * C^-1, come from one pass multiplying each y by
-the representative of the class inverse to y's.  Powers of an element are
-read from its cycle x, x^2, ..., 1, walked once and cached.
+the representative of the class inverse to y's.
+
+Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
+class of x^i depends only on the class c of x and on i mod o(c).  This class
+power map (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+2005) is read once per class along the cycle of the class representative
+and cached; element orders and the exponent come from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -160,7 +165,7 @@ class GroupTable:
         self._class_sizes = None
         self._class_reps = None
         self._class_inverses = None
-        self._cycles: dict[int, list[int]] = {}
+        self._power_classes: dict[int, tuple[int, ...]] = {}
         self._normals = None
         self._cosocle = None
         self._derived_bits = None
@@ -179,31 +184,23 @@ class GroupTable:
     def inv_of(self, i: int) -> int:
         return int(self.inv[i])
 
-    def _cycle(self, i: int) -> list[int]:
-        """Indices of x, x^2, ..., x^o = 1 for x = element(i) of order o."""
-        got = self._cycles.get(i)
-        if got is None:
-            got = [i]
-            while got[-1] != 0:
-                got.append(self.mul(got[-1], i))
-            self._cycles[i] = got
-        return got
-
     def power(self, i: int, k: int) -> int:
-        """Index of element(i)**k for any integer k, read from the cycle of
-        element(i): x^k = x^(k mod o), which sits at position (k - 1) mod o."""
-        cycle = self._cycle(i)
-        return cycle[(k - 1) % len(cycle)]
+        """Index of element(i)**k for any integer k: x^k = x^(k mod o),
+        formed by repeated squaring."""
+        k %= self.order_of(i)
+        out = 0
+        while k:
+            if k & 1:
+                out = self.mul(out, i)
+            i = self.mul(i, i)
+            k >>= 1
+        return out
 
     def order_of(self, i: int) -> int:
-        return len(self._cycle(i))
+        return len(self.power_classes(int(self.class_of[i])))
 
     def exponent(self) -> int:
-        out = 1
-        for c in self.classes:
-            o = self.order_of(c.rep)
-            out = out * o // gcd(out, o)
-        return out
+        return lcm(*(len(self.power_classes(c.index)) for c in self.classes))
 
     # -- batched ops --------------------------------------------------------
 
@@ -316,6 +313,24 @@ class GroupTable:
         if self._class_inverses is None:
             self._ensure_classes()
         return int(self._class_inverses[ci])
+
+    def power_classes(self, c: int) -> tuple[int, ...]:
+        """Classes of x, x^2, ..., x^o = 1 for any x in class c, o = o(x).
+
+        Read along the cycle of the class representative, which doubles with
+        each product (x^1..x^n times x^n is x^(n+1)..x^2n) until the
+        identity, index 0, appears; cached per class.
+        """
+        got = self._power_classes.get(c)
+        if got is None:
+            class_of = self.class_of
+            cycle = self._class_reps[c : c + 1]
+            while cycle.all():
+                cycle = np.concatenate((cycle, self.mul_pairwise(cycle, cycle[-1])))
+            # argmin finds the first identity
+            got = tuple(class_of[cycle[: cycle.argmin() + 1]].tolist())
+            self._power_classes[c] = got
+        return got
 
     def _ensure_classes(self):
         """Partition the group into conjugacy classes.

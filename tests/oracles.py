@@ -8,6 +8,8 @@ elements (the class-algebra degree oracle scales to a few tens of
 thousands).
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -211,6 +213,67 @@ def covering_number_bruteforce(cls, mul, order: int, max_k: int = 16):
         seen.add(cur)
         cur = frozenset(mul(a, b) for a in cur for b in base)
     raise RuntimeError(f"undecided after {max_k} steps")
+
+
+def power_covering_bruteforce(elements, mul, sides):
+    """Whether S_1 * ... * S_t is the whole group for every choice of one
+    power per side, by brute force over element sets.
+
+    Each side is (x, k, m, symmetric) and gives, for each power
+    1 <= i <= m (m = inf: up to the order of x), the exact k-fold product
+    S = B^k of B = C(x^i), or C(x^i) u C(x^-i) when symmetric.  Powers come
+    from repeated products, classes from conjugating by every element, and
+    set products from every pair (stopping once the whole group is met).
+    """
+    identity = next(x for x in elements if mul(x, x) == x)
+    order = len(elements)
+    inverse = {}
+    for h in elements:
+        y = h
+        while mul(y, h) != identity:
+            y = mul(y, h)
+        inverse[h] = y
+
+    def conjugacy_class(z):
+        return frozenset(mul(mul(h, z), inverse[h]) for h in elements)
+
+    def product(a, b):
+        out = set()
+        for u in a:
+            out.update(mul(u, v) for v in b)
+            if len(out) == order:
+                break
+        return frozenset(out)
+
+    kfold = {}
+
+    def power_sets(x, k, m, symmetric):
+        if m == math.inf:
+            m, y = 1, x
+            while y != identity:
+                m, y = m + 1, mul(y, x)
+        sets = []
+        y = x
+        for _ in range(m):
+            base = conjugacy_class(y)
+            if symmetric:
+                base |= conjugacy_class(inverse[y])
+            if (base, k) not in kfold:
+                s = base
+                for _ in range(k - 1):
+                    s = product(s, base)
+                kfold[base, k] = s
+            sets.append(kfold[base, k])
+            y = mul(y, x)
+        return sets
+
+    for choice in itertools.product(*(power_sets(*side) for side in sides)):
+        s = choice[0]
+        for t in choice[1:]:
+            s = product(s, t)
+        if len(s) != order:
+            return False
+    return True
 
 
 def exact_product_sizes_rows(class_tuples, k: int):

@@ -202,6 +202,25 @@ def test_malformed_power_range_is_usage_error(capsys, k_args):
     assert "power range must be an integer or 'inf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--K", "0"], "expected a positive integer, not '0'"),
+        (["--K", "-1"], "expected a positive integer, not '-1'"),
+        (["--K", "x"], "expected a positive integer, not 'x'"),
+        (["--K", "2", "--m", "0"], "power range must be at least 1, not '0'"),
+        (["--m", "-3"], "power range must be at least 1, not '-3'"),
+    ],
+)
+def test_nonpositive_depth_or_power_range_is_usage_error(capsys, extra, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["covering", "A5", "--element", "(1 2 3 4 5)"] + extra)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: ")
+    assert message in err_text
+
+
 def test_domain_failures_exit_one(capsys):
     code, lines = run(["covering", "S4", "--element", "idx:99"], capsys)
     assert code == 1 and "out of range" in lines[0]["message"]

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qrg import covering, engine, gf
@@ -209,3 +212,83 @@ def test_product_preservation_round_trip():
     witnessed = [(a5, x, x), (a5, x, x)]
     assert covering.verify_product_preservation(witnessed, 2, 4, 2, 4)
     assert not covering.verify_product_preservation(witnessed, 1, 4, 1, 4)
+
+
+# -- power-range covering against brute force on random groups -----------------
+
+
+@st.composite
+def perm_generators(draw, max_degree=6):
+    """One to three uniformly random permutations of a uniformly random
+    degree 2..max_degree, half the time all made even (an odd one is
+    composed with a transposition), so that alternating groups, where
+    classes cover, turn up too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = int(rng.integers(2, max_degree + 1))
+    gens = [tuple(rng.permutation(degree).tolist()) for _ in range(rng.integers(1, 4))]
+    if draw(st.booleans()):
+        swap = (1, 0) + tuple(range(2, degree))
+        gens = [x if oracles.parity_by_inversions(x) == "even" else oracles.compose(x, swap)
+                for x in gens]
+    return gens
+
+
+POWER_RANGES = st.sampled_from([1, 2, 3, math.inf])
+DEPTHS = st.integers(1, 3)
+
+
+def _index_oracle(g):
+    """Elements 0..|G|-1 with the oracle product of image tuples; a quotient
+    multiplies its coset representatives in the parent and projects."""
+    if g.kind == "quot":
+        parent = _index_oracle(g.parent)[1]
+        reps, proj = g.coset_reps.tolist(), g.proj.tolist()
+        return list(range(g.order)), lambda a, b: proj[parent(reps[a], reps[b])]
+    images = [g.element(i).images for i in range(g.order)]
+    index = {x: i for i, x in enumerate(images)}
+    return list(range(g.order)), lambda a, b: index[oracles.compose(images[a], images[b])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    perm_generators(),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.tuples(POWER_RANGES, DEPTHS, st.booleans()),
+    st.tuples(POWER_RANGES, DEPTHS, POWER_RANGES, DEPTHS),
+)
+@example([()], 0, False, (math.inf, 1, False), (math.inf, 1, math.inf, 1))
+def test_power_covering_matches_bruteforce_on_random_groups(gens, seed, quotient, single, double):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    rng = np.random.default_rng(seed)
+    if quotient:
+        # any normal subgroup but G itself, the last one listed
+        normals = engine.normal_subgroups(g)[:-1] or [engine.NormalSubgroup(g, 1)]
+        g = engine.quotient(g, normals[rng.integers(len(normals))])
+    elements, mul = _index_oracle(g)
+    x, y = (int(v) for v in rng.integers(g.order, size=2))
+    m, k, symmetric = single
+    assert covering.covering_property(g, x, k, m, symmetric) == (
+        oracles.power_covering_bruteforce(elements, mul, [(x, k, m, symmetric)])
+    )
+    m1, k1, m2, k2 = double
+    assert covering.double_covering_feasible(g, x, y, k1, m1, k2, m2) == (
+        oracles.power_covering_bruteforce(elements, mul, [(x, k1, m1, True), (y, k2, m2, True)])
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_generators(), st.integers(0, 2**32 - 1), st.booleans())
+@example([()], 0, False)
+def test_covering_number_matches_bruteforce_on_random_groups(gens, seed, symmetric):
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    x = int(np.random.default_rng(seed).integers(g.order))
+    elements, mul = _index_oracle(g)
+    cls = set(g.classes[int(g.class_of[x])].members.tolist())
+    if symmetric:
+        cls |= {g.inv_of(z) for z in cls}
+    rep = covering.covering_number(g, x, symmetric, max_k=16)
+    assert rep.K == oracles.covering_number_bruteforce(cls, mul, g.order)
+    if rep.growth_trace:
+        sizes = oracles.exact_product_sizes(cls, mul, len(rep.growth_trace))
+        assert rep.growth_trace == list(enumerate(sizes, start=1))

@@ -1,5 +1,7 @@
 """Group enumeration, conjugacy machinery, quotients, and cosocles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -661,18 +663,10 @@ def _check_structure_rows(g, rng):
         assert g.class_set_product_bits(bits_b, bits_a) == want
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    perm_generators(max_degree=6),
-    perm_generators(max_degree=4),
-    perm_generators(max_degree=3),
-    # GL_3(3) left out: the oracle takes about 10 s on its 11,232 elements
-    matrix_generators(shapes=[s for s in MATRIX_SHAPES if s != (3, 3)]),
-    st.integers(0, 2**32 - 1),
-)
-@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
-def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, drawn, seed):
-    rng = np.random.default_rng(seed)
+def _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
+    """A perm group, a matrix group, a direct product of perm groups, and a
+    quotient of the first and of the third by a random single-class normal
+    closure."""
     p, n, mat_gens = drawn
     field = PrimeField(p)
     perm = engine.enumerate_group([Permutation(x) for x in gens_a])
@@ -686,5 +680,58 @@ def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, dr
         seed_class = int(rng.integers(len(g.classes)))
         normal = engine.NormalSubgroup(g, g.normal_closure_bits([seed_class]))
         groups.append(engine.quotient(g, normal))
-    for g in groups:
+    return groups
+
+
+# GL_3(3) left out: the oracles take about 10 s on its 11,232 elements
+EVERY_CARRIER = (
+    perm_generators(max_degree=6),
+    perm_generators(max_degree=4),
+    perm_generators(max_degree=3),
+    matrix_generators(shapes=[s for s in MATRIX_SHAPES if s != (3, 3)]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*EVERY_CARRIER)
+@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
+def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, drawn, seed):
+    rng = np.random.default_rng(seed)
+    for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
         _check_structure_rows(g, rng)
+
+
+# -- the class power map against repeated products ----------------------------
+
+
+def _check_power_map(g):
+    """From every x in every class c, the oracle's products x, x^2, ...
+    until the identity: power(x, i) is x^i and power_classes(c)[i - 1] its
+    class for i = 1..o, o is order_of(x), and the exponent is the lcm of
+    the orders."""
+    mul = _oracle_index_mul(g)
+    orders = set()
+    for c in g.classes:
+        want = g.power_classes(c.index)
+        for x in c.members.tolist():
+            y, got = x, []
+            while not got or got[-1] != 0:
+                got.append(int(g.class_of[y]))
+                assert g.power(x, len(got)) == y
+                y = mul(y, x)
+            assert tuple(got) == want
+            assert g.order_of(x) == len(got)
+            orders.add(len(got))
+    assert g.exponent() == math.lcm(*orders)
+
+
+@settings(max_examples=25, deadline=None)
+@given(*EVERY_CARRIER)
+@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
+def test_power_map_matches_repeated_products_on_every_carrier(
+    gens_a, gens_b, gens_c, drawn, seed
+):
+    rng = np.random.default_rng(seed)
+    for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
+        _check_power_map(g)
