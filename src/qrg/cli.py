@@ -327,7 +327,7 @@ def _suite_brenner(args):
         ("A7", "(1 2 3)(4 5)(6 7)"),
         ("A8", "(1 2 3 4)(5 6 7 8)"),
     ):
-        g = build_group(parse_spec(spec_text))
+        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         x = g.index_of(parse_cycles(cyc, degree=g.degree))
         rep = covering.covering_number(g, x)
         yield (
@@ -341,7 +341,7 @@ def _suite_brenner(args):
 
 def _suite_bcc(args):
     for spec_text in ("SL2:5", "SL2:7"):
-        g = build_group(parse_spec(spec_text))
+        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         reps = [c.rep for c in g.classes]
         checked = 0
         witnesses = 0
@@ -419,7 +419,7 @@ def _suite_mixing(args):
     rng = np.random.default_rng(seed)
     rates = {}
     for spec_text in ("SL2:5", "SL2:11"):
-        g = build_group(parse_spec(spec_text))
+        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         size = g.order // 2
         passed = 0
         for _ in range(trials):
@@ -520,7 +520,8 @@ def _suite_jordan(args):
 
 
 def _suite_preservation(args):
-    a5 = build_group(parse_spec("A5"))
+    cap = _cap_order(args)
+    a5 = build_group(parse_spec("A5"), cap=cap)
     x = a5.index_of(parse_cycles("(1 2 3 4 5)", degree=5))
     params = (2, 4, 2, 4)
     base = covering.double_covering_feasible(a5, x, x, *params)
@@ -529,7 +530,7 @@ def _suite_preservation(args):
     ok = covering.verify_product_preservation([(a5, x, x), (a5, x, x)], *params)
     yield ("parameters transfer to A5 x A5", ok, {})
 
-    prod = engine.direct_product(a5, a5)
+    prod = engine.direct_product(a5, a5, cap=cap)
     sub = engine.normal_subgroup_from_elements(prod, list(range(a5.order)))
     q = engine.quotient(prod, sub)
     xt = covering.product_witness_index([a5, a5], [x, x])

@@ -35,9 +35,16 @@ class structure constants is one whole-group product rep_j * G, and its
 support at i is the classes of C_i * C_j.  A class union N holding the
 identity is a subgroup exactly when N * N = N; the join of normal subgroups
 A and B is A * B; the normal closure of some classes is the fixed point of
-N <- N * S, with S those classes plus the identity.  The commutators, the
-union of the products C * C^-1, come from one pass multiplying each y by
-the representative of the class inverse to y's.
+N <- N * S, with S those classes plus the identity.  The lattice joins
+each distinct principal normal subgroup, the closure of one class, into
+every normal subgroup found so far.  The commutators, the union of the
+products C * C^-1, come from one pass multiplying each y by the
+representative of the class inverse to y's.
+
+A GroupTable keeps its own lazy state (classes, power map, structure rows,
+set products) in private fields.  Whatever a module-level function derives
+from it (lattice, cosocle, derived subgroup, quotients, commutators,
+character degrees, k-fold products) is memoized in g.cache.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
@@ -166,12 +173,8 @@ class GroupTable:
         self._class_reps = None
         self._class_inverses = None
         self._power_classes: dict[int, tuple[int, ...]] = {}
-        self._normals = None
-        self._cosocle = None
-        self._derived_bits = None
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
-        self._quotients: dict[int, "GroupTable"] = {}
         self.cache: dict = {}
 
     # -- scalar ops ---------------------------------------------------------
@@ -684,7 +687,9 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     return g
 
 
-def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
+def direct_product(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    if g1.order * g2.order > cap:
+        raise CapExceeded(f"product order {g1.order * g2.order} exceeds cap {cap}")
     g = GroupTable()
     g.kind = "prod"
     g.factors = (g1, g2)
@@ -705,7 +710,8 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     """
     if n.group is not g:
         raise ValueError("normal subgroup belongs to a different group")
-    cached = g._quotients.get(n.class_bits)
+    key = ("quotient", n.class_bits)
+    cached = g.cache.get(key)
     if cached is not None:
         return cached
     # a union of classes is automatically conjugation invariant; still verify
@@ -744,7 +750,7 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     if not q.gens:
         q.gens = [0]
     q.label = f"({g.label}) / N of order {n.order}"
-    g._quotients[n.class_bits] = q
+    g.cache[key] = q
     return q
 
 
@@ -774,39 +780,29 @@ def normal_subgroup_from_elements(g: GroupTable, idxs) -> NormalSubgroup:
 
 
 def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
-    """All normal subgroups: closures of single classes, closed under join.
+    """All normal subgroups, ascending by (order, class bitmask).
 
-    The join of normal subgroups A and B is their product set A * B.
+    Every normal subgroup is the join of the normal closures of its own
+    classes, and the join of normal subgroups A and B is their product set
+    A * B.  So joining each distinct closure N_c into every subgroup found
+    so far, from {1}, leaves the joins of all subsets of the closures: the
+    whole lattice (Hulpke, Computing normal subgroups, ISSAC 1998).
     """
-    if g._normals is not None:
-        return list(g._normals)
-    classes = g.classes
-    if len(classes) > CLASS_CAP:
-        raise ClassCapExceeded(
-            f"{len(classes)} conjugacy classes exceed the lattice cap {CLASS_CAP}"
-        )
-    found: set[int] = {1}  # trivial subgroup: the identity class alone
-    for c in range(len(classes)):
-        found.add(g.normal_closure_bits([c]))
-    # close under pairwise join until stable
-    while True:
-        current = sorted(found)
-        added = False
-        for idx_a, a in enumerate(current):
-            for b in current[idx_a + 1 :]:
-                # a | b in found is a subgroup, so it already equals a * b
-                if a | b in found:
-                    continue
-                j = g.class_set_product_bits(a, b)
-                if j not in found:
-                    found.add(j)
-                    added = True
-        if not added:
-            break
-    out = [NormalSubgroup(g, bits) for bits in found]
-    out.sort(key=lambda n: (n.order, n.class_bits))
-    g._normals = out
-    return list(out)
+    normals = g.cache.get("normals")
+    if normals is None:
+        classes = g.classes
+        if len(classes) > CLASS_CAP:
+            raise ClassCapExceeded(
+                f"{len(classes)} conjugacy classes exceed the lattice cap {CLASS_CAP}"
+            )
+        found: set[int] = {1}  # trivial subgroup: the identity class alone
+        for nc in {g.normal_closure_bits([c]) for c in range(len(classes))}:
+            # A * N_c = A when A already contains N_c
+            found |= {g.class_set_product_bits(a, nc) for a in found if a & nc != nc}
+        normals = [NormalSubgroup(g, bits) for bits in found]
+        normals.sort(key=lambda n: (n.order, n.class_bits))
+        g.cache["normals"] = normals
+    return list(normals)
 
 
 def cosocle(g: GroupTable) -> NormalSubgroup:
@@ -815,26 +811,17 @@ def cosocle(g: GroupTable) -> NormalSubgroup:
     For the trivial group (no proper normal subgroups) this is the whole
     group, by the empty-intersection convention.
     """
-    if g._cosocle is not None:
-        return g._cosocle
-    normals = normal_subgroups(g)
-    proper = [n for n in normals if n.order < g.order]
-    if not proper:
-        g._cosocle = NormalSubgroup(g, g.full_class_bits())
-        return g._cosocle
-    maximal = [
-        n
-        for n in proper
-        if not any(
-            m is not n and m.class_bits & n.class_bits == n.class_bits
-            for m in proper
-        )
-    ]
-    bits = g.full_class_bits()
-    for n in maximal:
-        bits &= n.class_bits
-    g._cosocle = NormalSubgroup(g, bits)
-    return g._cosocle
+    got = g.cache.get("cosocle")
+    if got is None:
+        proper = [n for n in normal_subgroups(g) if n.order < g.order]
+        bits = g.full_class_bits()
+        for n in proper:
+            if not any(
+                m is not n and m.class_bits & n.class_bits == n.class_bits for m in proper
+            ):
+                bits &= n.class_bits
+        got = g.cache["cosocle"] = NormalSubgroup(g, bits)
+    return got
 
 
 def center(g: GroupTable) -> NormalSubgroup:
@@ -844,15 +831,14 @@ def center(g: GroupTable) -> NormalSubgroup:
 
 def commutator_subgroup(g: GroupTable) -> NormalSubgroup:
     """Derived subgroup, as the normal closure of generator commutators."""
-    if g._derived_bits is None:
-        seeds = set()
-        for a in g.gens:
-            for b in g.gens:
-                ab = g.mul(a, b)
-                ba = g.mul(b, a)
-                seeds.add(int(g.class_of[g.mul(ab, g.inv_of(ba))]))
-        g._derived_bits = g.normal_closure_bits(seeds)
-    return NormalSubgroup(g, g._derived_bits)
+    bits = g.cache.get("derived")
+    if bits is None:
+        # [a, b] = ab (ba)^-1, and ba is ab transposed over the gens grid
+        gens = np.array(g.gens, dtype=np.int64)
+        ab = g.mul_pairwise(gens[:, None], gens[None, :])
+        seeds = np.unique(g.class_of[g.mul_pairwise(ab, g.inv[ab.T])])
+        bits = g.cache["derived"] = g.normal_closure_bits(seeds)
+    return NormalSubgroup(g, bits)
 
 
 def is_perfect(g: GroupTable) -> bool:

@@ -417,7 +417,6 @@ def parse_matrix(text: str) -> FFMatrix:
 
 def matrix_literal(m: FFMatrix) -> str:
     body = json.dumps([[int(x) for x in row] for row in m.entries], separators=(",", ""))
-    body = body.replace("],[", "],[")
     return f"mat:p={m.field.p}:{body}"
 
 

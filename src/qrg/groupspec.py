@@ -27,7 +27,7 @@ from .engine import (
     enumerate_group,
     quotient,
 )
-from .errors import CapExceeded, ParseError
+from .errors import ParseError
 from .gf import PrimeField, classical_generators, is_prime
 from .permutations import Permutation, cycle_string, parse_cycles
 
@@ -216,11 +216,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if isinstance(spec, ProdSpec):
         left = build_group(spec.left, cap=cap)
         right = build_group(spec.right, cap=cap)
-        if left.order * right.order > cap:
-            raise CapExceeded(
-                f"product order {left.order * right.order} exceeds cap {cap}"
-            )
-        g = direct_product(left, right)
+        g = direct_product(left, right, cap=cap)
         g.label = render_spec(spec)
         return g
     if isinstance(spec, PermGroupSpec):

@@ -48,8 +48,14 @@ def test_degrees_match_regular_representation_oracle(spec):
 
 @st.composite
 def perm_generators(draw, max_degree=6):
-    degree = draw(st.integers(0, max_degree))
-    return draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    """One to three uniformly random permutations of a uniformly random
+    degree 2..max_degree, at least one of them not the identity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = int(rng.integers(2, max_degree + 1))
+    while True:
+        gens = [tuple(rng.permutation(degree).tolist()) for _ in range(rng.integers(1, 4))]
+        if any(x != tuple(range(degree)) for x in gens):
+            return gens
 
 
 @settings(max_examples=30, deadline=None)

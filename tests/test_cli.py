@@ -263,6 +263,22 @@ def test_verify_preservation_suite(capsys):
     }
 
 
+@pytest.mark.parametrize("suite", ["brenner", "bcc", "mixing", "preservation"])
+def test_verify_suites_build_groups_under_the_cap(capsys, monkeypatch, suite):
+    code, lines = run(["verify", suite, "--cap-order", "10"], capsys)
+    assert code == 1 and lines[-1]["error"] == "CapExceeded"
+    monkeypatch.setenv("QRG_CAP_ORDER", "10")
+    code, lines = run(["verify", suite], capsys)
+    assert code == 1 and lines[-1]["error"] == "CapExceeded"
+
+
+def test_verify_preservation_builds_the_product_under_the_cap(capsys):
+    # A5 (order 60) fits, A5 x A5 (order 3600) does not
+    code, lines = run(["verify", "preservation", "--cap-order", "100"], capsys)
+    assert code == 1
+    assert lines[-1]["error"] == "CapExceeded" and "3600" in lines[-1]["message"]
+
+
 def test_module_invocation_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "qrg.cli", "analyze", "C1"],

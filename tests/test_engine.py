@@ -119,6 +119,9 @@ def test_direct_product():
             e1, e2 = prod.element(idx)
             assert e1 == a4.element(i1)
             assert e2 == c2.element(i2)
+    assert engine.direct_product(a4, c2, cap=24).order == 24
+    with pytest.raises(CapExceeded, match="product order 24 exceeds cap 23"):
+        engine.direct_product(a4, c2, cap=23)
 
 
 def test_quotient_s4_by_v4():
@@ -260,10 +263,14 @@ def _check_against_bfs(g, gens, mul):
 
 @st.composite
 def perm_generators(draw, max_degree=7):
-    degree = draw(st.integers(0, max_degree))
-    return draw(
-        st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3)
-    )
+    """One to three uniformly random permutations of a uniformly random
+    degree 2..max_degree, at least one of them not the identity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = int(rng.integers(2, max_degree + 1))
+    while True:
+        gens = [tuple(rng.permutation(degree).tolist()) for _ in range(rng.integers(1, 4))]
+        if any(x != tuple(range(degree)) for x in gens):
+            return gens
 
 
 # (p, n) for random matrix groups; |GL_3(5)| = 1,488,000 is past the default
@@ -367,16 +374,27 @@ def _check_normal_closures(g):
 
 def _check_lattice(g):
     """The lattice is every class union that holds the identity and is closed
-    under the oracle product."""
+    under the oracle product, ascending by (order, class bitmask), and the
+    cosocle is the intersection of its maximal proper members (the whole
+    group when there are none)."""
     mul = _oracle_mul(g)
     classes = [{_carrier(g.element(int(x))) for x in c.members} for c in g.classes]
     identity = next(x for x in set().union(*classes) if mul(x, x) == x)
-    want = set()
-    for bits in range(1, 1 << len(classes)):
+    full = (1 << len(classes)) - 1
+    want = {}
+    for bits in range(1, full + 1):
         union = set().union(*(classes[c] for c in range(len(classes)) if bits >> c & 1))
         if identity in union and all(mul(a, b) in union for a in union for b in union):
-            want.add(bits)
-    assert {n.class_bits for n in engine.normal_subgroups(g)} == want
+            want[bits] = len(union)
+    got = engine.normal_subgroups(g)
+    assert [n.class_bits for n in got] == sorted(want, key=lambda b: (want[b], b))
+    assert [n.order for n in got] == sorted(want.values())
+    proper = [b for b in want if b != full]
+    cosocle = full
+    for b in proper:
+        if not any(m != b and m & b == b for m in proper):
+            cosocle &= b
+    assert engine.cosocle(g).class_bits == cosocle
 
 
 def _check_powers(g):
@@ -409,11 +427,40 @@ def test_normal_closures_match_oracle(spec):
     _check_normal_closures(build_group(parse_spec(spec)))
 
 
-@pytest.mark.parametrize("spec", FIXED_SPECS)
+# groups with rich lattices: 19, 16 and 10 normal subgroups
+LATTICE_SPECS = FIXED_SPECS + ["prod(D4,C2)", "prod(prod(C2,C2),C2)", "prod(S3,S3)"]
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
 def test_lattice_matches_bruteforce_class_unions(spec):
     g = build_group(parse_spec(spec))
     assert len(g.classes) <= 10
     _check_lattice(g)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "spec, n, total",
+    [
+        ("prod(prod(C2,C2),prod(C2,C2))", 4, 67),
+        ("prod(prod(C2,C2),prod(C2,prod(C2,C2)))", 5, 374),
+    ],
+)
+def test_elementary_abelian_lattice_counts(spec, n, total):
+    # every subgroup of C2^n is normal, and [n choose k]_2 of them have order 2^k
+    g = build_group(parse_spec(spec))
+    orders = [m.order for m in engine.normal_subgroups(g)]
+    assert len(orders) == total
+    assert [orders.count(2**k) for k in range(n + 1)] == [
+        _gaussian_binomial(n, k, 2) for k in range(n + 1)
+    ]
 
 
 @pytest.mark.parametrize("spec", FIXED_SPECS)
