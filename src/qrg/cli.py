@@ -343,23 +343,12 @@ def _suite_bcc(args):
     for spec_text in ("SL2:5", "SL2:7"):
         g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         reps = [c.rep for c in g.classes]
-        checked = 0
-        witnesses = 0
-        violations = 0
-        for x in reps:
-            for y in reps:
-                for k1 in (1, 2, 3):
-                    for k2 in (1, 2, 3):
-                        for m1 in (1, 2, 3):
-                            for m2 in (1, 2, 3):
-                                rep = covering.verify_cosocle_inflation(
-                                    g, x, y, k1, m1, k2, m2
-                                )
-                                checked += 1
-                                if rep.mod_holds:
-                                    witnesses += 1
-                                    if not rep.lifted_holds:
-                                        violations += 1
+        checked = witnesses = violations = 0
+        for x, y, k1, k2, m1, m2 in itertools.product(reps, reps, *[(1, 2, 3)] * 4):
+            rep = covering.verify_cosocle_inflation(g, x, y, k1, m1, k2, m2)
+            checked += 1
+            witnesses += rep.mod_holds
+            violations += rep.mod_holds and not rep.lifted_holds
         yield (
             f"{spec_text} inflation x{3 * engine.cosocle(g).num_classes - 2} "
             "lifts every mod-cosocle witness",
@@ -378,12 +367,11 @@ def _suite_packing(args):
 
 def _suite_mustexp(args):
     d = args.D or 3
-    samples = args.samples or 1000
     seed = args.seed if args.seed is not None else SUITE_SEEDS["mustexp"]
     rng = np.random.default_rng(seed)
     found = 0
     floored = 0
-    for _ in range(samples):
+    for _ in range(args.samples):
         while True:
             u = unitgeom.haar_unitary(d, rng)
             angles = np.abs(np.angle(np.linalg.eigvals(u.entries)))
@@ -393,19 +381,18 @@ def _suite_mustexp(args):
         if unitgeom.power_length_witness(u) is not None:
             found += 1
     yield (
-        f"mustexp D={d}: all {samples} samples exceed sqrt(2) within 1e6 powers",
-        found == samples,
-        {"found": found, "samples": samples, "angle_floor_rejections": floored,
+        f"mustexp D={d}: all {args.samples} samples exceed sqrt(2) within 1e6 powers",
+        found == args.samples,
+        {"found": found, "samples": args.samples, "angle_floor_rejections": floored,
          "seed": seed},
     )
 
 
 def _suite_axioms(args):
     dims = [args.D] if args.D is not None else [1, 2, 3, 4]
-    samples = args.samples or 1000
     base = args.seed if args.seed is not None else SUITE_SEEDS["axioms"]
     for d in dims:
-        rep = unitgeom.length_axioms_check(samples, d, seed=base + d)
+        rep = unitgeom.length_axioms_check(args.samples, d, seed=base + d)
         yield (
             f"length axioms D={d} max violation below 1e-9",
             rep.passed,
@@ -414,7 +401,6 @@ def _suite_axioms(args):
 
 
 def _suite_mixing(args):
-    trials = args.trials or 100
     seed = args.seed if args.seed is not None else SUITE_SEEDS["mixing"]
     rng = np.random.default_rng(seed)
     rates = {}
@@ -422,14 +408,14 @@ def _suite_mixing(args):
         g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         size = g.order // 2
         passed = 0
-        for _ in range(trials):
+        for _ in range(args.trials):
             subset = rng.choice(g.order, size=size, replace=False)
             passed += chars.gowers_mixing(g, subset, Fraction(1, 10), Fraction(1, 10)).passes
         rates[spec_text] = passed
     yield (
-        f"SL2:11 mixing passes at least 95% of {trials} trials",
-        rates["SL2:11"] * 100 >= 95 * trials,
-        {"passed": rates["SL2:11"], "trials": trials, "seed": seed},
+        f"SL2:11 mixing passes at least 95% of {args.trials} trials",
+        rates["SL2:11"] * 100 >= 95 * args.trials,
+        {"passed": rates["SL2:11"], "trials": args.trials, "seed": seed},
     )
     yield (
         "pass rate non-decreasing from SL2:5 to SL2:11",
@@ -461,7 +447,6 @@ def _jordan_lengths_grouped(rows):
 
 
 def _suite_jordan(args):
-    samples = args.samples or 1000
     seed = args.seed if args.seed is not None else SUITE_SEEDS["jordan"]
     rng = np.random.default_rng(seed)
     fields = [gf.PrimeField(p) for p in (2, 3, 5, 7)]
@@ -469,7 +454,7 @@ def _suite_jordan(args):
     # every matrix is drawn first, in the order the samples consume the
     # generator, then the lengths come from one batched call per (n, p)
     pairs = []
-    for _ in range(samples):
+    for _ in range(args.samples):
         field = fields[rng.integers(len(fields))]
         n = int(rng.integers(1, 7))
         pairs.append((_random_invertible(rng, n, field), _random_invertible(rng, n, field)))
@@ -479,13 +464,13 @@ def _suite_jordan(args):
     ):
         axiom_failures += not (la >= 0 and l_inv == la and l_conj == la and l_prod <= la + lb)
     yield (
-        f"jordan pseudo-length axioms exact on {samples} samples",
+        f"jordan pseudo-length axioms exact on {args.samples} samples",
         axiom_failures == 0,
         {"failures": axiom_failures, "seed": seed},
     )
 
     pairs = []
-    for _ in range(samples):
+    for _ in range(args.samples):
         field = fields[rng.integers(len(fields))]
         n1 = int(rng.integers(1, 7))
         n2 = int(rng.integers(1, 7))
@@ -495,7 +480,7 @@ def _suite_jordan(args):
     for (a, b), (lhs, la, lb) in zip(pairs, lengths):
         sum_failures += not lhs >= (a.n * la + b.n * lb) / (a.n + b.n)
     yield (
-        f"jordan direct-sum lower bound exact on {samples} pairs",
+        f"jordan direct-sum lower bound exact on {args.samples} pairs",
         sum_failures == 0,
         {"failures": sum_failures},
     )
@@ -592,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=_positive_int, default=None)
     p.add_argument("--m", type=_parse_m, default="1", help="power range, integer or 'inf'")
     p.add_argument("--mod-cosocle", action="store_true")
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_covering)
 
@@ -632,17 +617,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="subset density, e.g. 1/2")
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_mixing)
 
     p = subs.add_parser("verify", help="named verification suites")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--D", type=int, default=None)
+    p.add_argument("--D", type=_positive_int, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

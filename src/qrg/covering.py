@@ -3,13 +3,19 @@
 All product sets here are unions of conjugacy classes, stored as class
 bitmasks on a GroupTable.  Products are exact k-fold products (no identity
 padding): S^k means S * S * ... * S with k factors.  The symmetric variant
-replaces a class C by C union C^{-1}.
+replaces a class C by C union C^{-1}.  K-fold products and covering numbers
+are read from the group's powers S, S^2, ... of a class set, formed until
+they first repeat and cycling after.
 
 Covering properties over a power range 1 <= i <= m are decided on the
 distinct classes of the powers x^i, read from the group's class power map:
 the class of x^i depends only on the class of x and on i mod o(x).  The
 distinct k-fold products of those classes are cached on the group per
 (class, min(m, o), k, symmetric).
+
+The cosocle inflation check relies on monotonicity: A^a * B^b = G gives
+A^(a+i) * B^(b+j) = A^i * G * B^j = G, so the double covering holds at
+f * k1, f * k2 for the inflation factor f iff it holds for some f' <= f.
 """
 
 from __future__ import annotations
@@ -71,20 +77,9 @@ def class_product(a: ClassSet, b: ClassSet) -> ClassSet:
 
 
 def kfold_product(base: ClassSet, k: int) -> ClassSet:
-    """Exact k-fold product base^k, k >= 1, memoized on the group."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    g = base.group
-    key = ("kfold", base.bits, k)
-    got = g.cache.get(key)
-    if got is None:
-        if k == 1:
-            got = base.bits
-        else:
-            prev = kfold_product(base, k - 1)
-            got = g.class_set_product_bits(prev.bits, base.bits)
-        g.cache[key] = got
-    return ClassSet(g, got)
+    """Exact k-fold product base^k, k >= 1, read from the group's cached
+    powers of base."""
+    return ClassSet(base.group, base.group.class_set_power(base.bits, k))
 
 
 @dataclass
@@ -124,7 +119,7 @@ def _power_kfold_sets(
     got = g.cache.get(key)
     if got is None:
         bases = {_class_bits(g, p, symmetric) for p in powers[:n]}
-        got = g.cache[key] = frozenset(kfold_product(ClassSet(g, b), k).bits for b in bases)
+        got = g.cache[key] = frozenset(g.class_set_power(b, k) for b in bases)
     return got
 
 
@@ -158,25 +153,20 @@ def covering_number(
         return report(1, [(1, 1)], None)
     if x == 0:
         return report(None, [], "trivial class")
-    closure_bits = g.normal_closure_bits([int(g.class_of[x])])
-    if closure_bits != g.full_class_bits():
+    full = g.full_class_bits()
+    if g.normal_closure_bits([int(g.class_of[x])]) != full:
         return report(None, [], "proper normal closure")
-    base = class_of_element(g, x, symmetric)
+    powers, start = g.class_set_powers(class_of_element(g, x, symmetric).bits)
     trace = []
-    seen = set()
-    s = base
-    k = 1
-    while True:
-        trace.append((k, s.element_count))
-        if s.is_full():
+    # the distinct powers, then the first repeat
+    for k, bits in enumerate(powers + powers[start:start + 1], 1):
+        trace.append((k, g.class_bits_size(bits)))
+        if bits == full:
             return report(k, trace, None)
-        if s.bits in seen:
+        if k > len(powers):
             return report(None, trace, "periodic growth without covering")
         if k >= max_k:
             return report(None, trace, "max_k exceeded")
-        seen.add(s.bits)
-        s = class_product(s, base)
-        k += 1
 
 
 def covering_property(
@@ -236,32 +226,24 @@ def verify_cosocle_inflation(
     cosocle, the same powers must cover absolutely once both exponents are
     multiplied by 3n - 2, where n is the number of whole-group conjugacy
     classes lying inside the cosocle.  The report also carries the smallest
-    inflation factor that actually suffices, so the slack is visible.
+    inflation factor that actually suffices, so the slack is visible; by
+    monotonicity the bound holds exactly when that factor exists.
     """
     cos = cosocle(g)
     n = cos.num_classes
     factor = 3 * n - 2
     mod_holds = double_covering_mod(g, cos, x, y, k1, m1, k2, m2)
-    lifted = None
     minimal = None
-    slack = None
     if mod_holds:
-        lifted = double_covering_feasible(
-            g, x, y, factor * k1, m1, factor * k2, m2
-        )
-        for f in range(1, factor + 1):
-            if double_covering_feasible(g, x, y, f * k1, m1, f * k2, m2):
-                minimal = f
-                break
-        if minimal is not None:
-            slack = factor - minimal
+        minimal = next((f for f in range(1, factor + 1) if double_covering_feasible(
+            g, x, y, f * k1, m1, f * k2, m2)), None)
     return InflationReport(
         cosocle_classes=n,
         factor=factor,
         mod_holds=mod_holds,
-        lifted_holds=lifted,
+        lifted_holds=(minimal is not None) if mod_holds else None,
         minimal_factor=minimal,
-        slack=slack,
+        slack=None if minimal is None else factor - minimal,
     )
 
 

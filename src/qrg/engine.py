@@ -34,17 +34,19 @@ and every subgroup question is answered from class products: row j of the
 class structure constants is one whole-group product rep_j * G, and its
 support at i is the classes of C_i * C_j.  A class union N holding the
 identity is a subgroup exactly when N * N = N; the join of normal subgroups
-A and B is A * B; the normal closure of some classes is the fixed point of
-N <- N * S, with S those classes plus the identity.  The lattice joins
-each distinct principal normal subgroup, the closure of one class, into
-every normal subgroup found so far.  The commutators, the union of the
-products C * C^-1, come from one pass multiplying each y by the
-representative of the class inverse to y's.
+A and B is A * B.  The powers S, S^2, ... of a class union S are formed
+until they first repeat and cached per S; past their end they cycle.  The
+normal closure of some classes is the last power of S, those classes plus
+the identity.  The lattice joins each distinct principal normal subgroup,
+the closure of one class, into every normal subgroup found so far.  The
+commutators, the union of the products C * C^-1, come from one pass
+multiplying each y by the representative of the class inverse to y's.
 
 A GroupTable keeps its own lazy state (classes, power map, structure rows,
-set products) in private fields.  Whatever a module-level function derives
-from it (lattice, cosocle, derived subgroup, quotients, commutators,
-character degrees, k-fold products) is memoized in g.cache.
+set products, class-set powers) in private fields.  Whatever a module-level
+function derives from it (lattice, cosocle, derived subgroup, quotients,
+commutators, character degrees, covering's power-range product sets) is
+memoized in g.cache.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
@@ -175,6 +177,7 @@ class GroupTable:
         self._power_classes: dict[int, tuple[int, ...]] = {}
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
+        self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
         self.cache: dict = {}
 
     # -- scalar ops ---------------------------------------------------------
@@ -462,23 +465,40 @@ class GroupTable:
 
     # -- subgroup machinery ---------------------------------------------------
 
+    def class_set_powers(self, bits: int) -> tuple[tuple[int, ...], int]:
+        """The distinct powers S^1 .. S^(t-1) of a class union S, with S^t
+        the first to repeat an earlier S^j, and j - 1, the position of S^j.
+
+        S^(k+1) = S^k * S depends only on S^k, so the powers cycle with
+        period t - j from there.  Cached per S.
+        """
+        got = self._set_powers.get(bits)
+        if got is None:
+            powers = [bits]
+            seen = {bits: 0}
+            while (nxt := self.class_set_product_bits(powers[-1], bits)) not in seen:
+                seen[nxt] = len(powers)
+                powers.append(nxt)
+            got = self._set_powers[bits] = (tuple(powers), seen[nxt])
+        return got
+
+    def class_set_power(self, bits: int, k: int) -> int:
+        """S^k for any k >= 1, read from class_set_powers, by the period past its end."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        powers, start = self.class_set_powers(bits)
+        if k > len(powers):
+            k = start + 1 + (k - 1 - start) % (len(powers) - start)
+        return powers[k - 1]
+
     def normal_closure_bits(self, seed_class_idxs) -> int:
         """Class bitmask of the normal closure of the given classes.
 
-        With S the seed classes plus the identity class, this is the fixed
-        point of N <- N * S from N = S.  N only grows, since 1 is in S; once
-        N * S = N, N holds every product of members of S, and in a finite
-        group that set is the subgroup S generates.  That subgroup is normal
-        because S is a union of classes, hence invariant under conjugation.
-        Each step is a cached class-set product.
+        With S the seed classes plus the identity class, the powers of S
+        only grow; the last one holds every product of members of S, the
+        subgroup S generates, normal as S is a union of classes.
         """
-        s_bits = 1 | _bits_of(seed_class_idxs)
-        bits = s_bits
-        while True:
-            grown = self.class_set_product_bits(bits, s_bits)
-            if grown == bits:
-                return bits
-            bits = grown
+        return self.class_set_powers(1 | _bits_of(seed_class_idxs))[0][-1]
 
 
 def _bits_of(class_idxs) -> int:
@@ -867,23 +887,14 @@ def commutator_set_bits(g: GroupTable) -> int:
 def commutator_width(g: GroupTable, x: int) -> int | None:
     """Minimal k with x in S^k for S the set of all commutators.
 
-    S contains the identity, so the k-fold product sets grow monotonically.
-    Returns 0 for the identity and None when x is outside the derived
-    subgroup.
+    S contains the identity, so its powers grow up to the subgroup S
+    generates, the derived subgroup.  Returns 0 for the identity and None
+    when x is outside the derived subgroup.
     """
     if x == 0:
         return 0
-    derived = commutator_subgroup(g)
-    if not derived.contains(x):
+    if not commutator_subgroup(g).contains(x):
         return None
-    s_bits = commutator_set_bits(g)
     target = 1 << int(g.class_of[x])
-    bits = s_bits
-    k = 1
-    while not bits & target:
-        nxt = g.class_set_product_bits(bits, s_bits)
-        if nxt == bits:
-            return None
-        bits = nxt
-        k += 1
-    return k
+    powers, _ = g.class_set_powers(commutator_set_bits(g))
+    return next(k for k, bits in enumerate(powers, 1) if bits & target)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,9 +25,9 @@ AXIOM_TOL = 1e-9
 PRODUCT_TOL = 1e-6
 SQRT2 = math.sqrt(2.0)
 
-# Chordal ties against a rational eps: 2 sin(pi/m) is rational only for
-# m = 2 (chord 2) and m = 6 (chord 1).  Other near-ties are float noise.
-_TIE_GUARD = 1e-12
+# Chords of neighbouring m differ by about one part in m, so a chord is
+# compared with eps at this many digits more than m has.
+_CHORD_DIGITS = 40
 
 
 class NotUnitary(ValueError):
@@ -153,16 +154,31 @@ def power_length_witness(a: UnitaryPoint, max_power: int = 10**6):
     return None
 
 
+def _series(term: Decimal, ratio) -> Decimal:
+    """term * (1 + ratio(1) * (1 + ratio(2) * (...))) to the context's precision."""
+    total, n = 0, 0
+    while total + term != total:
+        total += term
+        n += 1
+        term *= ratio(n)
+    return total
+
+
 def _chord_below(m: int, eps: Fraction) -> bool:
-    """Decide 2 sin(pi/m) < eps with the two rational ties made exact."""
+    """Decide 2 sin(pi/m) < eps, m >= 2.  By Niven's theorem the chord is
+    rational only at m = 2 (chord 2) and m = 6 (chord 1), the two exact
+    ties; any other chord is compared in decimal, with pi = 6 asin(1/2)
+    and the sine summed as their Taylor series."""
     if eps == 2:
         return m != 2
     if eps == 1:
         return m > 6
-    diff = 2.0 * math.sin(math.pi / m) - float(eps)
-    if abs(diff) <= _TIE_GUARD:
-        return False
-    return diff < 0
+    with localcontext() as ctx:
+        ctx.prec = _CHORD_DIGITS + len(str(m))
+        pi = _series(Decimal(3), lambda n: Decimal((2 * n - 1) ** 2) / (8 * n * (2 * n + 1)))
+        x = pi / m
+        half_chord = _series(x, lambda n: -x * x / (2 * n * (2 * n + 1)))
+        return 2 * half_chord < Decimal(eps.numerator) / eps.denominator
 
 
 def packing_threshold(d: int, eps) -> PackingBound:
@@ -177,10 +193,14 @@ def packing_threshold(d: int, eps) -> PackingBound:
     eps_f = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     if not 0 < eps_f <= 2:
         raise ValueError("eps must lie in (0, 2]")
-    m = 2
-    while not _chord_below(m, eps_f):
-        m += 1
-    return PackingBound(D=1, eps=eps_f, m=m, mode="exact")
+    # the chord falls with m: double hi until it is below eps, then bisect
+    lo, hi = 1, 2
+    while not _chord_below(hi, eps_f):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _chord_below(mid, eps_f) else (mid, hi)
+    return PackingBound(D=1, eps=eps_f, m=hi, mode="exact")
 
 
 def packing_experiment(d: int, eps: float, samples: int, seed: int) -> PackingBound:

@@ -200,6 +200,27 @@ def exact_product_sizes(cls, mul, k: int):
     return sizes
 
 
+def set_powers(subset, mul):
+    """The element sets S, S*S, ... until one repeats an earlier one, as
+    (list of the distinct sets, index of the set the repeat equals)."""
+    base = frozenset(subset)
+    powers = [base]
+    while True:
+        nxt = frozenset(mul(a, b) for a in powers[-1] for b in base)
+        if nxt in powers:
+            return powers, powers.index(nxt)
+        powers.append(nxt)
+
+
+def set_power(powers, start, k: int):
+    """S^k, k >= 1, from set_powers: past the last distinct set, k is
+    reduced into the cycle that begins at index start."""
+    i = k - 1
+    if i >= len(powers):
+        i = start + (i - start) % (len(powers) - start)
+    return powers[i]
+
+
 def covering_number_bruteforce(cls, mul, order: int, max_k: int = 16):
     """Least k with the exact k-fold product full, None on a repeated state."""
     base = frozenset(cls)

@@ -86,6 +86,18 @@ def test_covering_power_range_and_inf(capsys):
     assert code == 1 and lines[0]["m"] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covering", "C4", "--element", "(1 2 3 4)", "--K", "1000000000"],
+        ["covering", "A5", "--element", "idx:1", "--symmetric", "--K", "2000", "--m", "inf"],
+    ],
+)
+def test_covering_at_large_depth_answers_from_the_power_cycle(capsys, argv):
+    code, lines = run(argv, capsys)
+    assert code == 1 and lines[0]["holds"] is False
+
+
 def test_covering_mod_cosocle_differs_from_absolute(capsys):
     base = ["covering", "SL2:5", "--element", "mat:p=5:[[1,1],[0,1]]", "--K", "3"]
     code, lines = run(base + ["--mod-cosocle"], capsys)
@@ -219,6 +231,28 @@ def test_nonpositive_depth_or_power_range_is_usage_error(capsys, extra, message)
     err_text = capsys.readouterr().err
     assert err_text.startswith("usage: ")
     assert message in err_text
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["covering", "A5", "--element", "(1 2 3 4 5)"], "--max-k"),
+        (["mixing", "SL2:5", "--alpha", "1/2", "--eps1", "0.1", "--eps2", "0.1",
+          "--seed", "1"], "--trials"),
+        (["verify", "mixing"], "--trials"),
+        (["verify", "mustexp"], "--samples"),
+        (["verify", "axioms"], "--samples"),
+        (["verify", "jordan"], "--samples"),
+        (["verify", "mustexp"], "--D"),
+        (["verify", "axioms"], "--D"),
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(capsys, argv, option, value):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + [option, value])
+    assert err.value.code == 2
+    assert f"expected a positive integer, not '{value}'" in capsys.readouterr().err
 
 
 def test_domain_failures_exit_one(capsys):

@@ -182,6 +182,34 @@ def test_inflation_report_on_sl25():
         )
 
 
+@pytest.mark.parametrize("spec", ["SL2:5", "SL2:7"])
+def test_inflation_lift_is_read_from_the_minimal_factor(spec):
+    """lifted_holds is the double covering at factor * k1, factor * k2, and
+    minimal_factor the least f at which it holds: feasibility only grows
+    with f, as A^a B^b = G gives A^(a+i) B^(b+j) = G."""
+    g = build(spec)
+    reps = [c.rep for c in g.classes]
+    lifted = 0
+    for x in reps:
+        for y in reps:
+            for k1, m1, k2, m2 in [(1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 3)]:
+                rep = covering.verify_cosocle_inflation(g, x, y, k1, m1, k2, m2)
+                if not rep.mod_holds:
+                    assert (rep.lifted_holds, rep.minimal_factor, rep.slack) == (None,) * 3
+                    continue
+                feasible = [
+                    covering.double_covering_feasible(g, x, y, f * k1, m1, f * k2, m2)
+                    for f in range(1, rep.factor + 1)
+                ]
+                assert rep.lifted_holds == feasible[-1]
+                want = feasible.index(True) + 1 if True in feasible else None
+                assert rep.minimal_factor == want
+                # monotone in f: once it holds, it keeps holding
+                assert feasible == sorted(feasible)
+                lifted += rep.lifted_holds
+    assert lifted > 0
+
+
 def test_inflation_mod_failure_leaves_lift_unchecked():
     g = build("SL2:5")
     # the central involution's class is a single element; nothing covers

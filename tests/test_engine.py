@@ -12,7 +12,7 @@ from qrg import chars, engine, gf
 from qrg.errors import CapExceeded
 from qrg.gf import FFMatrix, PrimeField
 from qrg.groupspec import build_group, parse_spec
-from qrg.permutations import Permutation
+from qrg.permutations import Permutation, parse_cycles
 
 
 def s4():
@@ -782,3 +782,59 @@ def test_power_map_matches_repeated_products_on_every_carrier(
     rng = np.random.default_rng(seed)
     for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
         _check_power_map(g)
+
+
+# -- class-set powers against element-set powers ------------------------------
+
+
+def _members(g, bits):
+    return frozenset(int(i) for c in g.classes if bits >> c.index & 1 for i in c.members)
+
+
+def _check_set_powers(g, bits, mul):
+    """class_set_powers holds the oracle's distinct powers and repeat
+    position, and class_set_power(S, k) is the oracle's S^k up to two
+    periods past the repeat and at k = 10^9."""
+    want, start = oracles.set_powers(_members(g, bits), mul)
+    powers, got_start = g.class_set_powers(bits)
+    assert [_members(g, p) for p in powers] == want
+    assert got_start == start
+    period = len(want) - start
+    for k in [*range(1, len(want) + 2 * period + 1), 10**9]:
+        assert _members(g, g.class_set_power(bits, k)) == oracles.set_power(want, start, k)
+    return start, period
+
+
+@settings(max_examples=30, deadline=None)
+@given(*EVERY_CARRIER)
+@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
+def test_class_set_powers_match_element_set_powers_on_every_carrier(
+    gens_a, gens_b, gens_c, drawn, seed
+):
+    rng = np.random.default_rng(seed)
+    for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
+        mul = _oracle_index_mul(g)
+        c = int(rng.integers(len(g.classes)))
+        # with the identity the powers only grow: the repeat is the last one
+        start, period = _check_set_powers(g, 1 | 1 << c, mul)
+        assert (start, period) == (len(g.class_set_powers(1 | 1 << c)[0]) - 1, 1)
+        _check_set_powers(g, 1 << c, mul)
+        _check_set_powers(g, 1 << c | 1 << g.inverse_class(c), mul)
+
+
+@pytest.mark.parametrize(
+    "spec, cycles, start, period",
+    [("S5", "(1 2)", 2, 2), ("C7", "(1 2 3 4 5 6 7)", 0, 7), ("C1", "()", 0, 1)],
+)
+def test_periodic_class_set_powers(spec, cycles, start, period):
+    g = build_group(parse_spec(spec))
+    x = g.index_of(parse_cycles(cycles, degree=g.degree))
+    bits = 1 << int(g.class_of[x])
+    got = _check_set_powers(g, bits, _oracle_index_mul(g))
+    assert got == (start, period)
+    # the generator's powers are x^k itself, for k past the cycle too
+    if spec == "C7":
+        for k in (1, 7, 8, 10**9, 10**18 + 3):
+            assert g.class_set_power(bits, k) == 1 << int(g.class_of[g.power(x, k)])
+    with pytest.raises(ValueError):
+        g.class_set_power(bits, 0)

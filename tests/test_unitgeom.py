@@ -1,13 +1,15 @@
 """Hilbert-Schmidt length geometry on U(D), against 50-digit references."""
 
+import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oracles
-from qrg import unitgeom
+from qrg import cli, unitgeom
 from qrg.groupspec import build_group, parse_spec
 from qrg.permutations import parse_cycles
 from qrg.unitgeom import (
@@ -107,6 +109,43 @@ def test_packing_threshold_ties():
     assert unitgeom.packing_threshold(1, 2).m == 3
     assert unitgeom.packing_threshold(1, 1).m == 7
     assert unitgeom.packing_threshold(1, Fraction(1, 2)).m == 13
+
+
+def _chord_brackets_eps(m, eps, dps=50):
+    """2 sin(pi/m) < eps <= 2 sin(pi/(m-1)) at dps digits."""
+    with mp.workdps(dps):
+        target = mp.mpf(eps.numerator) / eps.denominator
+        return 2 * mp.sin(mp.pi / m) < target <= 2 * mp.sin(mp.pi / (m - 1))
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 10**6), Fraction(1, 10**7), Fraction(7, 10**8), Fraction(3, 2)]
+)
+def test_packing_threshold_for_small_eps(eps):
+    assert _chord_brackets_eps(unitgeom.packing_threshold(1, eps).m, eps)
+
+
+@pytest.mark.parametrize("m", [3, 7, 1000, 6283186, 10**9])
+def test_packing_threshold_at_float_ties(m):
+    # eps is the float nearest the chord at m, so only the digits past
+    # the sixteenth tell them apart
+    eps = Fraction(2 * math.sin(math.pi / m))
+    got = unitgeom.packing_threshold(1, eps).m
+    assert got in (m, m + 1)
+    assert _chord_brackets_eps(got, eps)
+
+
+def test_packing_threshold_below_the_float_range():
+    # m has 101 digits, and neighbouring chords differ in about the 101st
+    eps = Fraction(1, 10**100)
+    m = unitgeom.packing_threshold(1, eps).m
+    assert len(str(m)) == 101 and _chord_brackets_eps(m, eps, dps=150)
+
+
+def test_verify_packing_small_eps_matches_closed_form(capsys):
+    assert cli.main(["verify", "packing", "--eps", "0.000001"]) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert line["m"] == line["closed_form"] == 6283186
 
 
 def test_packing_threshold_accepts_float_decimals():
