@@ -131,7 +131,8 @@ def covering_number(
     Returns K = None when the class is trivial (x is the identity), when the
     normal closure of x is proper, when the growth becomes periodic without
     covering, or when max_k (default: the number of conjugacy classes) is
-    exhausted.
+    exhausted.  The normal closure is the subgroup the class generates, the
+    union of its powers, so it is read from the same cycle of powers.
     """
     label = g.element_label(x)
 
@@ -154,9 +155,9 @@ def covering_number(
     if x == 0:
         return report(None, [], "trivial class")
     full = g.full_class_bits()
-    if g.normal_closure_bits([int(g.class_of[x])]) != full:
-        return report(None, [], "proper normal closure")
     powers, start = g.class_set_powers(class_of_element(g, x, symmetric).bits)
+    if reduce(int.__or__, powers) != full:
+        return report(None, [], "proper normal closure")
     trace = []
     # the distinct powers, then the first repeat
     for k, bits in enumerate(powers + powers[start:start + 1], 1):

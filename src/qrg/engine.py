@@ -20,39 +20,53 @@ code while the code space fits (see _radix_powers), the row's bytes past
 that.  Matrix inverses follow the same BFS: if y = x * h then
 y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
 
-Conjugacy classes are the orbits of the generators' conjugation maps, each
-map formed for the whole group by one composed row product h x h^-1 and
-one lookup (two products for quotients); the orbits are
-found by min-label propagation over those index arrays, and the classes
-are numbered by ascending (size, smallest member).  The center is the
-union of the classes of size 1.  A quotient G/N labels every element with
-the smallest member of its coset, from batched products of the smallest
-unplaced elements with all of N, and numbers the cosets in that order.
+Every group also records its right regular action, R_h(x) = x * h for each
+generator h, as one index array per generator: the coset table of the
+trivial subgroup (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 5).  Enumeration keeps the key of every product x * h it
+forms and reads R off those keys; a direct product builds R from its
+factors' tables and a quotient projects its parent's.  Every group has a
+breadth-first tree from the identity, kept as layers (new, parent, via)
+with new = parent * gens[via]: enumeration records its own, and products
+and quotients search R for theirs.  Whole-group products are index gathers
+over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
+for y = x * h fills a row rep * G, and the rows of every element fill the
+dense table.
+
+Conjugacy classes are the orbits of the generators' conjugation maps.  With
+R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
+inv o R_h^-1 o inv o R_h^-1, four gathers; the orbits are found by
+min-label propagation over those index arrays, and the classes are numbered
+by ascending (size, smallest member).  The center is the union of the
+classes of size 1.  A quotient G/N labels every element with the smallest
+member of its coset, from batched products of the smallest unplaced
+elements with all of N, and numbers the cosets in that order.
 
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
 and every subgroup question is answered from class products: row j of the
-class structure constants is one whole-group product rep_j * G, and its
-support at i is the classes of C_i * C_j.  A class union N holding the
+class structure constants is the row rep_j * G, walked along the tree, and
+its support at i is the classes of C_i * C_j.  A class union N holding the
 identity is a subgroup exactly when N * N = N; the join of normal subgroups
 A and B is A * B.  The powers S, S^2, ... of a class union S are formed
 until they first repeat and cached per S; past their end they cycle.  The
 normal closure of some classes is the last power of S, those classes plus
 the identity.  The lattice joins each distinct principal normal subgroup,
 the closure of one class, into every normal subgroup found so far.  The
-commutators, the union of the products C * C^-1, come from one pass
-multiplying each y by the representative of the class inverse to y's.
+commutators are the union of the class products C * C^-1.
 
 A GroupTable keeps its own lazy state (classes, power map, structure rows,
 set products, class-set powers) in private fields.  Whatever a module-level
 function derives from it (lattice, cosocle, derived subgroup, quotients,
 commutators, character degrees, covering's power-range product sets) is
-memoized in g.cache.
+memoized in g.cache, as class bitmasks and orders rather than objects that
+point back at the group, so only a quotient and its parent form a
+reference cycle.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
-power map (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-2005) is read once per class along the cycle of the class representative
-and cached; element orders and the exponent come from it.
+power map (Holt, Eick & O'Brien) is read once per class along the cycle of
+the class representative and cached; element orders and the exponent come
+from it.
 """
 
 from __future__ import annotations
@@ -69,6 +83,9 @@ from .permutations import Permutation, cycle_string
 # Full order x order tables are only materialized below this size; everything
 # larger multiplies through batched carrier arithmetic instead.
 DENSE_TABLE_CAP = 4096
+# Entries of the dense table walked at once, so that the walk's int64
+# scratch stays small next to the int32 table.
+_DENSE_BLOCK = 1 << 16
 CLASS_CAP = 64
 # Products formed at once when labelling the cosets of a quotient.
 _COSET_PRODUCTS = 1 << 20
@@ -106,10 +123,10 @@ class NormalSubgroup:
 
     __slots__ = ("group", "class_bits", "order", "_members")
 
-    def __init__(self, group: "GroupTable", class_bits: int):
+    def __init__(self, group: "GroupTable", class_bits: int, order: int | None = None):
         self.group = group
         self.class_bits = class_bits
-        self.order = group.class_bits_size(class_bits)
+        self.order = group.class_bits_size(class_bits) if order is None else order
         self._members = None
 
     @property
@@ -153,6 +170,10 @@ class GroupTable:
         self.label = ""
         self.degree = None  # perm carrier
         self.field = None  # mat carrier
+        # right regular action: _right[t, x] is x * gens[t]; and the BFS tree
+        # over it, layers (new, parent, via) with new = parent * gens[via]
+        self._right = None
+        self._layers = None
         # perm and mat carriers: one flattened int64 row per element, the
         # row product of _carrier, and the row-key lookup (radix powers, or
         # None for byte keys)
@@ -212,9 +233,21 @@ class GroupTable:
 
     def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
         """Indices of elements given as carrier rows along the last axis,
-        all of them members."""
-        pos = np.searchsorted(self._sorted_codes, _row_keys(rows, self._pow))
-        return self._sorted_pos[pos]
+        all of them members.  The keys are searched in ascending order,
+        several times faster than in the order given."""
+        keys = _row_keys(rows, self._pow)
+        flat = keys.reshape(-1)
+        at = np.argsort(flat)
+        pos = np.empty(len(flat), dtype=np.int64)
+        pos[at] = np.searchsorted(self._sorted_codes, flat[at])
+        return self._sorted_pos[pos].reshape(keys.shape)
+
+    def _bijection(self, keys: np.ndarray) -> np.ndarray:
+        """Indices of the elements keyed by keys, which hold every element's
+        key once: sorted they are _sorted_codes, so no search is needed."""
+        out = np.empty(self.order, dtype=np.int64)
+        out[np.argsort(keys)] = self._sorted_pos
+        return out
 
     def mul_pairwise(self, is_, js) -> np.ndarray:
         """Indices of element(i) * element(j); the index arguments broadcast
@@ -233,14 +266,32 @@ class GroupTable:
         return self.proj[self.parent.mul_pairwise(self.coset_reps[is_], self.coset_reps[js])]
 
     def dense(self) -> np.ndarray | None:
-        """Materialize the full multiplication table when small enough."""
+        """Materialize the full multiplication table when small enough, as
+        rows x * G, at most _DENSE_BLOCK entries at a time."""
         if self._dense is None and self.order <= DENSE_TABLE_CAP:
-            all_idx = np.arange(self.order, dtype=np.int64)
-            table = np.empty((self.order, self.order), dtype=np.int32)
-            for i in range(self.order):
-                table[i] = self.mul_pairwise(i, all_idx)
+            n = self.order
+            table = np.empty((n, n), dtype=np.int32)
+            step = max(1, _DENSE_BLOCK // n)
+            for s in range(0, n, step):
+                table[s : s + step] = self._row_products(np.arange(s, min(s + step, n)))
             self._dense = table
         return self._dense
+
+    def _row_products(self, xs) -> np.ndarray:
+        """x * G for each x in xs, a scalar or a vector, walked along the
+        tree: x * y = R_h(x * p) for y = p * h, one gather per layer."""
+        out = np.empty((*np.shape(xs), self.order), dtype=np.int64)
+        out[..., 0] = xs
+        for new, parent, via in self._tree():
+            out[..., new] = self._right[via, out[..., parent]]
+        return out
+
+    def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Breadth-first layers (new, parent, via) over the right regular
+        action from the identity, new = parent * gens[via]; cached."""
+        if self._layers is None:
+            self._layers = _bfs_layers(self._right)
+        return self._layers
 
     # -- elements -----------------------------------------------------------
 
@@ -342,23 +393,18 @@ class GroupTable:
         """Partition the group into conjugacy classes.
 
         The classes are the orbits of the conjugation maps c_h(x) = h x h^-1,
-        h running over the generators, each formed for all elements in one
-        batched pass.  Orbits are found by min-label propagation: every
-        element starts labelled by itself, then label <- min(label,
-        label[c_h]) for each h and label <- label[label], until nothing
-        changes.  Labels never leave an element's orbit and, at the fixed
-        point, are constant on each cycle of every c_h, so each element
-        ends labelled by the smallest member of its class.  Direct products
-        pair the classes of their factors instead.
+        h running over the generators, each formed for all elements by
+        gathers over the regular action.  Orbits are found by min-label
+        propagation: every element starts labelled by itself, then
+        label <- min(label, label[c_h]) for each h and label <- label[label],
+        until nothing changes.  Labels never leave an element's orbit and,
+        at the fixed point, are constant on each cycle of every c_h, so each
+        element ends labelled by the smallest member of its class.
         """
         if self._classes is not None:
             return
-        if self.kind == "prod":
-            self._finish_classes(self._classes_from_factors())
-            return
-        every = np.arange(self.order, dtype=np.int64)
-        conj = [self._conjugation_map(h) for h in self.gens if h != 0]
-        label = every
+        conj = [self._conjugation_map(t) for t, h in enumerate(self.gens) if h != 0]
+        label = np.arange(self.order, dtype=np.int64)
         while True:
             new = label
             for c in conj:
@@ -369,19 +415,14 @@ class GroupTable:
             label = new
         self._finish_classes(label)
 
-    def _conjugation_map(self, h: int) -> np.ndarray:
-        """Index of h x h^-1 for every element x: one composed row product
-        and one lookup for perm and mat groups, two products otherwise."""
-        h_inv = self.inv_of(h)
-        if self._rows is None:
-            return self.mul_pairwise(self.mul_pairwise(h, np.arange(self.order)), h_inv)
-        compose = self._compose
-        return self._lookup_rows(compose(compose(self._rows[h], self._rows), self._rows[h_inv]))
-
-    def _classes_from_factors(self) -> np.ndarray:
-        """Class labels of a direct product: (class in G1, class in G2)."""
-        g1, g2 = self.factors
-        return (g1.class_of[:, None] * len(g2.classes) + g2.class_of[None, :]).reshape(-1)
+    def _conjugation_map(self, t: int) -> np.ndarray:
+        """Index of h x h^-1 for every element x, h = gens[t]: with rinv the
+        inverse permutation of R_h, rinv(x) = x h^-1, inv(rinv(x)) = h x^-1
+        and h x h^-1 = inv(rinv(inv(rinv(x)))), read as four gathers."""
+        rinv = np.empty(self.order, dtype=np.int64)
+        rinv[self._right[t]] = np.arange(self.order)
+        inv = self.inv
+        return inv[rinv[inv[rinv]]]
 
     def _finish_classes(self, label: np.ndarray):
         """Number the classes from any labelling of the elements that is
@@ -410,14 +451,14 @@ class GroupTable:
     def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero N[j, i, k] = #{y in C_i : rep_j y in C_k}, as (codes, counts).
 
-        Codes are i * r + k, ascending, for r classes: one product rep_j * G
-        over the whole group, counted by (class of y, class of rep_j y).
-        Memory is O(|G|), and codes stay below r**2 <= |G|**2, far inside
-        int64 for any group that can be enumerated.
+        Codes are i * r + k, ascending, for r classes: the row rep_j * G,
+        counted by (class of y, class of rep_j y).  Memory is O(|G|), and
+        codes stay below r**2 <= |G|**2, far inside int64 for any group that
+        can be enumerated.
         """
         class_of = self.class_of
         r = len(self._classes)
-        prod = self.mul_pairwise(self._class_reps[j], np.arange(self.order, dtype=np.int64))
+        prod = self._row_products(self._class_reps[j])
         return np.unique(class_of * r + class_of[prod], return_counts=True)
 
     def class_pair_product_bits(self, ci: int, cj: int) -> int:
@@ -513,6 +554,41 @@ def _iter_bits(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _distinct_gens(images) -> tuple[list[int], list[int]]:
+    """The distinct non-identity elements among generator images, in order
+    of first occurrence, and the position of each first occurrence; ([0],
+    [0]) when every image is the identity."""
+    first = {}
+    for b, idx in enumerate(images):
+        if idx != 0:
+            first.setdefault(idx, b)
+    return list(first) or [0], list(first.values()) or [0]
+
+
+def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first layers (new, parent, via) of the Cayley graph given by
+    right[t, x] = x * gens[t], from the identity: new elements in order of
+    first occurrence over (frontier element, generator), as enumeration
+    numbers them, with new = parent * gens[via]."""
+    k, n = right.shape
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    layers = []
+    while True:
+        # candidate a * k + t is frontier[a] * gens[t]
+        cand = right[:, frontier].T.reshape(-1)
+        fresh = np.flatnonzero(~seen[cand])
+        if not fresh.size:
+            return layers
+        _, first = np.unique(cand[fresh], return_index=True)
+        pick = fresh[np.sort(first)]
+        new = cand[pick]
+        seen[new] = True
+        layers.append((new, frontier[pick // k], pick % k))
+        frontier = new
 
 
 # -- construction -------------------------------------------------------------
@@ -632,10 +708,13 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     raised as soon as the order would pass cap, before that layer's rows
     are kept.
 
+    The keys of every product x * h are kept, and at the end they give the
+    right regular action: for each generator they are every element's key
+    once, so their argsort, composed with the sorted element keys, is R_h.
+
     Permutation inverses are the argsort of each row.  Matrix inverses come
-    from the BFS: an element y first reached as x * h has y^-1 = h^-1 * x^-1,
-    with x from the layer before, so only the generators are inverted by
-    elimination.
+    from the tree: an element y = x * h has y^-1 = h^-1 * x^-1, with x from
+    the layer before, so only the generators are inverted by elimination.
     """
     gens = list(generators)
     if not gens:
@@ -652,6 +731,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     # for each layer after the first and each y = x * h in it: the index
     # of x and the position of h in gens
     parent, via = [], []
+    # the key of element x * gens[b] at x * k + b
+    cand_keys = []
     known = _KeySet(_row_keys(layers[0], powers))
     order = 1
     while True:
@@ -659,7 +740,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         first = order - len(frontier)
         # candidate a * k + b is frontier[a] * gens[b]
         cand = compose(frontier[:, None], gen_rows[None]).reshape(len(frontier) * k, width)
-        uniq, at = np.unique(_row_keys(cand, powers), return_index=True)
+        cand_keys.append(_row_keys(cand, powers))
+        uniq, at = np.unique(cand_keys[-1], return_index=True)
         fresh = known.missing(uniq)
         if not fresh.any():
             break
@@ -679,6 +761,7 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g.kind = kind
     g.order = order
     elements = np.concatenate(layers)
+    del layers
     elements.setflags(write=False)
     keys = _row_keys(elements, powers)
     g._rows = elements
@@ -686,24 +769,31 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g._pow = powers
     g._sorted_pos = np.argsort(keys, kind="stable")
     g._sorted_codes = keys[g._sorted_pos]
+    g.gens, cols = _distinct_gens(g._lookup_rows(gen_rows).tolist())
+    cand_keys = np.concatenate(cand_keys).reshape(order, k)
+    g._right = np.empty((len(cols), order), dtype=np.int64)
+    for t, b in enumerate(cols):
+        g._right[t] = g._bijection(cand_keys[:, b])
+    del cand_keys
+    # a new element is first reached by the first copy of its generator
+    position = np.zeros(k, dtype=np.int64)
+    position[cols] = np.arange(len(cols))
+    sizes = np.cumsum([1] + [len(x) for x in parent])
+    g._layers = [
+        (np.arange(start, stop), x, position[h])
+        for start, stop, x, h in zip(sizes[:-1], sizes[1:], parent, via)
+    ]
     if kind == "perm":
         g.degree = width
-        g.inv = g._lookup_rows(np.argsort(elements, axis=1))
+        g.inv = g._bijection(_row_keys(np.argsort(elements, axis=1), powers))
         g.label = f"permutation group on {width} points"
     else:
         field = gens[0].field
         g.field = field
         g.inv = np.zeros(order, dtype=np.int64)
-        stop = 1
-        for par, h in zip(parent, via):
-            start, stop = stop, stop + len(par)
-            g.inv[start:stop] = g._lookup_rows(compose(gen_inv[h], elements[g.inv[par]]))
+        for new, par, h in g._tree():
+            g.inv[new] = g._lookup_rows(compose(gen_inv[cols][h], elements[g.inv[par]]))
         g.label = f"matrix group over {field}"
-    for idx in g._lookup_rows(gen_rows):
-        if idx != 0 and idx not in g.gens:
-            g.gens.append(int(idx))
-    if not g.gens:
-        g.gens = [0]
     return g
 
 
@@ -716,8 +806,11 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ORDER_CAP)
     g.order = g1.order * g2.order
     o2 = g2.order
     g.inv = (g1.inv[:, None] * o2 + g2.inv[None, :]).reshape(-1)
-    g.gens = [int(i) * o2 for i in g1.gens] + [int(j) for j in g2.gens]
-    g.gens = [i for i in g.gens if i != 0] or [0]
+    g.gens, cols = _distinct_gens([i * o2 for i in g1.gens] + list(g2.gens))
+    # (x1, x2) * (h1, 1) = (x1 h1, x2) and (x1, x2) * (1, h2) = (x1, x2 h2)
+    x1, x2 = np.divmod(np.arange(g.order, dtype=np.int64), o2)
+    right = [r[x1] * o2 + x2 for r in g1._right] + [x1 * o2 + r[x2] for r in g2._right]
+    g._right = np.stack([right[c] for c in cols])
     g.label = f"({g1.label}) x ({g2.label})"
     return g
 
@@ -760,15 +853,9 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     q.proj = proj
     q.order = len(reps)
     q.inv = proj[g.inv[q.coset_reps]]
-    q.gens = []
-    seen = set()
-    for gi in g.gens:
-        c = int(proj[gi])
-        if c != 0 and c not in seen:
-            seen.add(c)
-            q.gens.append(c)
-    if not q.gens:
-        q.gens = [0]
+    q.gens, cols = _distinct_gens(proj[g.gens].tolist())
+    # the coset of x times that of h is the coset of rep(x) * h
+    q._right = proj[g._right[cols][:, reps]]
     q.label = f"({g.label}) / N of order {n.order}"
     g.cache[key] = q
     return q
@@ -806,7 +893,8 @@ def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
     classes, and the join of normal subgroups A and B is their product set
     A * B.  So joining each distinct closure N_c into every subgroup found
     so far, from {1}, leaves the joins of all subsets of the closures: the
-    whole lattice (Hulpke, Computing normal subgroups, ISSAC 1998).
+    whole lattice (Hulpke, Computing normal subgroups, ISSAC 1998).  Cached
+    as (order, class bitmask) pairs.
     """
     normals = g.cache.get("normals")
     if normals is None:
@@ -819,10 +907,8 @@ def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
         for nc in {g.normal_closure_bits([c]) for c in range(len(classes))}:
             # A * N_c = A when A already contains N_c
             found |= {g.class_set_product_bits(a, nc) for a in found if a & nc != nc}
-        normals = [NormalSubgroup(g, bits) for bits in found]
-        normals.sort(key=lambda n: (n.order, n.class_bits))
-        g.cache["normals"] = normals
-    return list(normals)
+        normals = g.cache["normals"] = sorted((g.class_bits_size(b), b) for b in found)
+    return [NormalSubgroup(g, bits, order) for order, bits in normals]
 
 
 def cosocle(g: GroupTable) -> NormalSubgroup:
@@ -833,15 +919,14 @@ def cosocle(g: GroupTable) -> NormalSubgroup:
     """
     got = g.cache.get("cosocle")
     if got is None:
-        proper = [n for n in normal_subgroups(g) if n.order < g.order]
+        proper = [n.class_bits for n in normal_subgroups(g) if n.order < g.order]
         bits = g.full_class_bits()
         for n in proper:
-            if not any(
-                m is not n and m.class_bits & n.class_bits == n.class_bits for m in proper
-            ):
-                bits &= n.class_bits
-        got = g.cache["cosocle"] = NormalSubgroup(g, bits)
-    return got
+            if not any(m != n and m & n == n for m in proper):
+                bits &= n
+        got = g.cache["cosocle"] = (g.class_bits_size(bits), bits)
+    order, bits = got
+    return NormalSubgroup(g, bits, order)
 
 
 def center(g: GroupTable) -> NormalSubgroup:
@@ -869,18 +954,15 @@ def commutator_set_bits(g: GroupTable) -> int:
     """Class bitmask of the set of all commutators [a, x] = a x a^-1 x^-1.
 
     As x runs over G, x a^-1 x^-1 runs over the class of a^-1, so the
-    commutators are the union of the class products C * C^-1.  C * C^-1
-    meets exactly the classes of rep(C) y for y in C^-1, so one product
-    per element y, by the representative of the class inverse to y's,
-    finds them all.  Cached.
+    commutators are the union of the class products C * C^-1, each read
+    from a structure row.  Cached.
     """
     bits = g.cache.get("commutators")
     if bits is None:
-        class_of = g.class_of
-        prod = g.mul_pairwise(
-            g._class_reps[g.class_inverses[class_of]], np.arange(g.order, dtype=np.int64)
-        )
-        bits = g.cache["commutators"] = _bits_of(np.unique(class_of[prod]))
+        bits = 0
+        for c in range(len(g.classes)):
+            bits |= g.class_pair_product_bits(g.inverse_class(c), c)
+        g.cache["commutators"] = bits
     return bits
 
 

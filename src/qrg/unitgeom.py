@@ -9,6 +9,7 @@ held to 1e-9; accumulated product bounds to 1e-6.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -164,19 +165,26 @@ def _series(term: Decimal, ratio) -> Decimal:
     return total
 
 
+@functools.cache
+def _pi(prec: int) -> Decimal:
+    """pi = 6 asin(1/2), summed as its Taylor series at prec digits."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return _series(Decimal(3), lambda n: Decimal((2 * n - 1) ** 2) / (8 * n * (2 * n + 1)))
+
+
 def _chord_below(m: int, eps: Fraction) -> bool:
     """Decide 2 sin(pi/m) < eps, m >= 2.  By Niven's theorem the chord is
     rational only at m = 2 (chord 2) and m = 6 (chord 1), the two exact
-    ties; any other chord is compared in decimal, with pi = 6 asin(1/2)
-    and the sine summed as their Taylor series."""
+    ties; any other chord is compared in decimal, with pi from _pi and the
+    sine summed as its Taylor series."""
     if eps == 2:
         return m != 2
     if eps == 1:
         return m > 6
     with localcontext() as ctx:
         ctx.prec = _CHORD_DIGITS + len(str(m))
-        pi = _series(Decimal(3), lambda n: Decimal((2 * n - 1) ** 2) / (8 * n * (2 * n + 1)))
-        x = pi / m
+        x = _pi(ctx.prec) / m
         half_chord = _series(x, lambda n: -x * x / (2 * n * (2 * n + 1)))
         return 2 * half_chord < Decimal(eps.numerator) / eps.denominator
 

@@ -520,13 +520,18 @@ def jordan_length_reference(entries, p: int) -> Fraction:
 
 def packing_m_highprec(eps: Fraction) -> int:
     """Least m >= 2 with 2 sin(pi/m) < eps; the two rational ties are
-    detected by a 1e-40 window and count as not-below."""
-    with mp.workdps(50):
+    detected by a window of eps * 10^-(40 + d) and count as not-below, d
+    the digits of 1/eps.  The chord passes eps at m = pi / asin(eps / 2), so
+    the scan starts just below it; 50 + 2d digits resolve chords of
+    neighbouring m, which differ by about eps^2 / 2 pi, far past the window."""
+    d = len(str(eps.denominator // eps.numerator))
+    with mp.workdps(50 + 2 * d):
         target = mp.mpf(eps.numerator) / eps.denominator
-        m = 2
+        window = target * mp.mpf(10) ** -(40 + d)
+        m = max(2, int(mp.floor(mp.pi / mp.asin(target / 2))) - 2)
         while True:
             chord = 2 * mp.sin(mp.pi / m)
-            if abs(chord - target) > mp.mpf("1e-40") and chord < target:
+            if abs(chord - target) > window and chord < target:
                 return m
             m += 1
 

@@ -80,6 +80,34 @@ def test_s5_five_cycles_stay_in_the_alternating_part():
     assert rep.reason == "proper normal closure"
 
 
+@pytest.mark.parametrize(
+    "spec, cycles, reason",
+    [
+        ("S5", "(1 2 3 4 5)", "proper normal closure"),
+        ("C100", "(" + " ".join(map(str, range(1, 101))) + ")", "max_k exceeded"),
+        ("A5", "(1 2 3)", None),
+    ],
+    ids=["S5", "C100", "A5"],
+)
+def test_covering_number_reads_the_closure_from_the_powers(monkeypatch, spec, cycles, reason):
+    # the closure check forms no products of its own: one set product per
+    # power of the class, the last one the first repeat
+    g = build(spec)
+    x = elem(g, cycles)
+    calls = []
+    product = engine.GroupTable.class_set_product_bits
+    monkeypatch.setattr(engine.GroupTable, "normal_closure_bits", None)
+    monkeypatch.setattr(
+        engine.GroupTable, "class_set_product_bits",
+        lambda self, a, b: calls.append((a, b)) or product(self, a, b),
+    )
+    rep = covering.covering_number(g, x)
+    assert rep.reason == reason
+    if reason == "proper normal closure":
+        assert rep.growth_trace == []
+    assert len(calls) == len(g.class_set_powers(1 << int(g.class_of[x]))[0])
+
+
 def test_identity_inputs():
     assert covering.covering_number(build("C1"), 0).K == 1
     rep = covering.covering_number(build("S3"), 0)

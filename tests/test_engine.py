@@ -1,6 +1,8 @@
 """Group enumeration, conjugacy machinery, quotients, and cosocles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -747,6 +749,118 @@ def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, dr
     rng = np.random.default_rng(seed)
     for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
         _check_structure_rows(g, rng)
+
+
+# -- the regular action and the whole-group products read from it -----------
+
+
+def _check_regular_action(g, rng):
+    """R_h(x) = x h for every generator h and element x; the tree reaches
+    every element once, layer by layer, with new = parent * gens[via]; the
+    conjugation maps are x -> h x h^-1; sampled rows and columns of the
+    dense table are i * G and G * j; and the commutator set is the classes
+    of a x a^-1 x^-1 for a over the class representatives and x over G,
+    enough as the set is invariant under conjugation."""
+    mul = _oracle_index_mul(g)
+    every = range(g.order)
+
+    def inverse(x):
+        y = x
+        while mul(y, x) != 0:
+            y = mul(y, x)
+        return y
+
+    inverses = [inverse(x) for x in every]
+    assert g._right.shape == (len(g.gens), g.order)
+    for t, h in enumerate(g.gens):
+        assert g._right[t].tolist() == [mul(x, h) for x in every]
+        assert g._conjugation_map(t).tolist() == [mul(mul(h, x), inverses[h]) for x in every]
+    depth = {0: 0}
+    for layer, (new, parent, via) in enumerate(g._tree(), 1):
+        assert [depth[x] for x in parent.tolist()] == [layer - 1] * len(new)
+        assert [mul(x, g.gens[t]) for x, t in zip(parent.tolist(), via.tolist())] == new.tolist()
+        depth.update(dict.fromkeys(new.tolist(), layer))
+    assert sorted(depth) == list(every)
+    assert len(depth) == sum(len(new) for new, _, _ in g._tree()) + 1
+
+    table = g.dense()
+    for i in rng.choice(g.order, size=min(g.order, 4), replace=False).tolist():
+        assert table[i].tolist() == [mul(i, y) for y in every]
+        assert table[:, i].tolist() == [mul(x, i) for x in every]
+
+    met = set()
+    for c in g.classes:
+        a = c.rep
+        for x in every:
+            met.add(int(g.class_of[mul(mul(a, x), mul(inverses[a], inverses[x]))]))
+    assert engine.commutator_set_bits(g) == sum(1 << c for c in met)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*EVERY_CARRIER)
+@example([()], [()], [()], (2, 1, [(1,)]), 0)  # the degree-0 permutation group
+def test_regular_action_matches_oracle_on_every_carrier(gens_a, gens_b, gens_c, drawn, seed):
+    rng = np.random.default_rng(seed)
+    for g in _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
+        _check_regular_action(g, rng)
+
+
+def test_regular_action_with_wide_keys():
+    # rows keyed by their bytes: degrees 16 and 17, and 3 x 3 matrices mod 127
+    rng = np.random.default_rng(4)
+    groups = [
+        engine.enumerate_group([Permutation(tuple((i + 1) % 16 for i in range(16)))]),
+        engine.enumerate_group([
+            Permutation(tuple((i + 1) % 17 for i in range(17))),
+            Permutation(tuple((17 - i) % 17 for i in range(17))),
+        ]),
+        engine.enumerate_group([FFMatrix(PrimeField(127), np.diag([3, 9, 5]))]),
+    ]
+    for g in groups:
+        assert g._pow is None
+        _check_structure_rows(g, rng)
+        _check_regular_action(g, rng)
+
+
+def test_whole_group_products_form_no_carrier_products(monkeypatch):
+    groups = [build_group(parse_spec(s)) for s in ("A5", "SL2:5", "prod(A5,C2)", "PSL2:7")]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("mul_pairwise", "_lookup_rows"):
+        monkeypatch.setattr(engine.GroupTable, name, counted(name, getattr(engine.GroupTable, name)))
+    for g in [*groups, groups[-1].parent]:
+        if g._compose is not None:
+            monkeypatch.setattr(g, "_compose", counted("_compose", g._compose))
+    for g in groups:
+        assert g.classes
+        for j in range(len(g.classes)):
+            g.class_structure_row(j)
+        assert g.dense() is not None
+        engine.commutator_set_bits(g)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["S4", "SL2:5", "prod(S3,C2)"])
+def test_lattice_and_cosocle_leave_no_reference_cycle(spec):
+    g = build_group(parse_spec(spec))
+    lattice = [(n.order, n.class_bits) for n in engine.normal_subgroups(g)]
+    cos = engine.cosocle(g).class_bits
+    # read back from the cache
+    assert [(n.order, n.class_bits) for n in engine.normal_subgroups(g)] == lattice
+    assert engine.cosocle(g).class_bits == cos
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- the class power map against repeated products ----------------------------

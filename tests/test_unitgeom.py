@@ -104,6 +104,19 @@ def test_packing_threshold_matches_highprec(tenths):
     assert unitgeom.packing_threshold(1, eps).m == oracles.packing_m_highprec(eps)
 
 
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 10**10), Fraction(3, 10**31), Fraction(1, 10**60), Fraction(1, 10**100)]
+)
+def test_packing_threshold_matches_highprec_for_small_eps(eps):
+    unitgeom._pi.cache_clear()
+    m = unitgeom.packing_threshold(1, eps).m
+    assert m == oracles.packing_m_highprec(eps)
+    # pi is summed once per precision, and the precision grows with the
+    # digits of m, while there are about 2 log2(m) comparisons
+    info = unitgeom._pi.cache_info()
+    assert info.misses <= len(str(m)) and info.hits >= 3 * info.misses
+
+
 def test_packing_threshold_ties():
     # the two rational-chord ties: eps = 2 at m = 2, eps = 1 at m = 6
     assert unitgeom.packing_threshold(1, 2).m == 3
