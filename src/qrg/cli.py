@@ -22,7 +22,7 @@ import numpy as np
 from . import chars, constructions, covering, engine, gf, unitgeom
 from .errors import CapExceeded, ParseError
 from .groupspec import build_group, parse_spec
-from .permutations import Permutation, cycle_string, parse_cycles
+from .permutations import cycle_string, parse_cycles
 
 SCHEMA = "qrg/1"
 EXIT_PASS = 0
@@ -446,6 +446,18 @@ def _jordan_lengths_grouped(rows):
     return out
 
 
+def _cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Cycles, fixed points included, of each row of an (m, n) array of
+    permutation images: the points least in their own cycle."""
+    n = images.shape[1]
+    least = np.broadcast_to(np.arange(n), images.shape)
+    point = images
+    for _ in range(n - 1):
+        least = np.minimum(least, point)
+        point = np.take_along_axis(images, point, axis=1)
+    return np.count_nonzero(least == np.arange(n), axis=1)
+
+
 def _suite_jordan(args):
     seed = args.seed if args.seed is not None else SUITE_SEEDS["jordan"]
     rng = np.random.default_rng(seed)
@@ -489,14 +501,15 @@ def _suite_jordan(args):
     checked = 0
     perm_fields = [gf.PrimeField(p) for p in (2, 3, 5)]
     for n in range(2, 9):
-        perms = [Permutation(images) for images in itertools.permutations(range(n))]
-        bounds = [Fraction(n - len(perm.cycles(include_fixed=True)), n) for perm in perms]
-        # 0/1 entries, the same over every field
-        mats = np.array([constructions.perm_matrix(q, perm_fields[0]).entries for q in perms])
+        images = np.array(list(itertools.permutations(range(n))))
+        bounds = [Fraction(n - int(c), n) for c in _cycle_counts(images)]
+        # 0/1 entries, the same over every field: row images[k, j] of column j
+        mats = np.zeros((len(images), n, n), dtype=np.int64)
+        mats[np.arange(len(images))[:, None], images, np.arange(n)] = 1
         for field in perm_fields:
             lengths = gf.jordan_lengths(mats, field.p)
             perm_failures += sum(ln < bd for ln, bd in zip(lengths, bounds))
-            checked += len(perms)
+            checked += len(images)
     yield (
         "permutation matrices meet the (n-k)/n bound for degree <= 8",
         perm_failures == 0,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FFMatrix, PrimeField, is_prime, jordan_length, symplectic_form
+from .gf import FFMatrix, PrimeField, is_prime, shift_ranks, symplectic_form
 from .permutations import (
     OddPermutation,
     Permutation,
@@ -67,8 +67,7 @@ def perm_matrix(perm: Permutation, field: PrimeField) -> FFMatrix:
     """0/1 matrix sending basis vector e_j to e_{perm(j)}."""
     n = perm.degree
     m = np.zeros((n, n), dtype=np.int64)
-    for j, i in enumerate(perm.images):
-        m[i, j] = 1
+    m[list(perm.images), np.arange(n)] = 1
     return FFMatrix(field, m)
 
 
@@ -102,16 +101,27 @@ def symplectic_check(m: FFMatrix) -> bool:
 
 
 def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
-    """Exact Jordan length of the witness's permutation matrix.
+    """Exact Jordan length of the witness's permutation matrix, from its blocks.
 
-    Also asserts the cycle-count lower bound (n - (a + b))/n, which is
-    the mechanism giving lengths above 1/2 for p >= 5.
+    The witness's cycles are consecutive ranges, so its matrix P is block
+    diagonal: a copies of the p-cycle matrix C_p, then b copies of C_q.  For
+    every x in the field, x*I - P is then block diagonal too, and rank is
+    additive over a direct sum, so
+
+        rank(x*I - P) = a * rank(x*I - C_p) + b * rank(x*I - C_q)
+
+    exactly.  Two eliminations of size at most q thus stand in for one of
+    size n, and the length is the least of these ranks over x != 0,
+    divided by n.  Also asserts the cycle-count lower bound (n - (a + b))/n,
+    which is the mechanism giving lengths above 1/2 for p >= 5.
     """
     solved = solve_two_prime(n, p, q)
     if solved is None:
         raise Infeasible(f"no (a, b) with {p}a + {q}b = {n} and max(a, b) >= 2")
     a, b = solved
-    value = jordan_length(perm_matrix(brenner_sigma(n, p, q), field))
+    blocks = [perm_matrix(Permutation.from_cycles([range(k)], k), field) for k in (p, q)]
+    r_p, r_q = (shift_ranks(c.entries[None], field.p)[0] for c in blocks)
+    value = Fraction(int((a * r_p[1:] + b * r_q[1:]).min()), n)
     bound = Fraction(n - (a + b), n)
     assert value >= bound
     return value

@@ -9,7 +9,9 @@ the b matrices.  It never swaps rows.  In each column a matrix takes its
 first unused row with a nonzero entry as the pivot row, scales it to a
 leading 1, clears the column in every other row and marks the row used.
 Rank, determinant, inverse, nullspace and reduced row echelon form are read
-off its pivot map, and the Jordan length ranks a*I - g for every a at once.
+off its pivot map.  shift_ranks ranks a*I - g for every a in GF(p) at once;
+the Jordan length is read off those ranks, and so is the two-prime witness's,
+from the ranks of its two cycle blocks.
 The kernel multiplies two residues below p, so it requires p < 2**31
 (p**2 < 2**62), checked where it is entered; callers such as the character
 degrees pass primes above MAX_PRIME.
@@ -261,13 +263,12 @@ def ff_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
-    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g.
+def shift_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a*I - g for every a in GF(p), as a (b, p) array for a
+    (b, n, n) stack of matrices g; entry [i, a] is n - dim ker(a - g_i).
 
-    m_g = max over a in F* of dim ker(a - g).  One rank call covers a*I - g
-    for a = 0..p-1: a = 0 gives -g, of rank n exactly when g is invertible,
-    and n - m_g is the least rank over a >= 1.  Stacks past _JORDAN_ENTRIES
-    entries are ranked in calls of that size.
+    One rank call covers every shift of every matrix.  Stacks past
+    _JORDAN_ENTRIES entries are ranked in calls of that size.
     """
     g = np.asarray(stack, dtype=np.int64)
     b, n, _ = g.shape
@@ -277,7 +278,18 @@ def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
     for lo in range(0, b * p, step):
         k = np.arange(lo, min(lo + step, b * p))  # matrix k // p, shifted by a = k % p
         ranks[lo : lo + len(k)] = ff_rank((k % p)[:, None, None] * eye - g[k // p], p)
-    ranks = ranks.reshape(b, p)
+    return ranks.reshape(b, p)
+
+
+def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
+    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g.
+
+    m_g = max over a in F* of dim ker(a - g).  Of the shift ranks, a = 0
+    gives -g, of rank n exactly when g is invertible, and n - m_g is the
+    least rank over a >= 1.
+    """
+    n = np.shape(stack)[1]
+    ranks = shift_ranks(stack, p)
     if (ranks[:, 0] < n).any():
         raise SingularMatrix("jordan length requires an invertible matrix")
     return [Fraction(int(k), n) for k in ranks[:, 1:].min(axis=1)]

@@ -135,14 +135,18 @@ def power_length_witness(a: UnitaryPoint, max_power: int = 10**6):
     """Smallest k <= max_power with hs_length(a^k) > sqrt(2), or None.
 
     Candidate powers come from the eigenangle form
-    ell(A^k)^2 = sum_j |e^(i k theta_j) - 1|^2, scanned in blocks; each
-    candidate is confirmed on the actual matrix power so the reported
-    length is the entrywise one.
+    ell(A^k)^2 = sum_j |e^(i k theta_j) - 1|^2, scanned in ascending blocks
+    of k; each candidate is confirmed on the actual matrix power so the
+    reported length is the entrywise one.  The first block holds 64 powers
+    and each next one twice as many, up to 2^15.  A Haar-random unitary
+    mostly has its witness at k <= 2, and only one near the identity needs
+    many powers (about pi/(2 theta) for the single angle theta), so the
+    cost follows the witness found and not max_power.
     """
     if hs_length(a) <= UNITARITY_TOL:
         raise IdentityInput("witness search needs a nontrivial unitary")
     angles = np.angle(np.linalg.eigvals(a.entries))
-    block = 1 << 15
+    block = 64
     start = 1
     while start <= max_power:
         ks = np.arange(start, min(start + block, max_power + 1), dtype=np.float64)
@@ -152,6 +156,7 @@ def power_length_witness(a: UnitaryPoint, max_power: int = 10**6):
             if length > SQRT2:
                 return int(k), length
         start += block
+        block = min(2 * block, 1 << 15)
     return None
 
 

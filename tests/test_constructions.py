@@ -15,7 +15,7 @@ from qrg.constructions import (
     solve_two_prime,
     symplectic_check,
 )
-from qrg.gf import FFMatrix, PrimeField
+from qrg.gf import FFMatrix, PrimeField, jordan_length
 from qrg.permutations import OddPermutation, Permutation, cycle_string
 
 F2 = PrimeField(2)
@@ -144,6 +144,22 @@ def test_jordan_of_sigma_against_reference():
     m = perm_matrix(brenner_sigma(17, 5, 7), F5)
     want = oracles.jordan_length_reference(m.entries.tolist(), 5)
     assert jordan_of_sigma(17, 5, 7, F5) == want
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (5, 7), (5, 11)])
+@pytest.mark.parametrize("f", [2, 3, 5, 7, 11, 13, 29, 71])
+def test_jordan_of_sigma_block_rule_matches_full_matrix(p, q, f):
+    # 11, 29 and 71 hold nontrivial 5th or 7th roots of unity x, so
+    # x*I - C_p or x*I - C_q has a kernel at some x != 1 as well
+    field = PrimeField(f)
+    for n in range(2, 61):
+        if solve_two_prime(n, p, q) is None:
+            continue
+        m = perm_matrix(brenner_sigma(n, p, q), field)
+        got = jordan_of_sigma(n, p, q, field)
+        assert got == jordan_length(m)
+        if n <= 20:
+            assert got == oracles.jordan_length_reference(m.entries.tolist(), f)
 
 
 def test_jordan_of_sigma_propagates_infeasible():

@@ -169,6 +169,21 @@ def test_jordan_lengths_in_bounded_calls(monkeypatch):
         assert gf.jordan_lengths(np.array(mats), p) == want
 
 
+def test_shift_ranks_match_reference(monkeypatch):
+    # singular matrices too, whose a = 0 column is the rank of -g; calls of
+    # 20 entries split the shifts of one matrix as in the test above
+    monkeypatch.setattr(gf, "_JORDAN_ENTRIES", 20)
+    rng = np.random.default_rng(16)
+    for p in (2, 5, 7):
+        mats = [random_square(rng, 3, p) for _ in range(4)] + [np.zeros((3, 3), dtype=np.int64)]
+        want = [
+            [oracles.rank_mod_p(((a * np.eye(3, dtype=np.int64) - m) % p).tolist(), p)
+             for a in range(p)]
+            for m in mats
+        ]
+        assert gf.shift_ranks(np.array(mats), p).tolist() == want
+
+
 def test_elimination_prime_limit():
     # p**2 must stay below 2**62: 2**31 - 1 is prime and allowed, 2**31 is refused.
     p = 2**31 - 1

@@ -92,6 +92,47 @@ def test_power_length_witness_multidim():
     assert got[1] == pytest.approx(want[1])
 
 
+def _fixed_block_witness(a, max_power=10**6):
+    """The scan in fixed blocks of 2^15 powers, as a reference for the
+    growing blocks: the same candidates, confirmed in the same order."""
+    angles = np.angle(np.linalg.eigvals(a.entries))
+    for start in range(1, max_power + 1, 1 << 15):
+        ks = np.arange(start, min(start + (1 << 15), max_power + 1), dtype=np.float64)
+        sq = 2 * a.D - 2 * np.cos(np.outer(ks, angles)).sum(axis=1)
+        for k in ks[sq > 2.0 - unitgeom.AXIOM_TOL]:
+            length = unitgeom.hs_length(a.power(int(k)))
+            if length > math.sqrt(2):
+                return int(k), length
+    return None
+
+
+# First witness k of diag(theta): the least k with k * theta > pi/2.  64, 66
+# and 193 sit on and just past the edges of the blocks 1-64, 65-192,
+# 193-448; 39270 and 78540 lie past the first 2^15 powers.
+@pytest.mark.parametrize("k,theta", [
+    (64, math.pi / 127), (66, math.pi / 131), (193, math.pi / 385),
+    (39270, 4e-5), (78540, 2e-5),
+])
+def test_power_length_witness_across_block_edges(k, theta):
+    a = diag_unitary(theta)
+    got = unitgeom.power_length_witness(a)
+    assert got == _fixed_block_witness(a)
+    assert got[0] == k
+    if k <= 2000:
+        want = oracles.power_witness_highprec([theta], 1)
+        assert (got[0], got[1]) == (want[0], pytest.approx(want[1]))
+    for max_power in (1, 63, 64, 65, 192, 193):
+        assert unitgeom.power_length_witness(a, max_power) == _fixed_block_witness(a, max_power)
+
+
+def test_power_length_witness_matches_fixed_blocks_on_haar_draws():
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            a = unitgeom.haar_unitary(d, rng)
+            assert unitgeom.power_length_witness(a) == _fixed_block_witness(a)
+
+
 def test_power_length_witness_identity_and_budget():
     with pytest.raises(IdentityInput):
         unitgeom.power_length_witness(UnitaryPoint(np.eye(2)))
