@@ -5,24 +5,35 @@ bitmasks on a GroupTable.  Products are exact k-fold products (no identity
 padding): S^k means S * S * ... * S with k factors.  The symmetric variant
 replaces a class C by C union C^{-1}.  K-fold products and covering numbers
 are read from the group's powers S, S^2, ... of a class set, formed until
-they first repeat and cycling after.
+they first repeat and cycling after, so a huge k is read off by the period.
 
 Covering properties over a power range 1 <= i <= m are decided on the
 distinct classes of the powers x^i, read from the group's class power map:
-the class of x^i depends only on the class of x and on i mod o(x).  The
-distinct k-fold products of those classes are cached on the group per
-(class, min(m, o), k, symmetric).
+the class of x^i depends only on the class of x and on i mod o(x), so
+mask[x, m, c] marks the classes among the first min(m, o(x)) powers.  Each
+base power (C(c) [u C(c)^-1])^k gets an id in a short list D of distinct
+class sets, which many (c, k) share.  The double covering is one bool grid
+feasible[x, m1, k1, y, m2, k2]: a matrix over D says which products
+D[i] * D[j] fall short of G, and a cell is infeasible iff some class in its
+x-mask and some class in its y-mask have such a product, two bool matmuls
+over the masks.  Each group caches one grid over every class, m and k asked
+so far, and a single check reads one cell of it.
 
 The cosocle inflation check relies on monotonicity: A^a * B^b = G gives
-A^(a+i) * B^(b+j) = A^i * G * B^j = G, so the double covering holds at
-f * k1, f * k2 for the inflation factor f iff it holds for some f' <= f.
+A^(a+i) * B^(b+j) = A^i * G * B^j = G, so along the axis f = 1, 2, ... the
+double covering at f * k1, f * k2 never turns false once true.  It holds at
+the inflation factor iff it holds for some smaller f, and the least such f
+is the first true cell on that axis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+
+import numpy as np
 
 from .engine import GroupTable, NormalSubgroup, cosocle, direct_product, quotient
 
@@ -94,6 +105,11 @@ class CoveringReport:
     reason: str | None = None
 
 
+# entries of the cached double covering grid past which it is rebuilt over
+# one request instead of over every request so far
+_GRID_CELLS = 1 << 22
+
+
 def resolve_m(g: GroupTable, x: int, m) -> int:
     """Powers to check: m = infinity means the order of the element."""
     if m == math.inf:
@@ -104,23 +120,27 @@ def resolve_m(g: GroupTable, x: int, m) -> int:
     return m
 
 
-def _power_kfold_sets(
-    g: GroupTable, x: int, m, k: int, symmetric: bool = False
-) -> frozenset[int]:
-    """Distinct class bitmasks of (C(x^i) [u C(x^-i)])^k over 1 <= i <= m.
+def _power_sets(g: GroupTable, xs, ms, ks, symmetric: bool):
+    """One side of a covering grid: mask[x, m, c], ids[c, k] and sets.
 
-    Powers wrap at o = o(x), so m >= o takes every position of the class
-    power map of x.
+    mask[x, m, c] says whether class c is among the classes of x^i for
+    1 <= i <= min(m, o(x)), read from the class power map of x; only the
+    classes met by some row are kept, in ascending order.  ids[c, k] is the
+    position in sets, the distinct class bitmasks in order of first
+    appearance, of the base power (C(c) [u C(c)^-1])^k.
     """
-    c = int(g.class_of[x])
-    powers = g.power_classes(c)
-    n = min(resolve_m(g, x, m), len(powers))
-    key = ("power_kfold", c, n, k, symmetric)
-    got = g.cache.get(key)
-    if got is None:
-        bases = {_class_bits(g, p, symmetric) for p in powers[:n]}
-        got = g.cache[key] = frozenset(g.class_set_power(b, k) for b in bases)
-    return got
+    mask = np.zeros((len(xs), len(ms), len(g.classes)), dtype=bool)
+    for a, x in enumerate(xs):
+        powers = list(g.power_classes(int(g.class_of[x])))
+        for b, m in enumerate(ms):
+            mask[a, b, powers[: resolve_m(g, x, m)]] = True
+    cs = np.flatnonzero(mask.any(axis=(0, 1)))
+    index: dict[int, int] = {}
+    ids = [
+        index.setdefault(g.class_set_power(_class_bits(g, c, symmetric), k), len(index))
+        for c in cs.tolist() for k in ks
+    ]
+    return mask[:, :, cs], np.array(ids, dtype=np.intp).reshape(len(cs), len(ks)), list(index)
 
 
 def covering_number(
@@ -175,20 +195,72 @@ def covering_property(
 ) -> bool:
     """Whether (C(x^i))^K = G for every power 1 <= i <= m."""
     full = g.full_class_bits()
-    return all(s == full for s in _power_kfold_sets(g, x, m, K, symmetric))
+    return all(s == full for s in _power_sets(g, [x], [m], [K], symmetric)[2])
+
+
+def double_covering_grid(g: GroupTable, xs, ms1, ks1, ys, ms2, ks2) -> np.ndarray:
+    """feasible[x, m1, k1, y, m2, k2] of the symmetric double covering
+
+        (C(x^i) u C(x^-i))^k1 * (C(y^j) u C(y^-j))^k2 = G for all i <= m1, j <= m2
+
+    over every combination of the given elements, power ranges and
+    exponents, read from the group's grid.
+    """
+    class_of = g.class_of
+    side1 = list(itertools.product(class_of[xs].tolist(), ms1, ks1))
+    side2 = list(itertools.product(class_of[ys].tolist(), ms2, ks2))
+    grid, pos = _grid_cells(g, side1 + side2)
+    shape = (len(xs), len(ms1), len(ks1), len(ys), len(ms2), len(ks2))
+    return grid[np.ix_(pos[: len(side1)], pos[len(side1) :])].reshape(shape)
 
 
 def double_covering_feasible(
     g: GroupTable, x: int, y: int, k1: int, m1, k2: int, m2
 ) -> bool:
-    """Symmetric double covering: for all i <= m1, j <= m2,
+    """One cell of double_covering_grid."""
+    class_of = g.class_of
+    grid, (a, b) = _grid_cells(g, [(int(class_of[x]), m1, k1), (int(class_of[y]), m2, k2)])
+    return bool(grid[a, b])
 
-        (C(x^i) u C(x^-i))^k1 * (C(y^j) u C(y^-j))^k2 = G.
+
+def _grid_cells(g: GroupTable, cells) -> tuple[np.ndarray, list[int]]:
+    """The group's double covering grid and the position in it of each
+    (class, m, k) cell.
+
+    The grid's two sides run over every combination of the classes, power
+    ranges and exponents asked for so far.  A cell outside it rebuilds the
+    grid over the union, or over the asked cells alone once the union would
+    pass _GRID_CELLS entries.
     """
+    pos, grid = g.cache.get("double_covering", ({}, np.zeros((0, 0), dtype=bool)))
+    try:
+        return grid, [pos[cell] for cell in cells]
+    except KeyError:
+        axes = [list(dict.fromkeys(vs)) for vs in zip(*pos, *cells)]
+        if math.prod(map(len, axes)) ** 2 > _GRID_CELLS:
+            axes = [list(dict.fromkeys(vs)) for vs in zip(*cells)]
+        grid = _grid(g, *axes)
+        pos = {cell: i for i, cell in enumerate(itertools.product(*axes))}
+        g.cache["double_covering"] = pos, grid
+        return grid, [pos[cell] for cell in cells]
+
+
+def _grid(g: GroupTable, cs, ms, ks) -> np.ndarray:
+    """feasible[(c1, m1, k1), (c2, m2, k2)] over classes cs on both sides.
+
+    A cell is infeasible iff some class a in its first mask and b in its
+    second have base powers a^k1, b^k2 whose product falls short of G: one
+    bool matrix over the distinct base powers, read through their ids and
+    reduced over both masks by two bool matmuls.
+    """
+    mask, ids, sets = _power_sets(g, [g.classes[c].rep for c in cs], ms, ks, True)
     full = g.full_class_bits()
-    a_sets = _power_kfold_sets(g, x, m1, k1, symmetric=True)
-    b_sets = _power_kfold_sets(g, y, m2, k2, symmetric=True)
-    return all(g.class_set_product_bits(a, b) == full for a in a_sets for b in b_sets)
+    short = np.array([[g.class_set_product_bits(a, b) != full for b in sets] for a in sets])
+    n, k = ids.shape
+    # (c1 m1, a) @ (a, k1 b k2), then (c1 m1 k1, k2, b) @ (b, c2 m2)
+    hit = mask.reshape(-1, n) @ short[ids[:, :, None, None], ids].reshape(n, -1)
+    hit = hit.reshape(-1, n, k).swapaxes(1, 2) @ mask.reshape(-1, n).T
+    return ~hit.swapaxes(1, 2).reshape(len(hit), -1)
 
 
 def covering_mod(
@@ -236,8 +308,13 @@ def verify_cosocle_inflation(
     mod_holds = double_covering_mod(g, cos, x, y, k1, m1, k2, m2)
     minimal = None
     if mod_holds:
-        minimal = next((f for f in range(1, factor + 1) if double_covering_feasible(
-            g, x, y, f * k1, m1, f * k2, m2)), None)
+        cx, cy = int(g.class_of[x]), int(g.class_of[y])
+        fs = range(1, factor + 1)
+        grid, pos = _grid_cells(
+            g, [(cx, m1, f * k1) for f in fs] + [(cy, m2, f * k2) for f in fs])
+        lifted = grid[pos[:factor], pos[factor:]]
+        if lifted[-1]:
+            minimal = int(lifted.argmax()) + 1
     return InflationReport(
         cosocle_classes=n,
         factor=factor,

@@ -52,12 +52,14 @@ until they first repeat and cached per S; past their end they cycle.  The
 normal closure of some classes is the last power of S, those classes plus
 the identity.  The lattice joins each distinct principal normal subgroup,
 the closure of one class, into every normal subgroup found so far.  The
-commutators are the union of the class products C * C^-1.
+commutators are the union of rep_c * C^-1 over the classes C: one product
+per element, walked along the tree from the representative's end with the
+left action h * y = inv(R_h^-1(inv(y))).
 
 A GroupTable keeps its own lazy state (classes, power map, structure rows,
 set products, class-set powers) in private fields.  Whatever a module-level
 function derives from it (lattice, cosocle, derived subgroup, quotients,
-commutators, character degrees, covering's power-range product sets) is
+commutators, character degrees, covering's double covering grid) is
 memoized in g.cache, as class bitmasks and orders rather than objects that
 point back at the group, so only a quotient and its parent form a
 reference cycle.
@@ -286,6 +288,26 @@ class GroupTable:
             out[..., new] = self._right[via, out[..., parent]]
         return out
 
+    def _pair_products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """xs[i] * ys[i] for index vectors, walked from each x towards the
+        identity: for x = p * h, x * y = p * (h * y), and h * y is
+        inv(R_h^-1(inv(y))), so y is multiplied on the left by the
+        generators on x's tree path, the last one first."""
+        parent = np.zeros(self.order, dtype=np.int64)
+        via = np.zeros(self.order, dtype=np.int64)
+        for new, par, v in self._tree():
+            parent[new], via[new] = par, v
+        rinv = np.empty_like(self._right)
+        rinv[np.arange(len(rinv))[:, None], self._right] = np.arange(self.order)
+        left = self.inv[rinv[:, self.inv]]
+        out, at = ys.copy(), xs.copy()
+        live = np.flatnonzero(at)
+        while len(live):
+            out[live] = left[via[at[live]], out[live]]
+            at[live] = parent[at[live]]
+            live = live[at[live] != 0]
+        return out
+
     def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Breadth-first layers (new, parent, via) over the right regular
         action from the identity, new = parent * gens[via]; cached."""
@@ -502,7 +524,8 @@ class GroupTable:
         return (1 << len(self.classes)) - 1
 
     def class_bits_size(self, bits: int) -> int:
-        return sum(c.size for c in self.classes if bits >> c.index & 1)
+        sizes = self.class_sizes
+        return sum(int(sizes[c]) for c in _iter_bits(bits))
 
     # -- subgroup machinery ---------------------------------------------------
 
@@ -953,16 +976,16 @@ def is_perfect(g: GroupTable) -> bool:
 def commutator_set_bits(g: GroupTable) -> int:
     """Class bitmask of the set of all commutators [a, x] = a x a^-1 x^-1.
 
-    As x runs over G, x a^-1 x^-1 runs over the class of a^-1, so the
-    commutators are the union of the class products C * C^-1, each read
-    from a structure row.  Cached.
+    As x runs over G, x a^-1 x^-1 runs over the class of a^-1, and the
+    commutators are conjugation invariant, so their classes are those of
+    rep_c * y over the classes c and y in the class of rep_c^-1: one
+    product per element, rep of the inverse class of y times y.  Cached.
     """
     bits = g.cache.get("commutators")
     if bits is None:
-        bits = 0
-        for c in range(len(g.classes)):
-            bits |= g.class_pair_product_bits(g.inverse_class(c), c)
-        g.cache["commutators"] = bits
+        class_of = g.class_of
+        prod = g._pair_products(g._class_reps[g.class_inverses[class_of]], np.arange(g.order))
+        bits = g.cache["commutators"] = _bits_of(np.unique(class_of[prod]))
     return bits
 
 

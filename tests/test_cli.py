@@ -368,3 +368,16 @@ def test_grouped_jordan_lengths_match_one_at_a_time():
         rows.append([cli._random_invertible(rng, int(rng.integers(1, 5)), field) for _ in range(3)])
     want = [[gf.jordan_length(m) for m in row] for row in rows]
     assert cli._jordan_lengths_grouped(rows) == want
+
+
+def test_bcc_counts(capsys):
+    """Every (x, y, k1, m1, k2, m2) over class representatives and 1..3:
+    how many double coverings hold modulo the cosocle, and how many of
+    those fail at four times the exponents."""
+    code, lines = run(["verify", "bcc"], capsys)
+    assert code == 0
+    got = [(d["assertion"], d["checked"], d["witnesses"], d["violations"]) for d in lines[:2]]
+    assert got == [
+        ("SL2:5 inflation x4 lifts every mod-cosocle witness", 6561, 3625, 0),
+        ("SL2:7 inflation x4 lifts every mod-cosocle witness", 9801, 6736, 0),
+    ]

@@ -1,5 +1,6 @@
 """Exact class-product covering analysis, cross-checked by set brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -348,3 +349,67 @@ def test_covering_number_matches_bruteforce_on_random_groups(gens, seed, symmetr
     if rep.growth_trace:
         sizes = oracles.exact_product_sizes(cls, mul, len(rep.growth_trace))
         assert rep.growth_trace == list(enumerate(sizes, start=1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    perm_generators(max_degree=5),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(POWER_RANGES, min_size=1, max_size=2, unique=True),
+)
+@example([()], 0, False, [math.inf])
+def test_double_covering_grid_matches_bruteforce_on_random_groups(gens, seed, quotient, ms):
+    """Sampled cells of a 2 x m x 2 grid on each side against brute force,
+    with an exponent past the end of a base's cycle of powers; then every
+    cell asked one at a time on a fresh copy of the group, which grows its
+    cached grid request by request."""
+
+    def build():
+        g = engine.enumerate_group([Permutation(x) for x in gens])
+        if quotient:
+            normals = engine.normal_subgroups(g)[:-1] or [engine.NormalSubgroup(g, 1)]
+            g = engine.quotient(g, normals[seed % len(normals)])
+        return g
+
+    g = build()
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.integers(g.order, size=(2, 2)).tolist()
+    powers, _ = g.class_set_powers(covering.class_of_element(g, xs[0], symmetric=True).bits)
+    ks = [1, len(powers) + 1 + int(rng.integers(3))]
+    grid = covering.double_covering_grid(g, xs, ms, ks, ys, ms, ks)
+    assert grid.shape == (2, len(ms), 2, 2, len(ms), 2)
+    cells = list(np.ndindex(grid.shape))
+    elements, mul = _index_oracle(g)
+    for i in rng.choice(len(cells), size=6, replace=False):
+        a, b, c, d, e, f = cells[i]
+        sides = [(xs[a], ks[c], ms[b], True), (ys[d], ks[f], ms[e], True)]
+        assert grid[cells[i]] == oracles.power_covering_bruteforce(elements, mul, sides)
+    fresh = build()
+    for a, b, c, d, e, f in cells:
+        assert covering.double_covering_feasible(
+            fresh, xs[a], ys[d], ks[c], ms[b], ks[f], ms[e]
+        ) == grid[a, b, c, d, e, f]
+
+
+def test_minimal_factor_matches_element_oracle_on_sl25():
+    """minimal_factor is the first f at which the double covering at
+    f * k1, f * k2 holds, by brute force over SL2(5) as entry 4-tuples."""
+    g = build("SL2:5")
+    mul = oracles.sl2_mul(5)
+    elements = sorted(oracles.group_closure(oracles.sl2_gens(5), mul))
+    tuples = [tuple(g.element(i).entries.ravel().tolist()) for i in range(g.order)]
+    assert sorted(tuples) == elements
+    reps = [c.rep for c in g.classes]
+    factors = set()
+    for x, y in itertools.combinations_with_replacement(reps, 2):
+        for k1, m1, k2, m2 in [(1, 1, 1, 1), (2, 1, 1, 2), (1, 3, 2, 1)]:
+            rep = covering.verify_cosocle_inflation(g, x, y, k1, m1, k2, m2)
+            if not rep.mod_holds:
+                continue
+            want = next((f for f in range(1, rep.factor + 1) if oracles.power_covering_bruteforce(
+                elements, mul, [(tuples[x], f * k1, m1, True), (tuples[y], f * k2, m2, True)]
+            )), None)
+            assert rep.minimal_factor == want
+            factors.add(want)
+    assert {1, 2} <= factors

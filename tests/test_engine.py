@@ -494,6 +494,20 @@ def test_commutators_match_bruteforce_on_random_permutation_groups(gens):
         assert engine.commutator_width(g, i) == widths.get(x)
 
 
+@pytest.mark.parametrize("spec", ["C60", "D50"])
+def test_commutators_match_bruteforce_on_thin_groups(spec):
+    """Many classes and a deep tree: on C60 the walk behind the commutator
+    set runs 59 steps deep from its farthest class representative."""
+    g = build_group(parse_spec(spec))
+    elements = [g.element(i).images for i in range(g.order)]
+    bits = engine.commutator_set_bits(g)
+    got = {elements[int(x)] for c in g.classes if bits >> c.index & 1 for x in c.members}
+    assert got == oracles.commutator_set(elements)
+    xs, ys = np.random.default_rng(3).integers(g.order, size=(2, 40))
+    want = [elements.index(oracles.compose(elements[x], elements[y])) for x, y in zip(xs, ys)]
+    assert g._pair_products(xs, ys).tolist() == want
+
+
 # -- classes, center and quotients against the oracles -------------------------
 
 
