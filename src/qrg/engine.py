@@ -14,11 +14,17 @@ Permutation and matrix groups are enumerated breadth first, one layer at a
 time: every product x * h of a frontier element x with a generator h is
 formed in one array operation, and the products not seen before become the
 next frontier.  New elements are numbered in order of first occurrence over
-(frontier element, generator), frontier elements taken in index order.  Each
-element is found by a key of its flattened carrier row: a mixed-radix int64
-code while the code space fits (see _radix_powers), the row's bytes past
-that.  Matrix inverses follow the same BFS: if y = x * h then
-y^-1 = h^-1 * x^-1, so only the generators are inverted by elimination.
+(frontier element, generator), frontier elements taken in index order; the
+first occurrence of a key is the least position in its run of an unstable
+sort.  Each element is found by a key of its flattened carrier row: a
+mixed-radix int64 code while the code space fits (see _radix_powers), the
+row's bytes past that.  Row r of a matrix product x * h is (row r of x) * h,
+so while the int64 code fits and the p**n rows of an n x n matrix over
+GF(p) are within the order cap, a table per generator maps each row, coded
+below p**n, to the code of its product, and a layer's products are gathers.
+Read as digits base p**n, the row codes give the same key as the entries.
+Matrix inverses follow the same BFS: if y = x * h then y^-1 = h^-1 * x^-1,
+so only the generators are inverted by elimination.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
@@ -447,12 +453,10 @@ class GroupTable:
         return inv[rinv[inv[rinv]]]
 
     def _finish_classes(self, label: np.ndarray):
-        """Number the classes from any labelling of the elements that is
-        constant exactly on classes: ascending (size, smallest member)."""
-        _, first, old_of, sizes = np.unique(
-            label, return_index=True, return_inverse=True, return_counts=True
-        )
-        # first[k] is the smallest member of old class k
+        """Number the classes, ascending (size, smallest member), from a
+        labelling of every element by the smallest member of its class, so
+        the distinct labels are the smallest members themselves."""
+        first, old_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
         new_to_old = np.lexsort((first, sizes))
         relabel = np.empty_like(new_to_old)
         relabel[new_to_old] = np.arange(len(new_to_old))
@@ -590,6 +594,19 @@ def _distinct_gens(images) -> tuple[list[int], list[int]]:
     return list(first) or [0], list(first.values()) or [0]
 
 
+def _first_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the position of the first
+    occurrence of each: np.unique(keys, return_index=True) without its
+    stable sort.  The positions of equal keys form one run of any sorted
+    order, and the first occurrence is the run's smallest position."""
+    at = np.argsort(keys)
+    ordered = keys[at]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return ordered[starts], np.minimum.reduceat(at, starts)
+
+
 def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first layers (new, parent, via) of the Cayley graph given by
     right[t, x] = x * gens[t], from the identity: new elements in order of
@@ -606,7 +623,7 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         fresh = np.flatnonzero(~seen[cand])
         if not fresh.size:
             return layers
-        _, first = np.unique(cand[fresh], return_index=True)
+        _, first = _first_unique(cand[fresh])
         pick = fresh[np.sort(first)]
         new = cand[pick]
         seen[new] = True
@@ -638,6 +655,16 @@ def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
         return rows @ powers
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+
+
+def _row_table(gen_rows: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row vector v of GF(p)^n, coded as sum(v_c * p**c): vecs[code]
+    is v, and act[code, t] is the code of v * h_t for each generator h_t,
+    all formed by one matmul."""
+    radix = p ** np.arange(n, dtype=np.int64)
+    vecs = np.arange(p**n, dtype=np.int64)[:, None] // radix % p
+    act = (vecs @ gen_rows.reshape(-1, n, n)) % p @ radix
+    return vecs, np.ascontiguousarray(act.T)
 
 
 class _KeySet:
@@ -726,10 +753,17 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     keyed (int64 codes, or row bytes past the limit in _radix_powers); the
     keys already known are dropped by a search in sorted key runs.  The new
     elements get the next indices in order of first occurrence over
-    (frontier element, generator), so index 0 is the identity and the
-    numbering equals that of an element-by-element BFS.  CapExceeded is
-    raised as soon as the order would pass cap, before that layer's rows
-    are kept.
+    (frontier element, generator), found by _first_unique, so index 0 is
+    the identity and the numbering equals that of an element-by-element
+    BFS.  CapExceeded is raised as soon as the order would pass cap, before
+    that layer's rows are kept.
+
+    Matrices with int64 keys and p**n <= cap, a table no larger than the
+    regular action the cap admits, are carried as n row codes
+    sum(v_c * p**c) < p**n.  As row r of x * h is (row r of x) * h, the
+    products are gathers from _row_table, and their keys, the row codes
+    as digits base p**n, are the entry keys sum(e_i * p**i).  The rows are
+    decoded once at the end.  Other groups compose carrier rows.
 
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key
@@ -744,27 +778,39 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise ValueError("at least one generator is required")
     kind, identity, gen_rows, compose, powers = _carrier(gens)
     k, width = gen_rows.shape
+    start, cand_powers, act = identity, powers, None
     if kind == "mat":
-        gen_inv = [ff_inv(x.entries, gens[0].field.p) for x in gens]
+        p, n = gens[0].field.p, gens[0].n
+        gen_inv = [ff_inv(x.entries, p) for x in gens]
         if any(x is None for x in gen_inv):
             raise SingularMatrix("matrix generators must be invertible")
         gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
+        if powers is not None and p**n <= cap:
+            # elements are carried as row codes, keyed as their entries:
+            # sum_r code_r * (p**n)**r = sum_i entry_i * p**i
+            vecs, act = _row_table(gen_rows, p, n)
+            start, cand_powers = p ** np.arange(n, dtype=np.int64), powers[::n]
 
-    layers = [identity[None, :]]
+    layers = [start[None, :]]
     # for each layer after the first and each y = x * h in it: the index
     # of x and the position of h in gens
     parent, via = [], []
     # the key of element x * gens[b] at x * k + b
     cand_keys = []
-    known = _KeySet(_row_keys(layers[0], powers))
+    known = _KeySet(_row_keys(layers[0], cand_powers))
     order = 1
     while True:
         frontier = layers[-1]
         first = order - len(frontier)
-        # candidate a * k + b is frontier[a] * gens[b]
-        cand = compose(frontier[:, None], gen_rows[None]).reshape(len(frontier) * k, width)
-        cand_keys.append(_row_keys(cand, powers))
-        uniq, at = np.unique(cand_keys[-1], return_index=True)
+        # candidate a * k + b is frontier[a] * gens[b], composed from the
+        # carrier rows or gathered from the row table
+        if act is None:
+            cand = compose(frontier[:, None], gen_rows[None])
+        else:
+            cand = act[frontier].transpose(0, 2, 1)
+        cand = cand.reshape(len(frontier) * k, -1)
+        cand_keys.append(_row_keys(cand, cand_powers))
+        uniq, at = _first_unique(cand_keys[-1])
         fresh = known.missing(uniq)
         if not fresh.any():
             break
@@ -785,12 +831,15 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g.order = order
     elements = np.concatenate(layers)
     del layers
+    if act is not None:
+        elements = vecs[elements].reshape(order, width)
     elements.setflags(write=False)
     keys = _row_keys(elements, powers)
     g._rows = elements
     g._compose = compose
     g._pow = powers
-    g._sorted_pos = np.argsort(keys, kind="stable")
+    # keys are distinct, so any sort orders them the same way
+    g._sorted_pos = np.argsort(keys)
     g._sorted_codes = keys[g._sorted_pos]
     g.gens, cols = _distinct_gens(g._lookup_rows(gen_rows).tolist())
     cand_keys = np.concatenate(cand_keys).reshape(order, k)

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -219,6 +219,21 @@ def test_enumeration_cap():
         assert engine.enumerate_group(gens, cap=order).order == order
 
 
+def test_enumeration_cap_on_compose_path():
+    # a cap below p**n keeps matrix products off the row table: SL2(5) at
+    # cap 24 < 5**2 composes entries keyed by int64 codes, and the 3 x 3
+    # diagonal group mod 127 (order 126) composes entries keyed by bytes
+    sl25_gens = gf.classical_generators("SL", 2, PrimeField(5))
+    diag = [FFMatrix(PrimeField(127), np.diag([3, 9, 5]))]
+    for gens, cap in ((sl25_gens, 24), (diag, 125)):
+        with pytest.raises(CapExceeded) as err:
+            engine.enumerate_group(gens, cap=cap)
+        assert str(err.value) == (
+            f"group enumeration passed cap {cap}; raise the cap to continue"
+        )
+    assert engine.enumerate_group(diag, cap=126).order == 126
+
+
 def test_mixed_carriers_rejected():
     with pytest.raises(engine.MixedCarriers):
         engine.enumerate_group(
@@ -328,6 +343,42 @@ def test_wide_keys_match_bfs_oracle():
             assert g.index_of(g.element(i)) == i
     assert engine._radix_powers(15, 15) is not None
     assert engine._radix_powers(16, 16) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+    st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), min_size=1, max_size=40),
+)
+def test_first_unique_matches_np_unique(ints, rows):
+    # int64 codes and the byte keys of rows past the int64 limit, both with
+    # many repeats
+    for keys in (
+        np.array(ints, dtype=np.int64),
+        engine._row_keys(np.array(rows, dtype=np.int64), None),
+    ):
+        uniq, first = engine._first_unique(keys)
+        want_uniq, want_first = np.unique(keys, return_index=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(first, want_first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_generators())
+def test_row_table_enumeration_matches_compose_path(drawn):
+    # the default cap admits the row table of all p**n row vectors, and cap
+    # p**n - 1 does not, so the same group is built both ways
+    p, n, gens = drawn
+    carriers = [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
+    g = engine.enumerate_group(carriers)
+    assume(g.order < p**n)
+    h = engine.enumerate_group(carriers, cap=p**n - 1)
+    assert np.array_equal(g._rows, h._rows)
+    assert np.array_equal(g._right, h._right)
+    assert np.array_equal(g.inv, h.inv)
+    assert len(g._layers) == len(h._layers)
+    for a, b in zip(g._layers, h._layers):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("spec", ["SL2:7", "SL3:3", "Sp4:3"])
