@@ -5,10 +5,11 @@ field F_ell with ell = 1 (mod exp(G)): the class-sum multiplication
 matrices commute, their simultaneous eigenvectors are the primitive
 central idempotents, and the degrees fall out of the orthogonality
 normalization.  Everything is exact integer arithmetic; no floating
-point appears anywhere in this module.  Null spaces and column reductions
-come from the one elimination kernel in gf (ff_nullspace, ff_rref).  The
-class-sum multiplication matrices are read from the engine's structure
-rows, the one place class products are formed.
+point appears anywhere in this module.  The eigenspaces of each action
+come from the one elimination kernel in gf: one ff_nullspaces call reduces
+the shifts by every eigenvalue at once.  The class-sum multiplication
+matrices are read from the engine's structure rows, the one place class
+products are formed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .engine import GroupTable, TrivialGroup, normal_subgroups
 from .errors import CapExceeded
-from .gf import ff_nullspace, ff_rref, is_prime
+from .gf import ff_nullspaces, is_prime
 
 DEGREE_ORDER_CAP = 20_000
 _PRIME_ATTEMPTS = 8
@@ -130,31 +131,29 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
     # |G| products of two residues; the class-matrix products sum r of them.
     _check_residue_sums(order, ell)
 
-    # Subspaces of the class algebra, column-reduced; split until 1-dim.
-    spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    # Subspaces of the class algebra, each a basis b that is the identity on
+    # its rows piv, so (m_i b)[piv] is the action on it; split until 1-dim.
+    spaces: list[tuple[np.ndarray, np.ndarray]] = [(np.eye(r, dtype=np.int64), np.arange(r))]
     for i in range(1, r):
         if all(b.shape[1] == 1 for b, _ in spaces):
             break
         m_i = _class_coefficients(g, i).T % ell
-        next_spaces: list[tuple[np.ndarray, list[int]]] = []
+        next_spaces: list[tuple[np.ndarray, np.ndarray]] = []
         for b, piv in spaces:
             dim = b.shape[1]
             if dim == 1:
                 next_spaces.append((b, piv))
                 continue
             action = (m_i @ b)[piv] % ell
+            roots = np.array(_poly_roots_mod(_charpoly_mod(action, ell), ell), dtype=np.int64)
+            shifted = (action - roots[:, None, None] * np.eye(dim, dtype=np.int64)) % ell
             found = 0
-            for lam in _poly_roots_mod(_charpoly_mod(action, ell), ell):
-                shifted = (action - lam * np.eye(dim, dtype=np.int64)) % ell
-                kern = ff_nullspace(shifted, ell)
-                if kern.shape[1] == 0:
-                    continue
-                # Column-reduce the new basis so that its pivot rows are the identity.
-                rows, pivots = ff_rref(((b @ kern) % ell).T, ell)
-                if len(pivots) != kern.shape[1]:
-                    raise ArithmeticError("subspace basis lost rank during reduction")
-                next_spaces.append((rows.T, pivots))
-                found += kern.shape[1]
+            # kern is the identity on its free rows, so b @ kern is the
+            # identity on rows piv[free].
+            for kern, free in ff_nullspaces(shifted, ell):
+                if len(free):
+                    next_spaces.append(((b @ kern) % ell, piv[free]))
+                    found += len(free)
             if found != dim:
                 raise _SplitFailure(f"defective action at class {i}")
         spaces = next_spaces

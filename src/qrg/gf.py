@@ -8,10 +8,15 @@ a (b, n, m) stack of matrices: a loop over the m columns, vectorized over
 the b matrices.  It never swaps rows.  In each column a matrix takes its
 first unused row with a nonzero entry as the pivot row, scales it to a
 leading 1, clears the column in every other row and marks the row used.
-Rank, determinant, inverse, nullspace and reduced row echelon form are read
-off its pivot map.  shift_ranks ranks a*I - g for every a in GF(p) at once;
-the Jordan length is read off those ranks, and so is the two-prime witness's,
-from the ranks of its two cycle blocks.
+Pivot inverses come from a per-p table of every inverse mod p for
+p < MAX_PRIME, and from Python's pow on the pivots above it.  Rank,
+determinant, inverse, reduced row echelon form and the nullspaces of a whole
+stack (ff_nullspaces, one elimination for every matrix) are read off its
+pivot map; the character degrees read the kernels of all eigenvalue shifts
+of one class-algebra action from a single ff_nullspaces call.  shift_ranks
+ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
+those ranks, and so is the two-prime witness's, from the ranks of its two
+cycle blocks.
 The kernel multiplies two residues below p, so it requires p < 2**31
 (p**2 < 2**62), checked where it is entered; callers such as the character
 degrees pass primes above MAX_PRIME.
@@ -19,6 +24,7 @@ degrees pass primes above MAX_PRIME.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -170,6 +176,26 @@ class FFMatrix:
         return f"FFMatrix({matrix_literal(self)!r})"
 
 
+@functools.lru_cache(maxsize=4)
+def _inverse_table(p: int) -> np.ndarray:
+    """x -> x^-1 mod p for every x in GF(p), with 0 -> 0; p < MAX_PRIME (512 KB).
+
+    x^(p-2) by squaring, over all residues at once: products of two residues
+    below 2**16 fit int64.
+    """
+    x = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * x % p
+        x = x * x % p
+        e >>= 1
+    inv[0] = 0
+    inv.setflags(write=False)
+    return inv
+
+
 def _eliminate(stack: np.ndarray, p: int):
     """Fully reduce every matrix of a (b, n, m) stack mod p, without swapping rows.
 
@@ -182,6 +208,7 @@ def _eliminate(stack: np.ndarray, p: int):
     if not 2 <= p < _ELIM_PRIME_LIMIT:
         raise ValueError(f"elimination needs 2 <= p < 2**31, got {p}")
     a = np.asarray(stack, dtype=np.int64, order="C") % p
+    table = _inverse_table(p) if p < MAX_PRIME else None
     b, n, m = a.shape
     flat = a.reshape(b * n, m)
     first = np.arange(0, b * n, n)
@@ -201,7 +228,10 @@ def _eliminate(stack: np.ndarray, p: int):
         if not k:
             continue
         piv = col[at] * has
-        inv = np.array([pow(v, -1, p) if v else 0 for v in piv.tolist()], dtype=np.int64)
+        if table is not None:
+            inv = table[piv]
+        else:
+            inv = np.array([pow(v, -1, p) if v else 0 for v in piv.tolist()], dtype=np.int64)
         row = flat[at] * inv[:, None] % p
         # A matrix without a pivot here has row = 0, so it is left unchanged.
         a -= col.reshape(b, n, 1) * row[:, None, :]
@@ -251,16 +281,29 @@ def ff_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return reduced[0, pivot_row[0, cols]], cols
 
 
+def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kernel of every matrix of a (b, n, m) stack mod p, from one elimination.
+
+    Returns (basis, free) per matrix: basis is an (m, m - rank) column basis
+    in reduced form and free the columns without a pivot, on which the basis
+    is the identity.  Row c of I - R, where R carries the reduced pivot row
+    of each pivot column c and zeros elsewhere, is -(that row) on the free
+    columns and e_c for a free c; the basis is its free columns.
+    """
+    reduced, pivot_row, _ = _eliminate(stack, p)
+    has = pivot_row >= 0
+    rows = np.take_along_axis(reduced, np.where(has, pivot_row, 0)[:, :, None], axis=1)
+    full = (np.eye(reduced.shape[2], dtype=np.int64) - rows * has[:, :, None]) % p
+    out = []
+    for basis, pivotless in zip(full, ~has):
+        free = np.flatnonzero(pivotless)
+        out.append((basis[:, free], free))
+    return out
+
+
 def ff_nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Column basis of the kernel, in reduced form (free rows carry identity)."""
-    rows, pivots = ff_rref(a, p)
-    is_free = np.ones(rows.shape[1], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((rows.shape[1], len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = -rows[:, free] % p
-    return basis
+    return ff_nullspaces(np.asarray(a, dtype=np.int64)[None], p)[0][0]
 
 
 def shift_ranks(stack: np.ndarray, p: int) -> np.ndarray:

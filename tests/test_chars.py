@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qrg import chars, engine
+from qrg import chars, engine, gf
 from qrg.errors import CapExceeded
 from qrg.groupspec import build_group, parse_spec
 from qrg.permutations import Permutation
@@ -29,13 +29,90 @@ def carrier_gens(g):
 
 
 @pytest.mark.parametrize(
-    "spec", ["C5", "S3", "S4", "A5", "A6", "A7", "SL2:5", "SL2:7", "SL2:11"]
+    "spec",
+    [
+        "C5", "S3", "S4", "S5", "S6", "S7", "D12", "A5", "A6", "A7",
+        "SL2:5", "SL2:7", "SL2:11", "SL2:13", "SL2:17",
+    ],
 )
 def test_degrees_match_class_algebra_oracle(spec):
     g = build(spec)
     gens, mul, inv = carrier_gens(g)
     want = oracles.degrees_class_algebra(gens, mul, inv)
     assert chars.character_degrees(g).degrees == want
+
+
+_DEFECTIVE = "defective action at class {}".format
+_INVALID = "degree multiset failed validation"
+_A5 = (1, 3, 3, 4, 5)
+_S5 = (1, 1, 4, 4, 5, 5, 6)
+_SL2_5 = (1, 2, 2, 3, 3, 4, 4, 5, 6)
+_A6 = (1, 5, 5, 8, 8, 9, 10)
+_D12 = (1, 1, 1, 1, 2, 2, 2, 2, 2)
+_SL2_7 = (1, 3, 3, 4, 4, 6, 6, 6, 7, 8, 8)
+
+# _degrees_at_prime at every prime 11 <= ell <= 43 above the class count:
+# the degrees, or the message of the split failure.  Most of these primes
+# are not 1 mod exp(G), so the split fails at some of them, and the class
+# and the reason it fails at are part of the outcome.
+_SPLIT_OUTCOMES = {
+    "A5": {
+        11: _A5, 13: _DEFECTIVE(1), 17: _DEFECTIVE(1), 19: _A5, 23: _DEFECTIVE(1),
+        29: _A5, 31: _A5, 37: _DEFECTIVE(1), 41: _A5, 43: _DEFECTIVE(1),
+    },
+    "S5": {11: _INVALID, **{ell: _S5 for ell in (13, 17, 19, 23, 29, 31, 37, 41, 43)}},
+    "SL2:5": {
+        11: _INVALID, 13: _DEFECTIVE(2), 17: _DEFECTIVE(2), 19: _SL2_5, 23: _DEFECTIVE(2),
+        29: _SL2_5, 31: _SL2_5, 37: _DEFECTIVE(2), 41: _SL2_5, 43: _DEFECTIVE(2),
+    },
+    "A6": {
+        11: _INVALID, 13: _DEFECTIVE(4), 17: _DEFECTIVE(4), 19: _INVALID, 23: _DEFECTIVE(4),
+        29: _A6, 31: _A6, 37: _DEFECTIVE(4), 41: _A6, 43: _DEFECTIVE(4),
+    },
+    "D12": {
+        11: _D12, 13: _D12, 17: _DEFECTIVE(2), 19: _DEFECTIVE(2), 23: _D12,
+        29: _DEFECTIVE(2), 31: _DEFECTIVE(2), 37: _D12, 41: _DEFECTIVE(2), 43: _DEFECTIVE(2),
+    },
+    "SL2:7": {
+        13: _DEFECTIVE(2), 17: _DEFECTIVE(2), 19: _DEFECTIVE(2), 23: _SL2_7,
+        29: _DEFECTIVE(6), 31: _DEFECTIVE(2), 37: _DEFECTIVE(6), 41: _DEFECTIVE(2),
+        43: _DEFECTIVE(6),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_SPLIT_OUTCOMES))
+def test_split_outcomes_at_small_primes(spec):
+    g = build(spec)
+    got = {}
+    for ell in _SPLIT_OUTCOMES[spec]:
+        assert ell > len(g.classes)
+        try:
+            got[ell] = tuple(chars._degrees_at_prime(g, ell))
+        except chars._SplitFailure as exc:
+            got[ell] = str(exc)
+    assert got == _SPLIT_OUTCOMES[spec]
+
+
+@pytest.mark.parametrize("spec", ["S5", "A6", "D12", "SL2:7", "SL2:13"])
+def test_one_elimination_per_split_space(monkeypatch, spec):
+    # every space of dimension > 1 is split by one characteristic polynomial
+    # and one elimination of its shifts by all the eigenvalues
+    g = build(spec)
+    calls = {"charpoly": 0, "eliminate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(chars, "_charpoly_mod", counted("charpoly", chars._charpoly_mod))
+    monkeypatch.setattr(gf, "_eliminate", counted("eliminate", gf._eliminate))
+    chars.character_degrees(g)
+    assert calls["charpoly"] > 0
+    assert calls["eliminate"] == calls["charpoly"]
 
 
 @pytest.mark.parametrize("spec", ["C5", "S3", "S4", "A5", "SL2:5"])

@@ -128,6 +128,49 @@ def test_rref_is_reduced_and_keeps_the_row_space(case):
         assert oracles.rank_mod_p(np.vstack([x, rows]).tolist(), p) == rank
 
 
+def check_nullspaces(a, p):
+    # each basis is ff_nullspace's for its own matrix, kills it, has
+    # m - rank columns and is the identity on its free rows; the products
+    # are Python ints, as residues near 2**31 overflow int64 sums
+    got = gf.ff_nullspaces(a, p)
+    assert len(got) == len(a)
+    m = a.shape[2]
+    for x, (basis, free) in zip(a, got):
+        assert (basis == gf.ff_nullspace(x, p)).all()
+        assert basis.shape == (m, m - oracles.rank_mod_p(x.tolist(), p))
+        assert not ((x.astype(object) @ basis.astype(object)) % p).any()
+        assert (basis[free] == np.eye(len(free), dtype=np.int64)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_nullspaces_match_oracle_on_stacks(case):
+    p, a = case
+    check_nullspaces(a, p)
+
+
+def test_nullspaces_above_the_inverse_table():
+    # 2**31 - 1 is past MAX_PRIME, so the pivots are inverted by pow
+    p = 2**31 - 1
+    a = np.array(
+        [
+            [[p - 1, 2, 3], [2, p - 4, p - 6], [5, 0, 7]],  # rank 2
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[3, p - 2, 1], [p - 3, 2, p - 1], [6, p - 4, 2]],  # rank 1
+        ],
+        dtype=np.int64,
+    )
+    check_nullspaces(a, p)
+    assert [basis.shape[1] for basis, _ in gf.ff_nullspaces(a, p)] == [1, 3, 2]
+
+
+def test_inverse_table():
+    for p in (2, 3, 7, 65521):
+        table = gf._inverse_table(p)
+        assert table[0] == 0
+        assert (np.arange(1, p) * table[1:] % p == 1).all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_inverse_round_trips_on_stacks(case):
