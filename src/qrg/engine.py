@@ -23,8 +23,10 @@ so while the int64 code fits and the p**n rows of an n x n matrix over
 GF(p) are within the order cap, a table per generator maps each row, coded
 below p**n, to the code of its product, and a layer's products are gathers.
 Read as digits base p**n, the row codes give the same key as the entries.
-Matrix inverses follow the same BFS: if y = x * h then y^-1 = h^-1 * x^-1,
-so only the generators are inverted by elimination.
+Matrix inverses ride along the same BFS: y = x * h has y^-1 = h^-1 * x^-1
+and (y^-1)^T = (x^-1)^T * (h^-1)^T, so with row codes the transposed
+inverses are gathers from a second table.  Only the generators are inverted
+by elimination, and no inverse is searched for by its key.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
@@ -44,9 +46,11 @@ R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
 inv o R_h^-1 o inv o R_h^-1, four gathers; the orbits are found by
 min-label propagation over those index arrays, and the classes are numbered
 by ascending (size, smallest member).  The center is the union of the
-classes of size 1.  A quotient G/N labels every element with the smallest
-member of its coset, from batched products of the smallest unplaced
-elements with all of N, and numbers the cosets in that order.
+classes of size 1.  The cosets x N of a quotient G/N are the orbits of
+x -> x * z, R composed along the tree path of z, for z in Z: while the
+identity's orbit <Z> is short of N, the smallest member of N outside it
+joins Z and the propagation goes on.  Each element ends labelled by the
+smallest member of its coset, and the cosets are numbered in that order.
 
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
 and every subgroup question is answered from class products: row j of the
@@ -95,8 +99,6 @@ DENSE_TABLE_CAP = 4096
 # scratch stays small next to the int32 table.
 _DENSE_BLOCK = 1 << 16
 CLASS_CAP = 64
-# Products formed at once when labelling the cosets of a quotient.
-_COSET_PRODUCTS = 1 << 20
 
 
 class MixedCarriers(TypeError):
@@ -182,6 +184,7 @@ class GroupTable:
         # over it, layers (new, parent, via) with new = parent * gens[via]
         self._right = None
         self._layers = None
+        self._parent_via = None
         # perm and mat carriers: one flattened int64 row per element, the
         # row product of _carrier, and the row-key lookup (radix powers, or
         # None for byte keys)
@@ -299,10 +302,7 @@ class GroupTable:
         identity: for x = p * h, x * y = p * (h * y), and h * y is
         inv(R_h^-1(inv(y))), so y is multiplied on the left by the
         generators on x's tree path, the last one first."""
-        parent = np.zeros(self.order, dtype=np.int64)
-        via = np.zeros(self.order, dtype=np.int64)
-        for new, par, v in self._tree():
-            parent[new], via[new] = par, v
+        parent, via = self._tree_arrays()
         rinv = np.empty_like(self._right)
         rinv[np.arange(len(rinv))[:, None], self._right] = np.arange(self.order)
         left = self.inv[rinv[:, self.inv]]
@@ -314,12 +314,35 @@ class GroupTable:
             live = live[at[live] != 0]
         return out
 
+    def _right_products(self, z: int) -> np.ndarray:
+        """x * z for every x, R composed along the tree path of z: for
+        z = h_1 ... h_d, x * z = R_h_d(... R_h_1(x)), one gather per step."""
+        parent, via = self._tree_arrays()
+        path = []
+        while z:
+            path.append(via[z])
+            z = parent[z]
+        out = np.arange(self.order)
+        for h in reversed(path):
+            out = self._right[h, out]
+        return out
+
     def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Breadth-first layers (new, parent, via) over the right regular
         action from the identity, new = parent * gens[via]; cached."""
         if self._layers is None:
             self._layers = _bfs_layers(self._right)
         return self._layers
+
+    def _tree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tree's parent and via of every element, 0 at the identity; cached."""
+        if self._parent_via is None:
+            parent = np.zeros(self.order, dtype=np.int64)
+            via = np.zeros(self.order, dtype=np.int64)
+            for new, par, v in self._tree():
+                parent[new], via[new] = par, v
+            self._parent_via = parent, via
+        return self._parent_via
 
     # -- elements -----------------------------------------------------------
 
@@ -422,26 +445,13 @@ class GroupTable:
 
         The classes are the orbits of the conjugation maps c_h(x) = h x h^-1,
         h running over the generators, each formed for all elements by
-        gathers over the regular action.  Orbits are found by min-label
-        propagation: every element starts labelled by itself, then
-        label <- min(label, label[c_h]) for each h and label <- label[label],
-        until nothing changes.  Labels never leave an element's orbit and,
-        at the fixed point, are constant on each cycle of every c_h, so each
-        element ends labelled by the smallest member of its class.
+        gathers over the regular action; _orbit_labels labels each element
+        by the smallest member of its class.
         """
         if self._classes is not None:
             return
         conj = [self._conjugation_map(t) for t, h in enumerate(self.gens) if h != 0]
-        label = np.arange(self.order, dtype=np.int64)
-        while True:
-            new = label
-            for c in conj:
-                new = np.minimum(new, new[c])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
-        self._finish_classes(label)
+        self._finish_classes(_orbit_labels(conj, np.arange(self.order)))
 
     def _conjugation_map(self, t: int) -> np.ndarray:
         """Index of h x h^-1 for every element x, h = gens[t]: with rinv the
@@ -485,7 +495,9 @@ class GroupTable:
         class_of = self.class_of
         r = len(self._classes)
         prod = self._row_products(self._class_reps[j])
-        return np.unique(class_of * r + class_of[prod], return_counts=True)
+        counts = np.bincount(class_of * r + class_of[prod], minlength=r * r)
+        codes = np.flatnonzero(counts)
+        return codes, counts[codes]
 
     def class_pair_product_bits(self, ci: int, cj: int) -> int:
         """Bitmask of classes met by C_i * C_j: the support of structure row
@@ -592,6 +604,21 @@ def _distinct_gens(images) -> tuple[list[int], list[int]]:
         if idx != 0:
             first.setdefault(idx, b)
     return list(first) or [0], list(first.values()) or [0]
+
+
+def _orbit_labels(maps, label: np.ndarray) -> np.ndarray:
+    """Each element labelled by the smallest member of its orbit under the
+    permutations maps, from labels inside the orbits: label <- min(label,
+    label[m]) for each m and label <- label[label] until nothing changes,
+    when labels are constant on every cycle of every map."""
+    while True:
+        new = label
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _first_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -769,9 +796,11 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     right regular action: for each generator they are every element's key
     once, so their argsort, composed with the sorted element keys, is R_h.
 
-    Permutation inverses are the argsort of each row.  Matrix inverses come
-    from the tree: an element y = x * h has y^-1 = h^-1 * x^-1, with x from
-    the layer before, so only the generators are inverted by elimination.
+    Permutation inverses are the argsort of each row.  Matrix inverses are
+    carried next to each layer, y^-1 = h^-1 * x^-1 composed, or as row codes
+    (y^-1)^T = (x^-1)^T * (h^-1)^T gathered from a _row_table of the
+    (h^-1)^T; only the generators are inverted by elimination.  At the end
+    the inverses' keys are formed once and give g.inv as R_h's give R_h.
     """
     gens = list(generators)
     if not gens:
@@ -789,9 +818,10 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             # elements are carried as row codes, keyed as their entries:
             # sum_r code_r * (p**n)**r = sum_i entry_i * p**i
             vecs, act = _row_table(gen_rows, p, n)
+            _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
             start, cand_powers = p ** np.arange(n, dtype=np.int64), powers[::n]
 
-    layers = [start[None, :]]
+    layers, inv_layers = [start[None, :]], [start[None, :]]
     # for each layer after the first and each y = x * h in it: the index
     # of x and the position of h in gens
     parent, via = [], []
@@ -823,6 +853,12 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         layers.append(cand[pick])
         parent.append(first + pick // k)
         via.append(pick % k)
+        if kind == "mat":
+            x_inv = inv_layers[-1][pick // k]
+            if act is None:
+                inv_layers.append(compose(gen_inv[via[-1]], x_inv))
+            else:
+                inv_layers.append(act_inv[x_inv, via[-1][:, None]])
         order += len(pick)
         del cand  # free before the next layer's products exist
 
@@ -860,12 +896,16 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         g.inv = g._bijection(_row_keys(np.argsort(elements, axis=1), powers))
         g.label = f"permutation group on {width} points"
     else:
-        field = gens[0].field
-        g.field = field
-        g.inv = np.zeros(order, dtype=np.int64)
-        for new, par, h in g._tree():
-            g.inv[new] = g._lookup_rows(compose(gen_inv[cols][h], elements[g.inv[par]]))
-        g.label = f"matrix group over {field}"
+        inverses = np.concatenate(inv_layers)
+        if act is None:
+            inv_keys = _row_keys(inverses, powers)
+        else:
+            # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
+            # its digit c to p**(c * n) and adding p**r places them all
+            inv_keys = (vecs @ powers[::n])[inverses] @ powers[:n]
+        g.inv = g._bijection(inv_keys)
+        g.field = gens[0].field
+        g.label = f"matrix group over {g.field}"
     return g
 
 
@@ -903,20 +943,18 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     # it is a subgroup
     if not _is_subgroup(g, n.class_bits):
         raise NotNormal("the given class union is not a subgroup")
-    # label each element by the smallest member of its coset x N: take the
-    # smallest elements not yet placed, whose cosets' smallest members are
-    # among them, and scatter-min each over its whole coset.  The batch is
-    # at most the index [G:N]: past it the sources mostly share cosets, and
-    # a large N would form 2**20 products to find a handful of cosets.
+    # label each element by the smallest member of its orbit under x -> x * z
+    # for z in Z, the coset x<Z>; while the identity's orbit <Z> is short of
+    # N, add to Z the smallest member of N outside it, which at least
+    # doubles <Z>, so that log2 |N| steps suffice
     members = n.members
-    unplaced = g.order
-    least = np.full(g.order, unplaced, dtype=np.int64)
-    batch = max(1, min(g.order // n.order, _COSET_PRODUCTS // n.order))
-    while True:
-        todo = np.flatnonzero(least == unplaced)[:batch]
-        if not todo.size:
+    shifts, least = [], np.arange(g.order)
+    for _ in range(n.order.bit_length()):
+        outside = members[least[members] != 0]
+        if not outside.size:
             break
-        np.minimum.at(least, g.mul_pairwise(todo[:, None], members), todo[:, None])
+        shifts.append(g._right_products(int(outside[0])))
+        least = _orbit_labels(shifts, least)
     reps, proj = np.unique(least, return_inverse=True)
     q = GroupTable()
     q.kind = "quot"

@@ -94,6 +94,19 @@ def test_split_outcomes_at_small_primes(spec):
     assert got == _SPLIT_OUTCOMES[spec]
 
 
+@pytest.mark.parametrize("spec", ["A6", "SL2:7", "D12"])
+def test_class_by_class_split_without_the_generic_element(monkeypatch, spec):
+    # with all coefficients zero the generic element splits nothing, so the
+    # classes after class 1 do all the work
+    monkeypatch.setattr(
+        chars, "_generic_coefficients", lambda r, ell: np.zeros(r - 1, dtype=np.int64)
+    )
+    g = build(spec)
+    gens, mul, inv = carrier_gens(g)
+    assert chars.character_degrees(g).degrees == oracles.degrees_class_algebra(gens, mul, inv)
+    test_split_outcomes_at_small_primes(spec)
+
+
 @pytest.mark.parametrize("spec", ["S5", "A6", "D12", "SL2:7", "SL2:13"])
 def test_one_elimination_per_split_space(monkeypatch, spec):
     # every space of dimension > 1 is split by one characteristic polynomial

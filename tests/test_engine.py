@@ -320,20 +320,32 @@ def test_enumeration_matches_bfs_oracle_on_random_matrix_groups(drawn):
     _check_against_bfs(g, gens, oracles.matmul_mod(p))
 
 
+def matrices(p, n, gens):
+    return [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
+
+
+_SWAP = (0, 1, 1, 0)
+_S4_MATRICES = [
+    tuple(int(x) for x in np.eye(4, dtype=np.int64)[list(perm)].ravel())
+    for perm in ((1, 2, 3, 0), (1, 0, 2, 3))
+]
+
+
 def test_wide_keys_match_bfs_oracle():
-    # codes would overflow int64 here (16**16, 17**17 and 127**9 are all
-    # past 2**62), so rows are keyed by their bytes
+    # codes would overflow int64 here (16**16, 17**17, 127**9 and 17**16
+    # are all past 2**62), so rows are keyed by their bytes
     c16 = [tuple((i + 1) % 16 for i in range(16))]
     d17 = [
         tuple((i + 1) % 17 for i in range(17)),
         tuple((17 - i) % 17 for i in range(17)),
     ]
     diag = [(3, 0, 0, 0, 9, 0, 0, 0, 5)]
-    diag_carrier = [FFMatrix(PrimeField(127), np.reshape(diag[0], (3, 3)))]
     cases = [
         ([Permutation(x) for x in c16], c16, oracles.compose),
         ([Permutation(x) for x in d17], d17, oracles.compose),
-        (diag_carrier, diag, oracles.matmul_mod(127)),
+        (matrices(127, 3, diag), diag, oracles.matmul_mod(127)),
+        # S4 as its 4 x 4 permutation matrices, not commutative
+        (matrices(17, 4, _S4_MATRICES), _S4_MATRICES, oracles.matmul_mod(17)),
     ]
     for carriers, gens, mul in cases:
         g = engine.enumerate_group(carriers)
@@ -343,6 +355,33 @@ def test_wide_keys_match_bfs_oracle():
             assert g.index_of(g.element(i)) == i
     assert engine._radix_powers(15, 15) is not None
     assert engine._radix_powers(16, 16) is None
+
+
+@pytest.mark.parametrize(
+    "p, n, gens, cap",
+    [
+        # GL2(7) from the row table, as p**n = 49 is under the cap
+        (7, 2, [(3, 0, 0, 5), (1, 1, 0, 1), (0, 6, 1, 0)], engine.DEFAULT_ORDER_CAP),
+        # monomial matrices of order 32 composed, as p**n = 10201 is past the cap
+        (101, 2, [(10, 0, 0, 1), _SWAP], 100),
+        # S4 keyed by row bytes, as 17**16 is past 2**62
+        (17, 4, _S4_MATRICES, engine.DEFAULT_ORDER_CAP),
+    ],
+)
+def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap):
+    # inverses are carried through the BFS, so the one row lookup of a build
+    # is the one that indexes the generators
+    calls = []
+    lookup = engine.GroupTable._lookup_rows
+
+    def counted(self, rows):
+        calls.append(rows.shape)
+        return lookup(self, rows)
+
+    monkeypatch.setattr(engine.GroupTable, "_lookup_rows", counted)
+    g = engine.enumerate_group(matrices(p, n, gens), cap=cap)
+    assert calls == [(len(gens), n * n)]
+    assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -823,7 +862,8 @@ def _check_regular_action(g, rng):
     """R_h(x) = x h for every generator h and element x; the tree reaches
     every element once, layer by layer, with new = parent * gens[via]; the
     conjugation maps are x -> h x h^-1; sampled rows and columns of the
-    dense table are i * G and G * j; and the commutator set is the classes
+    dense table are i * G and G * j, and so is R composed along the tree
+    path of j; and the commutator set is the classes
     of a x a^-1 x^-1 for a over the class representatives and x over G,
     enough as the set is invariant under conjugation."""
     mul = _oracle_index_mul(g)
@@ -852,6 +892,7 @@ def _check_regular_action(g, rng):
     for i in rng.choice(g.order, size=min(g.order, 4), replace=False).tolist():
         assert table[i].tolist() == [mul(i, y) for y in every]
         assert table[:, i].tolist() == [mul(x, i) for x in every]
+        assert g._right_products(i).tolist() == table[:, i].tolist()
 
     met = set()
     for c in g.classes:
@@ -888,7 +929,7 @@ def test_regular_action_with_wide_keys():
 
 
 def test_whole_group_products_form_no_carrier_products(monkeypatch):
-    groups = [build_group(parse_spec(s)) for s in ("A5", "SL2:5", "prod(A5,C2)", "PSL2:7")]
+    groups = [build_group(parse_spec(s)) for s in ("A5", "SL2:5", "prod(A5,C2)", "S5", "PSL2:7")]
     calls = []
 
     def counted(name, fn):
@@ -908,6 +949,11 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
             g.class_structure_row(j)
         assert g.dense() is not None
         engine.commutator_set_bits(g)
+    # cosets are orbits of right multiplications by members of N
+    a5, sl25, _, s5, _ = groups
+    assert engine.quotient(sl25, engine.center(sl25)).order == 60
+    assert engine.quotient(s5, engine.cosocle(s5)).order == 2
+    assert engine.quotient(a5, engine.cosocle(a5)).order == 60
     assert calls == []
 
 
