@@ -38,10 +38,6 @@ import numpy as np
 from .engine import GroupTable, NormalSubgroup, cosocle, direct_product, quotient
 
 
-class GroupMismatch(ValueError):
-    """Class sets over two different groups cannot be combined."""
-
-
 @dataclass(frozen=True)
 class ClassSet:
     """A union of conjugacy classes of one group, as a bitmask."""
@@ -72,19 +68,6 @@ def _class_bits(g: GroupTable, c: int, symmetric: bool) -> int:
     if symmetric:
         bits |= 1 << g.inverse_class(c)
     return bits
-
-
-def class_product(a: ClassSet, b: ClassSet) -> ClassSet:
-    """Exact product set a*b, again a union of classes.
-
-    Read from the group's class structure rows (one whole-group product
-    per class, cached as class bitmasks) of the side with fewer classes;
-    conjugation invariance of both sides makes the support of those rows
-    exactly the classes of the full product set.
-    """
-    if a.group is not b.group:
-        raise GroupMismatch("class sets live over different groups")
-    return ClassSet(a.group, a.group.class_set_product_bits(a.bits, b.bits))
 
 
 def kfold_product(base: ClassSet, k: int) -> ClassSet:

@@ -2,13 +2,14 @@
 
 A GroupTable stores every element of a finite group, indexed from 0 with the
 identity at index 0, and answers products, inverses, conjugacy classes,
-normal subgroups, cosocles, quotients and commutator questions.  Elements
-are carried either as permutations, as matrices over a prime field, as pairs
-(direct products) or as cosets (quotients).  One product, mul_pairwise,
-multiplies index arrays that broadcast like numpy arrays: permutations and
-matrices compose their carrier rows with the row product enumeration uses
-and look the results up, a direct product multiplies in each factor, and a
-quotient multiplies coset representatives in its parent.
+normal subgroups, cosocles, quotients and derived subgroups.  Elements are
+carried either as permutations, as matrices over a prime field, as pairs
+(direct products) or as cosets (quotients), but the carriers are read only
+by enumeration and by element, element_label and index_of.  One product,
+mul_pairwise, multiplies index arrays that broadcast like numpy arrays, on
+every carrier alike: it reads the dense table when that is filled, and
+otherwise x * z is the right regular action R (below) composed along the
+tree path of z.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
 time: every product x * h of a frontier element x with a generator h is
@@ -61,24 +62,20 @@ A and B is A * B.  The powers S, S^2, ... of a class union S are formed
 until they first repeat and cached per S; past their end they cycle.  The
 normal closure of some classes is the last power of S, those classes plus
 the identity.  The lattice joins each distinct principal normal subgroup,
-the closure of one class, into every normal subgroup found so far.  The
-commutators are the union of rep_c * C^-1 over the classes C: one product
-per element, walked along the tree from the representative's end with the
-left action h * y = inv(R_h^-1(inv(y))).
+the closure of one class, into every normal subgroup found so far.
 
 A GroupTable keeps its own lazy state (classes, power map, structure rows,
 set products, class-set powers) in private fields.  Whatever a module-level
 function derives from it (lattice, cosocle, derived subgroup, quotients,
-commutators, character degrees, covering's double covering grid) is
-memoized in g.cache, as class bitmasks and orders rather than objects that
-point back at the group, so only a quotient and its parent form a
-reference cycle.
+character degrees, covering's double covering grid) is memoized in g.cache,
+as class bitmasks and orders rather than objects that point back at the
+group, so only a quotient and its parent form a reference cycle.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
-power map (Holt, Eick & O'Brien) is read once per class along the cycle of
-the class representative and cached; element orders and the exponent come
-from it.
+power map (Holt, Eick & O'Brien) is read for every class at once along the
+cycles of the class representatives and cached; element orders and the
+exponent come from it.
 """
 
 from __future__ import annotations
@@ -92,8 +89,8 @@ from .errors import CapExceeded
 from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv, matrix_literal
 from .permutations import Permutation, cycle_string
 
-# Full order x order tables are only materialized below this size; everything
-# larger multiplies through batched carrier arithmetic instead.
+# Full order x order tables are only materialized below this size; larger
+# groups multiply by walks over the regular action instead.
 DENSE_TABLE_CAP = 4096
 # Entries of the dense table walked at once, so that the walk's int64
 # scratch stays small next to the int32 table.
@@ -185,11 +182,9 @@ class GroupTable:
         self._right = None
         self._layers = None
         self._parent_via = None
-        # perm and mat carriers: one flattened int64 row per element, the
-        # row product of _carrier, and the row-key lookup (radix powers, or
-        # None for byte keys)
+        # perm and mat carriers: one flattened int64 row per element and the
+        # row-key lookup (radix powers, or None for byte keys)
         self._rows = None
-        self._compose = None
         self._pow = None
         self._sorted_codes = None
         self._sorted_pos = None
@@ -206,7 +201,7 @@ class GroupTable:
         self._class_sizes = None
         self._class_reps = None
         self._class_inverses = None
-        self._power_classes: dict[int, tuple[int, ...]] = {}
+        self._power_classes: list[tuple[int, ...]] | None = None
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -215,9 +210,7 @@ class GroupTable:
     # -- scalar ops ---------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._dense is not None:
-            return int(self._dense[i, j])
-        return int(self.mul_pairwise(i, np.array([j], dtype=np.int64))[0])
+        return int(self.mul_pairwise(i, j))
 
     def inv_of(self, i: int) -> int:
         return int(self.inv[i])
@@ -242,16 +235,10 @@ class GroupTable:
 
     # -- batched ops --------------------------------------------------------
 
-    def _lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of elements given as carrier rows along the last axis,
-        all of them members.  The keys are searched in ascending order,
-        several times faster than in the order given."""
-        keys = _row_keys(rows, self._pow)
-        flat = keys.reshape(-1)
-        at = np.argsort(flat)
-        pos = np.empty(len(flat), dtype=np.int64)
-        pos[at] = np.searchsorted(self._sorted_codes, flat[at])
-        return self._sorted_pos[pos].reshape(keys.shape)
+    def _find_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Index of the element with each row key, -1 where none has it."""
+        pos = np.minimum(np.searchsorted(self._sorted_codes, keys), self.order - 1)
+        return np.where(self._sorted_codes[pos] == keys, self._sorted_pos[pos], -1)
 
     def _bijection(self, keys: np.ndarray) -> np.ndarray:
         """Indices of the elements keyed by keys, which hold every element's
@@ -262,19 +249,37 @@ class GroupTable:
 
     def mul_pairwise(self, is_, js) -> np.ndarray:
         """Indices of element(i) * element(j); the index arguments broadcast
-        like numpy arrays, so either may be a scalar, a vector or a grid."""
+        like numpy arrays, so either may be a scalar, a vector or a grid.
+
+        Read from the dense table when it is filled.  Otherwise x * z is R
+        composed along the tree path of z: for z = h_1 ... h_d, x * z is
+        R_h_d(... R_h_1(x)), one gather per step, the path read from z
+        towards the identity and walked back.  A scalar z walks its path
+        on whole arrays; the zs of an array walk together, each masked out
+        until its own path begins.
+        """
         if self._dense is not None:
             return self._dense[is_, js].astype(np.int64)
-        if self._rows is not None:
-            return self._lookup_rows(self._compose(self._rows[is_], self._rows[js]))
-        if self.kind == "prod":
-            g1, g2 = self.factors
-            o2 = g2.order
-            i1, i2 = divmod(is_, o2)
-            j1, j2 = divmod(js, o2)
-            return g1.mul_pairwise(i1, j1) * o2 + g2.mul_pairwise(i2, j2)
-        # quot
-        return self.proj[self.parent.mul_pairwise(self.coset_reps[is_], self.coset_reps[js])]
+        parent, via = self._tree_arrays()
+        out = np.asarray(is_, dtype=np.int64)
+        if np.ndim(js) == 0:
+            path, z = [], int(js)
+            while z:
+                path.append(via[z])
+                z = parent[z]
+            out = out.copy()
+            for h in reversed(path):
+                out = self._right[h, out]
+            return out
+        z = np.asarray(js, dtype=np.int64)
+        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, z.shape))
+        steps = []
+        while z.any():
+            steps.append((via[z], z != 0))
+            z = parent[z]
+        for h, live in reversed(steps):
+            out = np.where(live, self._right[h, out], out)
+        return np.array(out)
 
     def dense(self) -> np.ndarray | None:
         """Materialize the full multiplication table when small enough, as
@@ -295,36 +300,6 @@ class GroupTable:
         out[..., 0] = xs
         for new, parent, via in self._tree():
             out[..., new] = self._right[via, out[..., parent]]
-        return out
-
-    def _pair_products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """xs[i] * ys[i] for index vectors, walked from each x towards the
-        identity: for x = p * h, x * y = p * (h * y), and h * y is
-        inv(R_h^-1(inv(y))), so y is multiplied on the left by the
-        generators on x's tree path, the last one first."""
-        parent, via = self._tree_arrays()
-        rinv = np.empty_like(self._right)
-        rinv[np.arange(len(rinv))[:, None], self._right] = np.arange(self.order)
-        left = self.inv[rinv[:, self.inv]]
-        out, at = ys.copy(), xs.copy()
-        live = np.flatnonzero(at)
-        while len(live):
-            out[live] = left[via[at[live]], out[live]]
-            at[live] = parent[at[live]]
-            live = live[at[live] != 0]
-        return out
-
-    def _right_products(self, z: int) -> np.ndarray:
-        """x * z for every x, R composed along the tree path of z: for
-        z = h_1 ... h_d, x * z = R_h_d(... R_h_1(x)), one gather per step."""
-        parent, via = self._tree_arrays()
-        path = []
-        while z:
-            path.append(via[z])
-            z = parent[z]
-        out = np.arange(self.order)
-        for h in reversed(path):
-            out = self._right[h, out]
         return out
 
     def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -387,11 +362,10 @@ class GroupTable:
             row = elt.entries.ravel()
         else:
             raise KeyError("element does not belong to this group")
-        key = _row_keys(np.asarray(row, dtype=np.int64), self._pow)
-        pos = int(np.searchsorted(self._sorted_codes, key))
-        if pos < self.order and self._sorted_codes[pos : pos + 1] == key:
-            return int(self._sorted_pos[pos])
-        raise KeyError("element not in group")
+        i = int(self._find_keys(_row_keys(np.asarray(row, dtype=np.int64), self._pow)))
+        if i < 0:
+            raise KeyError("element not in group")
+        return i
 
     # -- conjugacy ----------------------------------------------------------
 
@@ -425,20 +399,21 @@ class GroupTable:
     def power_classes(self, c: int) -> tuple[int, ...]:
         """Classes of x, x^2, ..., x^o = 1 for any x in class c, o = o(x).
 
-        Read along the cycle of the class representative, which doubles with
-        each product (x^1..x^n times x^n is x^(n+1)..x^2n) until the
-        identity, index 0, appears; cached per class.
+        Read for every class at once along the cycles of the class
+        representatives: row c holds x^1..x^n for x = rep_c, and each
+        doubling multiplies row c by its last entry x^n, one walk for all
+        rows, until every row reaches the identity, index 0; cached.
         """
-        got = self._power_classes.get(c)
-        if got is None:
+        if self._power_classes is None:
             class_of = self.class_of
-            cycle = self._class_reps[c : c + 1]
-            while cycle.all():
-                cycle = np.concatenate((cycle, self.mul_pairwise(cycle, cycle[-1])))
+            cycles = self._class_reps[:, None]
+            while cycles.all(axis=1).any():
+                cycles = np.hstack((cycles, self.mul_pairwise(cycles, cycles[:, -1:])))
             # argmin finds the first identity
-            got = tuple(class_of[cycle[: cycle.argmin() + 1]].tolist())
-            self._power_classes[c] = got
-        return got
+            self._power_classes = [
+                tuple(class_of[row[: row.argmin() + 1]].tolist()) for row in cycles
+            ]
+        return self._power_classes[c]
 
     def _ensure_classes(self):
         """Partition the group into conjugacy classes.
@@ -724,7 +699,8 @@ class _KeySet:
 def _carrier(gens):
     """Kind, identity row, generator rows, row product and key powers for a
     generating set; rows are carrier elements flattened to int64 vectors,
-    and the product of two row stacks broadcasts like numpy arithmetic."""
+    and the product of two row stacks of equal ndim broadcasts like numpy
+    arithmetic.  Only enumeration composes rows."""
     if all(isinstance(x, Permutation) for x in gens):
         degrees = {x.degree for x in gens}
         if len(degrees) != 1:
@@ -732,17 +708,8 @@ def _carrier(gens):
         degree = degrees.pop()
 
         def compose(a, b):
-            # rows of a * b, which maps i to a(b(i)); leading axes broadcast.
-            # A single row on either side is a plain index, several times
-            # faster than take_along_axis.
-            if a.ndim == 1:
-                return a[b]
-            if b.ndim == 1:
-                return a[..., b]
-            lead = max(a.ndim, b.ndim)
-            return np.take_along_axis(
-                a[(None,) * (lead - a.ndim)], b[(None,) * (lead - b.ndim)], axis=-1
-            )
+            # rows of a * b, which maps i to a(b(i)); leading axes broadcast
+            return np.take_along_axis(a, b, axis=-1)
 
         rows = np.array([x.images for x in gens], dtype=np.int64).reshape(len(gens), degree)
         identity = np.arange(degree, dtype=np.int64)
@@ -872,12 +839,11 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     elements.setflags(write=False)
     keys = _row_keys(elements, powers)
     g._rows = elements
-    g._compose = compose
     g._pow = powers
     # keys are distinct, so any sort orders them the same way
     g._sorted_pos = np.argsort(keys)
     g._sorted_codes = keys[g._sorted_pos]
-    g.gens, cols = _distinct_gens(g._lookup_rows(gen_rows).tolist())
+    g.gens, cols = _distinct_gens(g._find_keys(_row_keys(gen_rows, powers)).tolist())
     cand_keys = np.concatenate(cand_keys).reshape(order, k)
     g._right = np.empty((len(cols), order), dtype=np.int64)
     for t, b in enumerate(cols):
@@ -953,7 +919,7 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
         outside = members[least[members] != 0]
         if not outside.size:
             break
-        shifts.append(g._right_products(int(outside[0])))
+        shifts.append(g.mul_pairwise(np.arange(g.order), int(outside[0])))
         least = _orbit_labels(shifts, least)
     reps, proj = np.unique(least, return_inverse=True)
     q = GroupTable()
@@ -1058,35 +1024,3 @@ def commutator_subgroup(g: GroupTable) -> NormalSubgroup:
 
 def is_perfect(g: GroupTable) -> bool:
     return commutator_subgroup(g).order == g.order
-
-
-def commutator_set_bits(g: GroupTable) -> int:
-    """Class bitmask of the set of all commutators [a, x] = a x a^-1 x^-1.
-
-    As x runs over G, x a^-1 x^-1 runs over the class of a^-1, and the
-    commutators are conjugation invariant, so their classes are those of
-    rep_c * y over the classes c and y in the class of rep_c^-1: one
-    product per element, rep of the inverse class of y times y.  Cached.
-    """
-    bits = g.cache.get("commutators")
-    if bits is None:
-        class_of = g.class_of
-        prod = g._pair_products(g._class_reps[g.class_inverses[class_of]], np.arange(g.order))
-        bits = g.cache["commutators"] = _bits_of(np.unique(class_of[prod]))
-    return bits
-
-
-def commutator_width(g: GroupTable, x: int) -> int | None:
-    """Minimal k with x in S^k for S the set of all commutators.
-
-    S contains the identity, so its powers grow up to the subgroup S
-    generates, the derived subgroup.  Returns 0 for the identity and None
-    when x is outside the derived subgroup.
-    """
-    if x == 0:
-        return 0
-    if not commutator_subgroup(g).contains(x):
-        return None
-    target = 1 << int(g.class_of[x])
-    powers, _ = g.class_set_powers(commutator_set_bits(g))
-    return next(k for k, bits in enumerate(powers, 1) if bits & target)

@@ -10,10 +10,10 @@ first unused row with a nonzero entry as the pivot row, scales it to a
 leading 1, clears the column in every other row and marks the row used.
 Pivot inverses come from a per-p table of every inverse mod p for
 p < MAX_PRIME, and from Python's pow on the pivots above it.  Rank,
-determinant, inverse, reduced row echelon form and the nullspaces of a whole
-stack (ff_nullspaces, one elimination for every matrix) are read off its
-pivot map; the character degrees read the kernels of all eigenvalue shifts
-of one class-algebra action from a single ff_nullspaces call.  shift_ranks
+determinant, inverse and the nullspaces of a whole stack (ff_nullspaces,
+one elimination for every matrix) are read off its pivot map; the
+character degrees read the kernels of all eigenvalue shifts of one
+class-algebra action from a single ff_nullspaces call.  shift_ranks
 ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
 those ranks, and so is the two-prime witness's, from the ranks of its two
 cycle blocks.
@@ -272,13 +272,6 @@ def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
     if (rows < 0).any():
         return None
     return reduced[0, rows, n:]
-
-
-def ff_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form mod p: its nonzero rows and their pivot columns."""
-    reduced, pivot_row, _ = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
-    cols = np.flatnonzero(pivot_row[0] >= 0)
-    return reduced[0, pivot_row[0, cols]], cols
 
 
 def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:

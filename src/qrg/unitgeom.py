@@ -89,13 +89,6 @@ class PackingBound:
     D: int
     eps: object
     m: int
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "empirical"):
-            raise ValueError("mode must be 'exact' or 'empirical'")
-        if self.mode == "exact" and self.D != 1:
-            raise ValueError("exact mode only for D = 1")
 
 
 @dataclass(frozen=True)
@@ -213,24 +206,7 @@ def packing_threshold(d: int, eps) -> PackingBound:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _chord_below(mid, eps_f) else (mid, hi)
-    return PackingBound(D=1, eps=eps_f, m=hi, mode="exact")
-
-
-def packing_experiment(d: int, eps: float, samples: int, seed: int) -> PackingBound:
-    """Largest eps-separated configuration found among Haar samples, D >= 2.
-
-    Greedy stream: each sampled point is kept iff it stays at distance
-    >= eps from everything kept so far.  Purely empirical.
-    """
-    if d < 2:
-        raise ValueError("empirical packing is for D >= 2; use packing_threshold for D = 1")
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    for _ in range(samples):
-        u = haar_unitary(d, rng).entries
-        if all(np.linalg.norm(u - v) >= eps for v in kept):
-            kept.append(u)
-    return PackingBound(D=d, eps=eps, m=len(kept), mode="empirical")
+    return PackingBound(D=1, eps=eps_f, m=hi)
 
 
 def length_axioms_check(samples: int, d: int, seed: int) -> AxiomReport:

@@ -288,6 +288,11 @@ def test_mixing_dense_and_fallback_paths_agree(monkeypatch):
     monkeypatch.setattr(g, "dense", lambda: None)
     slow_rep = chars.gowers_mixing(g, idxs, 0.1, 0.1)
     assert dense_rep == slow_rep
+    # rows read 4 at a time, in 6 blocks: walked, then sliced from the table
+    monkeypatch.setattr(chars, "_DENSE_BLOCK", 100)
+    assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep
+    monkeypatch.delattr(g, "dense")
+    assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep
 
 
 def test_mixing_float_eps_means_the_decimal():

@@ -174,13 +174,6 @@ def test_kfold_requires_positive_k():
         covering.kfold_product(base, 0)
 
 
-def test_group_mismatch_rejected():
-    a = covering.class_of_element(build("A5"), 1)
-    b = covering.class_of_element(build("S4"), 1)
-    with pytest.raises(covering.GroupMismatch):
-        covering.class_product(a, b)
-
-
 def test_covering_mod_center_of_sl25():
     g = build("SL2:5")
     x = g.index_of(gf.parse_matrix("mat:p=5:[[1,1],[0,1]]"))

@@ -190,19 +190,7 @@ def test_perfectness():
     assert engine.is_perfect(a5())
     assert engine.is_perfect(sl25())
     assert not engine.is_perfect(s4())
-
-
-def test_commutator_width():
-    g = s4()
-    derived = engine.commutator_subgroup(g)
-    assert derived.order == 12
-    assert engine.commutator_width(g, 0) == 0
-    for i in range(1, g.order):
-        w = engine.commutator_width(g, i)
-        if derived.contains(i):
-            assert w == 1  # every even permutation is a commutator in S4
-        else:
-            assert w is None
+    assert engine.commutator_subgroup(s4()).order == 12  # the alternating subgroup
 
 
 def test_enumeration_cap():
@@ -369,19 +357,23 @@ def test_wide_keys_match_bfs_oracle():
     ],
 )
 def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap):
-    # inverses are carried through the BFS, so the one row lookup of a build
-    # is the one that indexes the generators
+    # inverses are carried through the BFS, so the one key search of a
+    # build is the one that indexes the generators, and products after it
+    # search no keys
     calls = []
-    lookup = engine.GroupTable._lookup_rows
+    find = engine.GroupTable._find_keys
 
-    def counted(self, rows):
-        calls.append(rows.shape)
-        return lookup(self, rows)
+    def counted(self, keys):
+        calls.append(keys.shape)
+        return find(self, keys)
 
-    monkeypatch.setattr(engine.GroupTable, "_lookup_rows", counted)
+    monkeypatch.setattr(engine.GroupTable, "_find_keys", counted)
     g = engine.enumerate_group(matrices(p, n, gens), cap=cap)
-    assert calls == [(len(gens), n * n)]
+    assert calls == [(len(gens),)]
     assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
+    assert calls == [(len(gens),)]
+    assert g.index_of(g.element(g.order - 1)) == g.order - 1
+    assert calls == [(len(gens),), ()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,32 +562,34 @@ def test_class_algebra_matches_oracle_on_random_permutation_groups(gens):
     _check_powers(g)
 
 
+def _check_derived_subgroup(g):
+    """The derived subgroup is the subgroup the brute-force commutators
+    generate."""
+    elements = [g.element(i).images for i in range(g.order)]
+    want = oracles.group_closure(list(oracles.commutator_set(elements)), oracles.compose)
+    got = engine.commutator_subgroup(g).members
+    assert {elements[int(x)] for x in got} == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(perm_generators(max_degree=6))
 def test_commutators_match_bruteforce_on_random_permutation_groups(gens):
-    g = engine.enumerate_group([Permutation(x) for x in gens])
-    elements = [g.element(i).images for i in range(g.order)]
-    commutators = oracles.commutator_set(elements)
-    bits = engine.commutator_set_bits(g)
-    got = {elements[int(x)] for c in g.classes if bits >> c.index & 1 for x in c.members}
-    assert got == commutators
-    widths = oracles.word_lengths(list(commutators), oracles.compose, elements[0])
-    for i, x in enumerate(elements):
-        assert engine.commutator_width(g, i) == widths.get(x)
+    _check_derived_subgroup(engine.enumerate_group([Permutation(x) for x in gens]))
 
 
 @pytest.mark.parametrize("spec", ["C60", "D50"])
 def test_commutators_match_bruteforce_on_thin_groups(spec):
-    """Many classes and a deep tree: on C60 the walk behind the commutator
-    set runs 59 steps deep from its farthest class representative."""
+    """Many classes and a deep tree: on C60 a product walks up to 59 steps
+    of its right factor's path, and the zs of one vector walk paths of
+    mixed depths together."""
     g = build_group(parse_spec(spec))
+    _check_derived_subgroup(g)
+    rng = np.random.default_rng(3)
+    _check_products(g, rng)
     elements = [g.element(i).images for i in range(g.order)]
-    bits = engine.commutator_set_bits(g)
-    got = {elements[int(x)] for c in g.classes if bits >> c.index & 1 for x in c.members}
-    assert got == oracles.commutator_set(elements)
-    xs, ys = np.random.default_rng(3).integers(g.order, size=(2, 40))
+    xs, ys = rng.integers(g.order, size=(2, 40))
     want = [elements.index(oracles.compose(elements[x], elements[y])) for x, y in zip(xs, ys)]
-    assert g._pair_products(xs, ys).tolist() == want
+    assert g.mul_pairwise(xs, ys).tolist() == want
 
 
 # -- classes, center and quotients against the oracles -------------------------
@@ -863,9 +857,9 @@ def _check_regular_action(g, rng):
     every element once, layer by layer, with new = parent * gens[via]; the
     conjugation maps are x -> h x h^-1; sampled rows and columns of the
     dense table are i * G and G * j, and so is R composed along the tree
-    path of j; and the commutator set is the classes
-    of a x a^-1 x^-1 for a over the class representatives and x over G,
-    enough as the set is invariant under conjugation."""
+    path of j; and the derived subgroup is the normal closure of the
+    classes of a x a^-1 x^-1 for a over the class representatives and x
+    over G, enough as the commutators are invariant under conjugation."""
     mul = _oracle_index_mul(g)
     every = range(g.order)
 
@@ -888,18 +882,20 @@ def _check_regular_action(g, rng):
     assert sorted(depth) == list(every)
     assert len(depth) == sum(len(new) for new, _, _ in g._tree()) + 1
 
+    sample = rng.choice(g.order, size=min(g.order, 4), replace=False).tolist()
+    walked = [g.mul_pairwise(np.arange(g.order), i).tolist() for i in sample]
     table = g.dense()
-    for i in rng.choice(g.order, size=min(g.order, 4), replace=False).tolist():
+    for i, column in zip(sample, walked):
         assert table[i].tolist() == [mul(i, y) for y in every]
         assert table[:, i].tolist() == [mul(x, i) for x in every]
-        assert g._right_products(i).tolist() == table[:, i].tolist()
+        assert column == table[:, i].tolist()
 
     met = set()
     for c in g.classes:
         a = c.rep
         for x in every:
             met.add(int(g.class_of[mul(mul(a, x), mul(inverses[a], inverses[x]))]))
-    assert engine.commutator_set_bits(g) == sum(1 << c for c in met)
+    assert engine.commutator_subgroup(g).class_bits == g.normal_closure_bits(met)
 
 
 @settings(max_examples=30, deadline=None)
@@ -928,33 +924,45 @@ def test_regular_action_with_wide_keys():
         _check_regular_action(g, rng)
 
 
+class _NoRows:
+    """Stands in for a group's carrier rows and fails on any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("carrier rows read after enumeration")
+
+
+def _forbid_rows(monkeypatch, g):
+    """Swap the carrier rows of g, of its factors and of its parent for _NoRows."""
+    if g._rows is not None:
+        monkeypatch.setattr(g, "_rows", _NoRows())
+    for h in [*(g.factors or ()), g.parent]:
+        if h is not None:
+            _forbid_rows(monkeypatch, h)
+
+
 def test_whole_group_products_form_no_carrier_products(monkeypatch):
-    groups = [build_group(parse_spec(s)) for s in ("A5", "SL2:5", "prod(A5,C2)", "S5", "PSL2:7")]
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
-
-    for name in ("mul_pairwise", "_lookup_rows"):
-        monkeypatch.setattr(engine.GroupTable, name, counted(name, getattr(engine.GroupTable, name)))
-    for g in [*groups, groups[-1].parent]:
-        if g._compose is not None:
-            monkeypatch.setattr(g, "_compose", counted("_compose", g._compose))
+    # perm, mat, prod and quot carriers; after the build every product is
+    # a walk over R, so nothing below reads a carrier row
+    specs = ("A5", "SL2:5", "prod(A5,C2)", "S5", "PSL2:7")
+    groups = [build_group(parse_spec(s)) for s in specs]
     for g in groups:
-        assert g.classes
+        _forbid_rows(monkeypatch, g)
+    quotients = []
+    for g in groups:
         for j in range(len(g.classes)):
             g.class_structure_row(j)
-        assert g.dense() is not None
-        engine.commutator_set_bits(g)
-    # cosets are orbits of right multiplications by members of N
-    a5, sl25, _, s5, _ = groups
-    assert engine.quotient(sl25, engine.center(sl25)).order == 60
-    assert engine.quotient(s5, engine.cosocle(s5)).order == 2
-    assert engine.quotient(a5, engine.cosocle(a5)).order == 60
-    assert calls == []
+        assert g.exponent() > 1
+        engine.commutator_subgroup(g)
+        quotients.append(engine.quotient(g, engine.cosocle(g)))
+        assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
+        subset = range(0, g.order, 3)
+        with monkeypatch.context() as m:
+            m.setattr(g, "dense", lambda: None)
+            walked = chars.gowers_mixing(g, subset, 0.1, 0.1)
+        assert chars.gowers_mixing(g, subset, 0.1, 0.1) == walked
+    assert [q.order for q in quotients] == [60, 60, 120, 2, 168]
+    for q in quotients:
+        assert q.exponent() >= 1 and q.classes
 
 
 @pytest.mark.parametrize("spec", ["S4", "SL2:5", "prod(S3,C2)"])

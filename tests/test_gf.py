@@ -113,21 +113,6 @@ def test_rank_and_det_match_oracle_on_stacks(case):
         assert gf.ff_det(x[:k, :k], p) == oracles.det_mod_p(x[:k, :k].tolist(), p)
 
 
-@settings(max_examples=150, deadline=None)
-@given(stacks())
-def test_rref_is_reduced_and_keeps_the_row_space(case):
-    p, a = case
-    for x in a:
-        rows, cols = gf.ff_rref(x, p)
-        rank = oracles.rank_mod_p(x.tolist(), p)
-        assert rows.shape == (rank, x.shape[1]) and len(cols) == rank
-        assert (np.diff(cols) > 0).all()
-        assert (rows[:, cols] == np.eye(rank, dtype=np.int64)).all()
-        for i, c in enumerate(cols):
-            assert not rows[i, :c].any()
-        assert oracles.rank_mod_p(np.vstack([x, rows]).tolist(), p) == rank
-
-
 def check_nullspaces(a, p):
     # each basis is ff_nullspace's for its own matrix, kills it, has
     # m - rank columns and is the identity on its free rows; the products

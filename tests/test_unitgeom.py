@@ -215,13 +215,6 @@ def test_packing_threshold_domain():
         unitgeom.packing_threshold(2, 1)  # exact route is D = 1 only
 
 
-def test_packing_experiment_runs():
-    b = unitgeom.packing_experiment(2, 0.5, samples=200, seed=5)
-    assert b.D == 2
-    assert b.mode == "empirical"
-    assert b.m >= 3
-
-
 def test_length_axioms_all_small_dims():
     for d in (1, 2, 3, 4):
         rep = unitgeom.length_axioms_check(200, d, seed=100 + d)
