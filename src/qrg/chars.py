@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import _DENSE_BLOCK, GroupTable, TrivialGroup, normal_subgroups
+from .engine import GroupTable, TrivialGroup, normal_subgroups
 from .errors import CapExceeded
 from .gf import ff_nullspaces, is_prime
 
@@ -280,9 +280,8 @@ def gowers_mixing(g: GroupTable, subset: Iterable[int], eps1, eps2) -> MixingRep
 
     passes is the strict comparison good_x_count > (1-eps1) alpha^2 |G|;
     both thresholds are exact rationals so boundary cases cannot be lost
-    to floating point.  The counts read the rows x * G a block at a time,
-    as dense() fills them: slices of the dense table when it is filled,
-    else rows walked along the group's tree.
+    to floating point.  The counts read the rows x * G a block at a time
+    (GroupTable.row_blocks).
     """
     a_idx = np.unique(np.asarray(list(subset), dtype=np.int64))
     if len(a_idx) == 0:
@@ -297,14 +296,9 @@ def gowers_mixing(g: GroupTable, subset: Iterable[int], eps1, eps2) -> MixingRep
 
     mask = np.zeros(g.order, dtype=bool)
     mask[a_idx] = True
-    table = g.dense()
-    step = max(1, _DENSE_BLOCK // g.order)
+    g.dense()
     good = 0
-    for s in range(0, g.order, step):
-        if table is None:
-            rows = g._row_products(np.arange(s, min(s + step, g.order)))
-        else:
-            rows = table[s : s + step]
+    for rows in g.row_blocks():
         good += int(np.count_nonzero(mask[rows[:, a_idx]].sum(axis=1) >= threshold_pairs))
     x_target = (1 - e1) * alpha * alpha * g.order
     return MixingReport(

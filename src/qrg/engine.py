@@ -73,9 +73,9 @@ group, so only a quotient and its parent form a reference cycle.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
-power map (Holt, Eick & O'Brien) is read for every class at once along the
-cycles of the class representatives and cached; element orders and the
-exponent come from it.
+power map (Holt, Eick & O'Brien) is read once per class along the cycle of
+the class representative and cached; element orders and the exponent come
+from it.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class GroupTable:
         self._class_sizes = None
         self._class_reps = None
         self._class_inverses = None
-        self._power_classes: list[tuple[int, ...]] | None = None
+        self._power_classes: dict[int, tuple[int, ...]] = {}
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -259,7 +259,7 @@ class GroupTable:
         until its own path begins.
         """
         if self._dense is not None:
-            return self._dense[is_, js].astype(np.int64)
+            return np.asarray(self._dense[is_, js], dtype=np.int64)
         parent, via = self._tree_arrays()
         out = np.asarray(is_, dtype=np.int64)
         if np.ndim(js) == 0:
@@ -270,7 +270,7 @@ class GroupTable:
             out = out.copy()
             for h in reversed(path):
                 out = self._right[h, out]
-            return out
+            return np.asarray(out)
         z = np.asarray(js, dtype=np.int64)
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape, z.shape))
         steps = []
@@ -282,16 +282,27 @@ class GroupTable:
         return np.array(out)
 
     def dense(self) -> np.ndarray | None:
-        """Materialize the full multiplication table when small enough, as
-        rows x * G, at most _DENSE_BLOCK entries at a time."""
+        """Materialize the full multiplication table when small enough."""
         if self._dense is None and self.order <= DENSE_TABLE_CAP:
-            n = self.order
-            table = np.empty((n, n), dtype=np.int32)
-            step = max(1, _DENSE_BLOCK // n)
-            for s in range(0, n, step):
-                table[s : s + step] = self._row_products(np.arange(s, min(s + step, n)))
+            table = np.empty((self.order, self.order), dtype=np.int32)
+            s = 0
+            for rows in self.row_blocks():
+                table[s : s + len(rows)] = rows
+                s += len(rows)
             self._dense = table
         return self._dense
+
+    def row_blocks(self):
+        """The rows x * G for x = 0, 1, ... in order, at most _DENSE_BLOCK
+        entries at a time: slices of the dense table when it is filled,
+        else rows walked along the tree."""
+        n = self.order
+        step = max(1, _DENSE_BLOCK // n)
+        for s in range(0, n, step):
+            if self._dense is not None:
+                yield self._dense[s : s + step]
+            else:
+                yield self._row_products(np.arange(s, min(s + step, n)))
 
     def _row_products(self, xs) -> np.ndarray:
         """x * G for each x in xs, a scalar or a vector, walked along the
@@ -399,21 +410,20 @@ class GroupTable:
     def power_classes(self, c: int) -> tuple[int, ...]:
         """Classes of x, x^2, ..., x^o = 1 for any x in class c, o = o(x).
 
-        Read for every class at once along the cycles of the class
-        representatives: row c holds x^1..x^n for x = rep_c, and each
-        doubling multiplies row c by its last entry x^n, one walk for all
-        rows, until every row reaches the identity, index 0; cached.
+        Read along the cycle of the class representative, which doubles with
+        each product (x^1..x^n times x^n is x^(n+1)..x^2n) until the
+        identity, index 0, appears; cached per class.
         """
-        if self._power_classes is None:
+        got = self._power_classes.get(c)
+        if got is None:
             class_of = self.class_of
-            cycles = self._class_reps[:, None]
-            while cycles.all(axis=1).any():
-                cycles = np.hstack((cycles, self.mul_pairwise(cycles, cycles[:, -1:])))
+            cycle = self._class_reps[c : c + 1]
+            while cycle.all():
+                cycle = np.concatenate((cycle, self.mul_pairwise(cycle, int(cycle[-1]))))
             # argmin finds the first identity
-            self._power_classes = [
-                tuple(class_of[row[: row.argmin() + 1]].tolist()) for row in cycles
-            ]
-        return self._power_classes[c]
+            got = tuple(class_of[cycle[: cycle.argmin() + 1]].tolist())
+            self._power_classes[c] = got
+        return got
 
     def _ensure_classes(self):
         """Partition the group into conjugacy classes.

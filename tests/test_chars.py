@@ -286,10 +286,12 @@ def test_mixing_dense_and_fallback_paths_agree(monkeypatch):
     idxs = list(range(0, 24, 2))
     dense_rep = chars.gowers_mixing(g, idxs, 0.1, 0.1)
     monkeypatch.setattr(g, "dense", lambda: None)
+    monkeypatch.setattr(g, "_dense", None)
     slow_rep = chars.gowers_mixing(g, idxs, 0.1, 0.1)
     assert dense_rep == slow_rep
     # rows read 4 at a time, in 6 blocks: walked, then sliced from the table
-    monkeypatch.setattr(chars, "_DENSE_BLOCK", 100)
+    monkeypatch.setattr(engine, "_DENSE_BLOCK", 100)
+    assert [len(rows) for rows in g.row_blocks()] == [4] * 6
     assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep
     monkeypatch.delattr(g, "dense")
     assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep

@@ -721,8 +721,9 @@ def _oracle_index_mul(g):
 
 
 def _check_products(g, rng):
-    """mul_pairwise broadcasts its index arguments like numpy and agrees
-    with the oracle and with mul on every pair."""
+    """mul_pairwise broadcasts its index arguments like numpy, returns an
+    ndarray for scalars too, and agrees with the oracle and with mul on
+    every pair."""
     want = np.vectorize(_oracle_index_mul(g), otypes=[np.int64])
     xs, ys = rng.integers(0, g.order, size=(2, 6))
     empty = np.zeros(0, dtype=np.int64)
@@ -730,9 +731,11 @@ def _check_products(g, rng):
     shapes = [
         (x, ys), (xs, x), (xs, ys), (x, empty), (empty, x), (empty, empty),
         (xs[:, None], ys[None, :]), (xs[:4, None], ys), (xs[1], ys[:, None]),
+        (x, int(ys[0])), (x, 0), (xs[2], ys[3]),
     ]
     for a, b in shapes:
         got = g.mul_pairwise(a, b)
+        assert isinstance(got, np.ndarray)
         assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
         assert got.tolist() == want(a, b).tolist()
     assert [g.mul(int(i), int(j)) for i, j in zip(xs, ys)] == want(xs, ys).tolist()
