@@ -275,37 +275,45 @@ def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def gowers_mixing(g: GroupTable, subset: Iterable[int], eps1, eps2) -> MixingReport:
-    """Count x with |A and xA| >= (1-eps2) alpha^2 |G|, exactly.
+def gowers_mixing(
+    g: GroupTable, subsets: Iterable[Iterable[int]], eps1, eps2
+) -> list[MixingReport]:
+    """For each subset A, count x with |A and xA| >= (1-eps2) alpha^2 |G|,
+    exactly; one report per subset, in order.
 
     passes is the strict comparison good_x_count > (1-eps1) alpha^2 |G|;
     both thresholds are exact rationals so boundary cases cannot be lost
-    to floating point.  The counts read the rows x * G a block at a time
-    (GroupTable.row_blocks).
+    to floating point.  |A and xA| is the number of members of A among the
+    entries of the row x * G at A, and every subset is counted in one pass
+    over the rows, a block at a time (GroupTable.row_blocks).
     """
-    a_idx = np.unique(np.asarray(list(subset), dtype=np.int64))
-    if len(a_idx) == 0:
-        raise ValueError("subset must be nonempty")
-    if a_idx[0] < 0 or a_idx[-1] >= g.order:
-        raise ValueError("subset contains out-of-range element indices")
     e1 = _as_fraction(eps1)
     e2 = _as_fraction(eps2)
-    alpha = Fraction(len(a_idx), g.order)
-    pair_target = (1 - e2) * alpha * alpha * g.order
-    threshold_pairs = _ceil_fraction(pair_target)
-
-    mask = np.zeros(g.order, dtype=bool)
-    mask[a_idx] = True
-    g.dense()
-    good = 0
+    trials = []
+    for subset in subsets:
+        a_idx = np.unique(np.asarray(list(subset), dtype=np.int64))
+        if len(a_idx) == 0:
+            raise ValueError("subset must be nonempty")
+        if a_idx[0] < 0 or a_idx[-1] >= g.order:
+            raise ValueError("subset contains out-of-range element indices")
+        mask = np.zeros(g.order, dtype=bool)
+        mask[a_idx] = True
+        alpha = Fraction(len(a_idx), g.order)
+        threshold_pairs = _ceil_fraction((1 - e2) * alpha * alpha * g.order)
+        trials.append((a_idx, mask, alpha, threshold_pairs))
+    good = [0] * len(trials)
     for rows in g.row_blocks():
-        good += int(np.count_nonzero(mask[rows[:, a_idx]].sum(axis=1) >= threshold_pairs))
-    x_target = (1 - e1) * alpha * alpha * g.order
-    return MixingReport(
-        alpha=alpha,
-        eps1=e1,
-        eps2=e2,
-        good_x_count=good,
-        threshold_pairs=threshold_pairs,
-        passes=Fraction(good) > x_target,
-    )
+        for t, (a_idx, mask, _, threshold_pairs) in enumerate(trials):
+            pairs = mask[rows[:, a_idx]].sum(axis=1)
+            good[t] += int(np.count_nonzero(pairs >= threshold_pairs))
+    return [
+        MixingReport(
+            alpha=alpha,
+            eps1=e1,
+            eps2=e2,
+            good_x_count=n_good,
+            threshold_pairs=threshold_pairs,
+            passes=Fraction(n_good) > (1 - e1) * alpha * alpha * g.order,
+        )
+        for (_, _, alpha, threshold_pairs), n_good in zip(trials, good)
+    ]

@@ -131,10 +131,7 @@ def cmd_analyze(args) -> int:
             degree = chars.quasirandom_degree(g, cap=args.cap_degree)
         except CapExceeded:
             degree = None
-        try:
-            index = chars.min_normal_index(g)
-        except engine.ClassCapExceeded:
-            index = None
+        index = chars.min_normal_index(g)
     _emit(_report(
         "analyze",
         spec=g.label,
@@ -153,12 +150,12 @@ def cmd_analyze(args) -> int:
 def cmd_covering(args) -> int:
     g = _build(args)
     x = _parse_element(g, args.element)
+    if args.mod_cosocle:
+        q = engine.quotient(g, engine.cosocle(g))
+        target, xt = q, int(q.proj[x])
+    else:
+        target, xt = g, x
     if args.K is None:
-        if args.mod_cosocle:
-            q = engine.quotient(g, engine.cosocle(g))
-            target, xt = q, int(q.proj[x])
-        else:
-            target, xt = g, x
         rep = covering.covering_number(
             target, xt, symmetric=args.symmetric, max_k=args.max_k
         )
@@ -174,12 +171,7 @@ def cmd_covering(args) -> int:
             growth_trace=[[k, c] for k, c in rep.growth_trace],
         ), args.fmt)
         return EXIT_PASS
-    if args.mod_cosocle:
-        holds = covering.covering_mod(
-            g, engine.cosocle(g), x, args.K, args.m, symmetric=args.symmetric
-        )
-    else:
-        holds = covering.covering_property(g, x, args.K, args.m, symmetric=args.symmetric)
+    holds = covering.covering_property(target, xt, args.K, args.m, symmetric=args.symmetric)
     _emit(_report(
         "covering",
         spec=g.label,
@@ -282,10 +274,9 @@ def cmd_mixing(args) -> int:
         raise ValueError(f"alpha {args.alpha} does not give an integer subset size")
     size = size_frac.numerator
     rng = np.random.default_rng(args.seed)
+    subsets = [rng.choice(g.order, size=size, replace=False) for _ in range(args.trials)]
     passed = 0
-    for trial in range(args.trials):
-        subset = rng.choice(g.order, size=size, replace=False)
-        rep = chars.gowers_mixing(g, subset, args.eps1, args.eps2)
+    for trial, rep in enumerate(chars.gowers_mixing(g, subsets, args.eps1, args.eps2)):
         passed += rep.passes
         _emit(_report(
             "mixing",
@@ -345,7 +336,7 @@ def _suite_bcc(args):
         g = build_group(parse_spec(spec_text), cap=_cap_order(args))
         cos = engine.cosocle(g)
         q = engine.quotient(g, cos)
-        factor = 3 * cos.num_classes - 2
+        factor = covering.inflation_factor(cos.num_classes)
         reps = [c.rep for c in g.classes]
         mod = covering.double_covering_grid(q, q.proj[reps], ms, ks, q.proj[reps], ms, ks)
         lifts = [factor * k for k in ks]
@@ -407,12 +398,10 @@ def _suite_mixing(args):
     rates = {}
     for spec_text in ("SL2:5", "SL2:11"):
         g = build_group(parse_spec(spec_text), cap=_cap_order(args))
-        size = g.order // 2
-        passed = 0
-        for _ in range(args.trials):
-            subset = rng.choice(g.order, size=size, replace=False)
-            passed += chars.gowers_mixing(g, subset, Fraction(1, 10), Fraction(1, 10)).passes
-        rates[spec_text] = passed
+        subsets = [rng.choice(g.order, size=g.order // 2, replace=False)
+                   for _ in range(args.trials)]
+        reps = chars.gowers_mixing(g, subsets, Fraction(1, 10), Fraction(1, 10))
+        rates[spec_text] = sum(rep.passes for rep in reps)
     yield (
         f"SL2:11 mixing passes at least 95% of {args.trials} trials",
         rates["SL2:11"] * 100 >= 95 * args.trials,

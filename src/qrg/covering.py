@@ -35,7 +35,7 @@ from functools import reduce
 
 import numpy as np
 
-from .engine import GroupTable, NormalSubgroup, cosocle, direct_product, quotient
+from .engine import GroupTable, cosocle, direct_product, quotient
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _class_bits(g: GroupTable, c: int, symmetric: bool) -> int:
     """Bitmask of class c, with its inverse class for the symmetric variant."""
     bits = 1 << c
     if symmetric:
-        bits |= 1 << g.inverse_class(c)
+        bits |= 1 << int(g.class_inverses[c])
     return bits
 
 
@@ -246,23 +246,6 @@ def _grid(g: GroupTable, cs, ms, ks) -> np.ndarray:
     return ~hit.swapaxes(1, 2).reshape(len(hit), -1)
 
 
-def covering_mod(
-    g: GroupTable, n: NormalSubgroup, x: int, K: int, m, symmetric: bool = False
-) -> bool:
-    """covering_property computed in the quotient G/N for the image of x."""
-    q = quotient(g, n)
-    return covering_property(q, int(q.proj[x]), K, m, symmetric)
-
-
-def double_covering_mod(
-    g: GroupTable, n: NormalSubgroup, x: int, y: int, k1: int, m1, k2: int, m2
-) -> bool:
-    q = quotient(g, n)
-    return double_covering_feasible(
-        q, int(q.proj[x]), int(q.proj[y]), k1, m1, k2, m2
-    )
-
-
 @dataclass
 class InflationReport:
     cosocle_classes: int
@@ -273,6 +256,14 @@ class InflationReport:
     slack: int | None
 
 
+def inflation_factor(cosocle_classes: int) -> int:
+    """3n - 2, n the number of whole-group conjugacy classes lying inside
+    the cosocle: the factor on both exponents of a symmetric double
+    covering that holds modulo the cosocle, under which it must hold
+    absolutely."""
+    return 3 * cosocle_classes - 2
+
+
 def verify_cosocle_inflation(
     g: GroupTable, x: int, y: int, k1: int, m1, k2: int, m2
 ) -> InflationReport:
@@ -280,15 +271,15 @@ def verify_cosocle_inflation(
 
     If the symmetric double covering with (k1, m1), (k2, m2) holds modulo the
     cosocle, the same powers must cover absolutely once both exponents are
-    multiplied by 3n - 2, where n is the number of whole-group conjugacy
-    classes lying inside the cosocle.  The report also carries the smallest
+    multiplied by the inflation factor.  The report also carries the smallest
     inflation factor that actually suffices, so the slack is visible; by
     monotonicity the bound holds exactly when that factor exists.
     """
     cos = cosocle(g)
     n = cos.num_classes
-    factor = 3 * n - 2
-    mod_holds = double_covering_mod(g, cos, x, y, k1, m1, k2, m2)
+    factor = inflation_factor(n)
+    q = quotient(g, cos)
+    mod_holds = double_covering_feasible(q, int(q.proj[x]), int(q.proj[y]), k1, m1, k2, m2)
     minimal = None
     if mod_holds:
         cx, cy = int(g.class_of[x]), int(g.class_of[y])

@@ -7,9 +7,8 @@ carried either as permutations, as matrices over a prime field, as pairs
 (direct products) or as cosets (quotients), but the carriers are read only
 by enumeration and by element, element_label and index_of.  One product,
 mul_pairwise, multiplies index arrays that broadcast like numpy arrays, on
-every carrier alike: it reads the dense table when that is filled, and
-otherwise x * z is the right regular action R (below) composed along the
-tree path of z.
+every carrier alike: x * z is the right regular action R (below) composed
+along the tree path of z.  No order x order product table is kept.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
 time: every product x * h of a frontier element x with a generator h is
@@ -39,8 +38,8 @@ breadth-first tree from the identity, kept as layers (new, parent, via)
 with new = parent * gens[via]: enumeration records its own, and products
 and quotients search R for theirs.  Whole-group products are index gathers
 over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
-for y = x * h fills a row rep * G, and the rows of every element fill the
-dense table.
+for y = x * h fills a row rep * G, and row_blocks walks the rows of every
+element a block at a time.
 
 Conjugacy classes are the orbits of the generators' conjugation maps.  With
 R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
@@ -89,12 +88,9 @@ from .errors import CapExceeded
 from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv, matrix_literal
 from .permutations import Permutation, cycle_string
 
-# Full order x order tables are only materialized below this size; larger
-# groups multiply by walks over the regular action instead.
-DENSE_TABLE_CAP = 4096
-# Entries of the dense table walked at once, so that the walk's int64
-# scratch stays small next to the int32 table.
-_DENSE_BLOCK = 1 << 16
+# Entries of the rows x * G walked at once by row_blocks: 512 KiB of int64
+# products, or one whole row of a group of larger order.
+_ROW_BLOCK = 1 << 16
 CLASS_CAP = 64
 
 
@@ -195,7 +191,6 @@ class GroupTable:
         self.coset_reps = None
         self.proj = None
         # lazy state
-        self._dense = None
         self._classes = None
         self._class_of = None
         self._class_sizes = None
@@ -251,15 +246,12 @@ class GroupTable:
         """Indices of element(i) * element(j); the index arguments broadcast
         like numpy arrays, so either may be a scalar, a vector or a grid.
 
-        Read from the dense table when it is filled.  Otherwise x * z is R
-        composed along the tree path of z: for z = h_1 ... h_d, x * z is
-        R_h_d(... R_h_1(x)), one gather per step, the path read from z
-        towards the identity and walked back.  A scalar z walks its path
-        on whole arrays; the zs of an array walk together, each masked out
-        until its own path begins.
+        x * z is R composed along the tree path of z: for z = h_1 ... h_d,
+        x * z is R_h_d(... R_h_1(x)), one gather per step, the path read
+        from z towards the identity and walked back.  A scalar z walks its
+        path on whole arrays; the zs of an array walk together, each masked
+        out until its own path begins.
         """
-        if self._dense is not None:
-            return np.asarray(self._dense[is_, js], dtype=np.int64)
         parent, via = self._tree_arrays()
         out = np.asarray(is_, dtype=np.int64)
         if np.ndim(js) == 0:
@@ -281,28 +273,13 @@ class GroupTable:
             out = np.where(live, self._right[h, out], out)
         return np.array(out)
 
-    def dense(self) -> np.ndarray | None:
-        """Materialize the full multiplication table when small enough."""
-        if self._dense is None and self.order <= DENSE_TABLE_CAP:
-            table = np.empty((self.order, self.order), dtype=np.int32)
-            s = 0
-            for rows in self.row_blocks():
-                table[s : s + len(rows)] = rows
-                s += len(rows)
-            self._dense = table
-        return self._dense
-
     def row_blocks(self):
-        """The rows x * G for x = 0, 1, ... in order, at most _DENSE_BLOCK
-        entries at a time: slices of the dense table when it is filled,
-        else rows walked along the tree."""
+        """The rows x * G for x = 0, 1, ... in order, walked along the tree
+        in blocks of whole rows, at most _ROW_BLOCK entries or one row."""
         n = self.order
-        step = max(1, _DENSE_BLOCK // n)
+        step = max(1, _ROW_BLOCK // n)
         for s in range(0, n, step):
-            if self._dense is not None:
-                yield self._dense[s : s + step]
-            else:
-                yield self._row_products(np.arange(s, min(s + step, n)))
+            yield self._row_products(np.arange(s, min(s + step, n)))
 
     def _row_products(self, xs) -> np.ndarray:
         """x * G for each x in xs, a scalar or a vector, walked along the
@@ -400,12 +377,6 @@ class GroupTable:
         """Index of the class of inverses of each class."""
         self._ensure_classes()
         return self._class_inverses
-
-    def inverse_class(self, ci: int) -> int:
-        """Index of the class of inverses of class ci."""
-        if self._class_inverses is None:
-            self._ensure_classes()
-        return int(self._class_inverses[ci])
 
     def power_classes(self, c: int) -> tuple[int, ...]:
         """Classes of x, x^2, ..., x^o = 1 for any x in class c, o = o(x).

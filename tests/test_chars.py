@@ -244,7 +244,7 @@ def test_element_count_bound():
 def test_mixing_hand_computed_case():
     # C4 with A = {0, 1}: the pair counts |A n xA| are (2, 1, 0, 1)
     g = build("C4")
-    rep = chars.gowers_mixing(g, [0, 1], Fraction(1, 2), Fraction(1, 2))
+    (rep,) = chars.gowers_mixing(g, [[0, 1]], Fraction(1, 2), Fraction(1, 2))
     assert rep.alpha == Fraction(1, 2)
     assert rep.threshold_pairs == 1  # ceil((1/2) * (1/4) * 4)
     assert rep.good_x_count == 3
@@ -254,9 +254,21 @@ def test_mixing_hand_computed_case():
 def test_mixing_strict_inequality_at_the_boundary():
     # A = G makes good_x_count = |G| = alpha^2 |G|; strict > must fail
     g = build("S3")
-    rep = chars.gowers_mixing(g, range(6), 0, Fraction(1, 2))
+    (rep,) = chars.gowers_mixing(g, [range(6)], 0, Fraction(1, 2))
     assert rep.good_x_count == 6
     assert not rep.passes
+
+
+def _mixing_oracle(g, elements, idxs, eps1, eps2):
+    """(good_x_count, passes) by composing every x with every a in A."""
+    subset = {g.element(int(i)).images for i in idxs}
+    alpha = Fraction(len(subset), g.order)
+    threshold = (1 - eps2) * alpha * alpha * g.order
+    good = 0
+    for x in elements:
+        inter = sum(oracles.compose(x, a) in subset for a in subset)
+        good += Fraction(inter) >= threshold
+    return good, Fraction(good) > (1 - eps1) * alpha * alpha * g.order
 
 
 def test_mixing_counts_match_bruteforce():
@@ -268,38 +280,46 @@ def test_mixing_counts_match_bruteforce():
         size = int(rng.integers(1, g.order + 1))
         idxs = np.sort(rng.choice(g.order, size=size, replace=False))
         eps1, eps2 = Fraction(1, 10), Fraction(1, 4)
-        rep = chars.gowers_mixing(g, idxs, eps1, eps2)
-
-        subset = {g.element(int(i)).images for i in idxs}
-        alpha = Fraction(size, g.order)
-        threshold = (1 - eps2) * alpha * alpha * g.order
-        good = 0
-        for x in elements:
-            inter = sum(oracles.compose(x, a) in subset for a in subset)
-            good += Fraction(inter) >= threshold
-        assert rep.good_x_count == good
-        assert rep.passes == (Fraction(good) > (1 - eps1) * alpha * alpha * g.order)
+        (rep,) = chars.gowers_mixing(g, [idxs], eps1, eps2)
+        assert (rep.good_x_count, rep.passes) == _mixing_oracle(g, elements, idxs, eps1, eps2)
 
 
-def test_mixing_dense_and_fallback_paths_agree(monkeypatch):
-    g = build("S4")
-    idxs = list(range(0, 24, 2))
-    dense_rep = chars.gowers_mixing(g, idxs, 0.1, 0.1)
-    monkeypatch.setattr(g, "dense", lambda: None)
-    monkeypatch.setattr(g, "_dense", None)
-    slow_rep = chars.gowers_mixing(g, idxs, 0.1, 0.1)
-    assert dense_rep == slow_rep
-    # rows read 4 at a time, in 6 blocks: walked, then sliced from the table
-    monkeypatch.setattr(engine, "_DENSE_BLOCK", 100)
-    assert [len(rows) for rows in g.row_blocks()] == [4] * 6
-    assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep
-    monkeypatch.delattr(g, "dense")
-    assert chars.gowers_mixing(g, idxs, 0.1, 0.1) == dense_rep
+def test_mixing_counts_every_subset_in_one_walk_of_the_rows(monkeypatch):
+    # S5's rows read 6 at a time, in 20 blocks, once per call however many
+    # subsets; each report equals a call of its own and the oracle
+    g = build("S5")
+    monkeypatch.setattr(engine, "_ROW_BLOCK", 6 * g.order)
+    assert [len(rows) for rows in g.row_blocks()] == [6] * 20
+    walks = []
+    row_blocks = g.row_blocks
+
+    def counted():
+        walks.append(1)
+        return row_blocks()
+
+    monkeypatch.setattr(g, "row_blocks", counted)
+    rng = np.random.default_rng(5)
+    subsets = [rng.choice(g.order, size=int(rng.integers(1, g.order + 1)), replace=False)
+               for _ in range(6)]
+    eps1, eps2 = Fraction(1, 10), Fraction(1, 3)
+    reps = chars.gowers_mixing(g, subsets, eps1, eps2)
+    assert len(walks) == 1
+    assert reps == [chars.gowers_mixing(g, [a], eps1, eps2)[0] for a in subsets]
+    assert len(walks) == 1 + len(subsets)
+    gens, mul, _ = carrier_gens(g)
+    elements = sorted(oracles.group_closure(gens, mul))
+    for rep, a in zip(reps, subsets):
+        assert (rep.good_x_count, rep.passes) == _mixing_oracle(g, elements, a, eps1, eps2)
+    # no product table is left behind: no field of g holds order**2 entries
+    assert all(
+        np.size(v) < g.order**2 for v in vars(g).values() if isinstance(v, np.ndarray)
+    )
+    assert chars.gowers_mixing(g, [], eps1, eps2) == []
 
 
 def test_mixing_float_eps_means_the_decimal():
     g = build("C4")
-    rep = chars.gowers_mixing(g, [0, 1], 0.1, 0.1)
+    (rep,) = chars.gowers_mixing(g, [[0, 1]], 0.1, 0.1)
     assert rep.eps1 == Fraction(1, 10)
     assert rep.eps2 == Fraction(1, 10)
 
@@ -307,6 +327,6 @@ def test_mixing_float_eps_means_the_decimal():
 def test_mixing_input_validation():
     g = build("C4")
     with pytest.raises(ValueError):
-        chars.gowers_mixing(g, [], 0.1, 0.1)
+        chars.gowers_mixing(g, [[0], []], 0.1, 0.1)
     with pytest.raises(ValueError):
-        chars.gowers_mixing(g, [7], 0.1, 0.1)
+        chars.gowers_mixing(g, [[0], [7]], 0.1, 0.1)

@@ -106,6 +106,17 @@ def test_covering_mod_cosocle_differs_from_absolute(capsys):
     assert code == 1
 
 
+def test_analyze_past_the_class_cap_exits_one(capsys):
+    # D200 has 103 classes; the cosocle needs the lattice, which stops at 64
+    code, lines = run(["analyze", "D200"], capsys)
+    assert code == 1
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "ClassCapExceeded",
+        "message": "103 conjugacy classes exceed the lattice cap 64",
+    }]
+
+
 def test_degree_a5(capsys):
     code, lines = run(["degree", "A5"], capsys)
     assert code == 0

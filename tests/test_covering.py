@@ -177,9 +177,9 @@ def test_kfold_requires_positive_k():
 def test_covering_mod_center_of_sl25():
     g = build("SL2:5")
     x = g.index_of(gf.parse_matrix("mat:p=5:[[1,1],[0,1]]"))
-    z = engine.center(g)
-    assert covering.covering_mod(g, z, x, 3, 1)
-    assert not covering.covering_mod(g, z, x, 2, 1)
+    q = engine.quotient(g, engine.center(g))
+    assert covering.covering_property(q, int(q.proj[x]), 3, 1)
+    assert not covering.covering_property(q, int(q.proj[x]), 2, 1)
     # absolutely, the unipotent class needs more depth than mod center
     assert not covering.covering_property(g, x, 3, 1)
 

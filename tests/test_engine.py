@@ -98,7 +98,7 @@ def test_class_of_and_inverse_class():
         for x in c.members:
             assert int(g.class_of[x]) == c.index
         xinv = g.inv_of(c.rep)
-        assert g.inverse_class(c.index) == int(g.class_of[xinv])
+        assert int(g.class_inverses[c.index]) == int(g.class_of[xinv])
 
 
 def test_exponent():
@@ -761,13 +761,8 @@ def test_products_match_oracle_on_every_carrier(gens_a, gens_b, drawn, seed):
         seed_class = int(rng.integers(len(g.classes)))
         normal = engine.NormalSubgroup(g, g.normal_closure_bits([seed_class]))
         groups.insert(0, engine.quotient(g, normal))
-    # carrier arithmetic first, then the dense tables of the groups small
-    # enough to have one
     for g in groups:
         _check_products(g, rng)
-    for g in groups:
-        if g.dense() is not None:
-            _check_products(g, rng)
 
 
 # -- class structure rows against brute-force structure constants -------------
@@ -858,11 +853,12 @@ def test_structure_rows_match_oracle_on_every_carrier(gens_a, gens_b, gens_c, dr
 def _check_regular_action(g, rng):
     """R_h(x) = x h for every generator h and element x; the tree reaches
     every element once, layer by layer, with new = parent * gens[via]; the
-    conjugation maps are x -> h x h^-1; sampled rows and columns of the
-    dense table are i * G and G * j, and so is R composed along the tree
-    path of j; and the derived subgroup is the normal closure of the
-    classes of a x a^-1 x^-1 for a over the class representatives and x
-    over G, enough as the commutators are invariant under conjugation."""
+    conjugation maps are x -> h x h^-1; at sampled i, the rows read from
+    row_blocks hold i * G in row i and G * i in column i, and the column is
+    R composed along the tree path of i; and the derived subgroup is the
+    normal closure of the classes of a x a^-1 x^-1 for a over the class
+    representatives and x over G, enough as the commutators are invariant
+    under conjugation."""
     mul = _oracle_index_mul(g)
     every = range(g.order)
 
@@ -887,7 +883,7 @@ def _check_regular_action(g, rng):
 
     sample = rng.choice(g.order, size=min(g.order, 4), replace=False).tolist()
     walked = [g.mul_pairwise(np.arange(g.order), i).tolist() for i in sample]
-    table = g.dense()
+    table = np.concatenate(list(g.row_blocks()))
     for i, column in zip(sample, walked):
         assert table[i].tolist() == [mul(i, y) for y in every]
         assert table[:, i].tolist() == [mul(x, i) for x in every]
@@ -958,11 +954,7 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
         engine.commutator_subgroup(g)
         quotients.append(engine.quotient(g, engine.cosocle(g)))
         assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
-        subset = range(0, g.order, 3)
-        with monkeypatch.context() as m:
-            m.setattr(g, "dense", lambda: None)
-            walked = chars.gowers_mixing(g, subset, 0.1, 0.1)
-        assert chars.gowers_mixing(g, subset, 0.1, 0.1) == walked
+        chars.gowers_mixing(g, [range(0, g.order, 3)], 0.1, 0.1)
     assert [q.order for q in quotients] == [60, 60, 120, 2, 168]
     for q in quotients:
         assert q.exponent() >= 1 and q.classes
@@ -1055,7 +1047,7 @@ def test_class_set_powers_match_element_set_powers_on_every_carrier(
         start, period = _check_set_powers(g, 1 | 1 << c, mul)
         assert (start, period) == (len(g.class_set_powers(1 | 1 << c)[0]) - 1, 1)
         _check_set_powers(g, 1 << c, mul)
-        _check_set_powers(g, 1 << c | 1 << g.inverse_class(c), mul)
+        _check_set_powers(g, 1 << c | 1 << int(g.class_inverses[c]), mul)
 
 
 @pytest.mark.parametrize(
