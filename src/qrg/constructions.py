@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FFMatrix, PrimeField, is_prime, shift_ranks, symplectic_form
+from .gf import FFMatrix, PrimeField, is_prime, symplectic_form
 from .permutations import (
     OddPermutation,
     Permutation,
@@ -100,8 +100,19 @@ def symplectic_check(m: FFMatrix) -> bool:
     return m.transpose() * j * m == j
 
 
+def cycle_shift_ranks(k: int, p: int) -> list[int]:
+    """rank(x*I - C_k) over GF(p) for every x in GF(p), C_k the k-cycle matrix.
+
+    C_k is the companion matrix of t^k - 1, so it is cyclic: every
+    eigenspace of C_k is at most a line, and x*I - C_k has a kernel
+    exactly when x is a root of t^k - 1.  Hence the rank is k - [x^k = 1],
+    also where t^k - 1 has repeated roots, as (t - 1)^k does at p = k.
+    """
+    return [k - (pow(x, k, p) == 1) for x in range(p)]
+
+
 def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
-    """Exact Jordan length of the witness's permutation matrix, from its blocks.
+    """Exact Jordan length of the witness's permutation matrix, from its cycles.
 
     The witness's cycles are consecutive ranges, so its matrix P is block
     diagonal: a copies of the p-cycle matrix C_p, then b copies of C_q.  For
@@ -110,18 +121,20 @@ def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
 
         rank(x*I - P) = a * rank(x*I - C_p) + b * rank(x*I - C_q)
 
-    exactly.  Two eliminations of size at most q thus stand in for one of
-    size n, and the length is the least of these ranks over x != 0,
-    divided by n.  Also asserts the cycle-count lower bound (n - (a + b))/n,
-    which is the mechanism giving lengths above 1/2 for p >= 5.
+    exactly.  Each C_k is the companion matrix of t^k - 1, whose eigenspaces
+    are lines, so rank(x*I - C_k) = k - [x^k = 1] (cycle_shift_ranks) and no
+    matrix is formed or eliminated.  The length is the least of these ranks
+    over x != 0, divided by n.  Also asserts the cycle-count lower bound
+    (n - (a + b))/n, which is the mechanism giving lengths above 1/2 for
+    p >= 5.
     """
     solved = solve_two_prime(n, p, q)
     if solved is None:
         raise Infeasible(f"no (a, b) with {p}a + {q}b = {n} and max(a, b) >= 2")
     a, b = solved
-    blocks = [perm_matrix(Permutation.from_cycles([range(k)], k), field) for k in (p, q)]
-    r_p, r_q = (shift_ranks(c.entries[None], field.p)[0] for c in blocks)
-    value = Fraction(int((a * r_p[1:] + b * r_q[1:]).min()), n)
+    f = field.p
+    r_p, r_q = cycle_shift_ranks(p, f), cycle_shift_ranks(q, f)
+    value = Fraction(min(a * x + b * y for x, y in zip(r_p[1:], r_q[1:])), n)
     bound = Fraction(n - (a + b), n)
     assert value >= bound
     return value

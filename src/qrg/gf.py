@@ -15,8 +15,9 @@ one elimination for every matrix) are read off its pivot map; the
 character degrees read the kernels of all eigenvalue shifts of one
 class-algebra action from a single ff_nullspaces call.  shift_ranks
 ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
-those ranks, and so is the two-prime witness's, from the ranks of its two
-cycle blocks.
+those ranks (jordan_numerators, in integers).  The two-prime witness's
+length needs no elimination: constructions reads the ranks of its cycle
+blocks off x^k = 1.
 The kernel multiplies two residues below p, so it requires p < 2**31
 (p**2 < 2**62), checked where it is entered; callers such as the character
 degrees pass primes above MAX_PRIME.
@@ -317,8 +318,9 @@ def shift_ranks(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks.reshape(b, p)
 
 
-def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
-    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g.
+def jordan_numerators(stack: np.ndarray, p: int) -> np.ndarray:
+    """n - m_g for each g of a (b, n, n) stack of invertible matrices, as
+    an int64 array: the Jordan lengths times their common denominator n.
 
     m_g = max over a in F* of dim ker(a - g).  Of the shift ranks, a = 0
     gives -g, of rank n exactly when g is invertible, and n - m_g is the
@@ -328,7 +330,13 @@ def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
     ranks = shift_ranks(stack, p)
     if (ranks[:, 0] < n).any():
         raise SingularMatrix("jordan length requires an invertible matrix")
-    return [Fraction(int(k), n) for k in ranks[:, 1:].min(axis=1)]
+    return ranks[:, 1:].min(axis=1)
+
+
+def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
+    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g."""
+    n = np.shape(stack)[1]
+    return [Fraction(int(k), n) for k in jordan_numerators(stack, p)]
 
 
 def jordan_length(g: FFMatrix) -> Fraction:

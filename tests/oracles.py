@@ -563,3 +563,56 @@ def solve_two_prime_bruteforce(n: int, p: int, q: int):
         if rest % q == 0 and max(a, rest // q) >= 2:
             return a, rest // q
     return None
+
+
+# -- length axioms on U_D, one Haar sample at a time -------------------------
+
+def haar_unitary_loop(d: int, rng) -> np.ndarray:
+    """One Haar unitary: QR of a complex Ginibre matrix, real part drawn
+    first, with the phases of R's diagonal folded back into Q."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def length_axioms_loop(samples: int, d: int, seed: int) -> dict:
+    """Worst violation of each length axiom of ell(A) = ||A - I|| over
+    Haar triples (a, b, c), drawn and checked one sample at a time.
+
+    An inverse is the conjugate transpose as a view, so its norm sums its
+    entries in the same memory order as a copy made with np.array would.
+    """
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+
+    def length(x):
+        return float(np.linalg.norm(x - eye))
+
+    def dist(x, y):
+        return float(np.linalg.norm(x - y))
+
+    worst = {
+        "identity_length": length(eye),
+        "symmetry": 0.0,
+        "conjugation": 0.0,
+        "triangle": 0.0,
+        "bi_invariance": 0.0,
+        "trace_identity": 0.0,
+    }
+    for _ in range(samples):
+        a, b, c = (haar_unitary_loop(d, rng) for _ in range(3))
+        la, lb = length(a), length(b)
+        worst["symmetry"] = max(worst["symmetry"], abs(la - length(a.conj().T)))
+        conj = b @ a @ b.conj().T
+        worst["conjugation"] = max(worst["conjugation"], abs(length(conj) - la))
+        worst["triangle"] = max(worst["triangle"], length(a @ b) - la - lb)
+        direct = dist(b, c)
+        worst["bi_invariance"] = max(
+            worst["bi_invariance"],
+            abs(dist(a @ b, a @ c) - direct),
+            abs(dist(b @ a, c @ a) - direct),
+        )
+        trace_form = 2 * d - 2 * np.trace(a).real
+        worst["trace_identity"] = max(worst["trace_identity"], abs(la * la - trace_form))
+    return worst

@@ -179,7 +179,9 @@ def test_stacked_jordan_lengths_match_reference(case, data):
     invertible = [x for x in square if oracles.det_mod_p(x.tolist(), p)]
     if invertible:
         got = gf.jordan_lengths(np.array(invertible), p)
-        assert got == [oracles.jordan_length_reference(x.tolist(), p) for x in invertible]
+        want = [oracles.jordan_length_reference(x.tolist(), p) for x in invertible]
+        assert got == want
+        assert gf.jordan_numerators(np.array(invertible), p).tolist() == [k * x for x in want]
     stack = np.array(invertible + [np.zeros((k, k), dtype=np.int64)])
     stack = np.roll(stack, data.draw(st.integers(0, len(stack) - 1)), axis=0)
     with pytest.raises(gf.SingularMatrix, match="requires an invertible matrix"):

@@ -238,6 +238,50 @@ def test_length_axioms_reproducible_and_capped():
         unitgeom.length_axioms_check(10, 9, seed=0)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_length_axioms_match_the_per_sample_oracle(d):
+    # bitwise: every violation, not only the printed maximum, is the one
+    # the sample-by-sample loop finds from the same stream
+    for samples in (1, 7, 60):
+        for seed in range(5):
+            got = unitgeom.length_axioms_check(samples, d, seed=seed).violations
+            assert got == oracles.length_axioms_loop(samples, d, seed)
+
+
+def test_length_axioms_report_does_not_depend_on_the_block_size(monkeypatch):
+    want = [unitgeom.length_axioms_check(20, d, seed=40 + d) for d in (1, 3, 8)]
+    assert unitgeom._AXIOM_BLOCK >= 20
+    for block in (1, 7):
+        monkeypatch.setattr(unitgeom, "_AXIOM_BLOCK", block)
+        assert [unitgeom.length_axioms_check(20, d, seed=40 + d) for d in (1, 3, 8)] == want
+
+
+def test_haar_unitary_is_row_zero_of_the_stacked_draw():
+    for d in range(1, 9):
+        stack = unitgeom._haar_stack(5, d, np.random.default_rng(50 + d))
+        one = np.random.default_rng(50 + d)
+        assert np.array_equal(unitgeom.haar_unitary(d, one).entries, stack[0])
+        # and the rows after it are the draws after it, as the oracle makes them
+        loop = np.random.default_rng(50 + d)
+        assert all(np.array_equal(oracles.haar_unitary_loop(d, loop), row) for row in stack)
+
+
+def test_length_axioms_reject_a_non_unitary_sample(monkeypatch):
+    qr = np.linalg.qr
+
+    def skewed_qr(z):
+        q, r = qr(z)
+        q = q.copy()
+        q[-1] *= 1 + 1e-6  # the last matrix of the draw only
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", skewed_qr)
+    with pytest.raises(NotUnitary):
+        unitgeom.length_axioms_check(7, 3, seed=0)
+    with pytest.raises(NotUnitary):
+        unitgeom.haar_unitary(3, np.random.default_rng(0))
+
+
 def perm_rep(g):
     return {
         i: unitgeom.permutation_unitary(g.element(i).images) for i in range(g.order)
