@@ -100,17 +100,6 @@ def symplectic_check(m: FFMatrix) -> bool:
     return m.transpose() * j * m == j
 
 
-def cycle_shift_ranks(k: int, p: int) -> list[int]:
-    """rank(x*I - C_k) over GF(p) for every x in GF(p), C_k the k-cycle matrix.
-
-    C_k is the companion matrix of t^k - 1, so it is cyclic: every
-    eigenspace of C_k is at most a line, and x*I - C_k has a kernel
-    exactly when x is a root of t^k - 1.  Hence the rank is k - [x^k = 1],
-    also where t^k - 1 has repeated roots, as (t - 1)^k does at p = k.
-    """
-    return [k - (pow(x, k, p) == 1) for x in range(p)]
-
-
 def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
     """Exact Jordan length of the witness's permutation matrix, from its cycles.
 
@@ -122,19 +111,16 @@ def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
         rank(x*I - P) = a * rank(x*I - C_p) + b * rank(x*I - C_q)
 
     exactly.  Each C_k is the companion matrix of t^k - 1, whose eigenspaces
-    are lines, so rank(x*I - C_k) = k - [x^k = 1] (cycle_shift_ranks) and no
-    matrix is formed or eliminated.  The length is the least of these ranks
-    over x != 0, divided by n.  Also asserts the cycle-count lower bound
-    (n - (a + b))/n, which is the mechanism giving lengths above 1/2 for
-    p >= 5.
+    are lines, so rank(x*I - C_k) = k - [x^k = 1], also where t^k - 1 has
+    repeated roots, as (t - 1)^k does at a field of characteristic k.  The
+    length is the least of these ranks over x != 0, divided by n.  At x = 1
+    every block has its one-dimensional kernel and no x gives a block more,
+    so the least rank is n - (a + b) over every field: the cycle-count
+    bound, which gives lengths above 1/2 for p >= 5, is attained, and no
+    matrix is formed or eliminated.
     """
     solved = solve_two_prime(n, p, q)
     if solved is None:
         raise Infeasible(f"no (a, b) with {p}a + {q}b = {n} and max(a, b) >= 2")
     a, b = solved
-    f = field.p
-    r_p, r_q = cycle_shift_ranks(p, f), cycle_shift_ranks(q, f)
-    value = Fraction(min(a * x + b * y for x, y in zip(r_p[1:], r_q[1:])), n)
-    bound = Fraction(n - (a + b), n)
-    assert value >= bound
-    return value
+    return Fraction(n - (a + b), n)

@@ -16,14 +16,15 @@ class sets, which many (c, k) share.  The double covering is one bool grid
 feasible[x, m1, k1, y, m2, k2]: a matrix over D says which products
 D[i] * D[j] fall short of G, and a cell is infeasible iff some class in its
 x-mask and some class in its y-mask have such a product, two bool matmuls
-over the masks.  Each group caches one grid over every class, m and k asked
-so far, and a single check reads one cell of it.
+over the masks.  Each request builds its own grid over the classes, m and
+k its two sides ask for, and a single check is its 1 x 1 case.
 
 The cosocle inflation check relies on monotonicity: A^a * B^b = G gives
 A^(a+i) * B^(b+j) = A^i * G * B^j = G, so along the axis f = 1, 2, ... the
 double covering at f * k1, f * k2 never turns false once true.  It holds at
 the inflation factor iff it holds for some smaller f, and the least such f
-is the first true cell on that axis.
+is the first true cell on that axis: one grid over the exponents f * k,
+read where both sides have the same f.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class CoveringReport:
     property_holds: bool
     growth_trace: list[tuple[int, int]] = field(default_factory=list)
     reason: str | None = None
-
-
-# entries of the cached double covering grid past which it is rebuilt over
-# one request instead of over every request so far
-_GRID_CELLS = 1 << 22
 
 
 def resolve_m(g: GroupTable, x: int, m) -> int:
@@ -187,45 +183,23 @@ def double_covering_grid(g: GroupTable, xs, ms1, ks1, ys, ms2, ks2) -> np.ndarra
         (C(x^i) u C(x^-i))^k1 * (C(y^j) u C(y^-j))^k2 = G for all i <= m1, j <= m2
 
     over every combination of the given elements, power ranges and
-    exponents, read from the group's grid.
+    exponents, read from one grid over the classes, m and k both sides ask
+    for.
     """
     class_of = g.class_of
     side1 = list(itertools.product(class_of[xs].tolist(), ms1, ks1))
     side2 = list(itertools.product(class_of[ys].tolist(), ms2, ks2))
-    grid, pos = _grid_cells(g, side1 + side2)
-    shape = (len(xs), len(ms1), len(ks1), len(ys), len(ms2), len(ks2))
-    return grid[np.ix_(pos[: len(side1)], pos[len(side1) :])].reshape(shape)
+    axes = [list(dict.fromkeys(vs)) for vs in zip(*side1, *side2)]
+    pos = {cell: i for i, cell in enumerate(itertools.product(*axes))}
+    grid = _grid(g, *axes)[np.ix_([pos[c] for c in side1], [pos[c] for c in side2])]
+    return grid.reshape(len(xs), len(ms1), len(ks1), len(ys), len(ms2), len(ks2))
 
 
 def double_covering_feasible(
     g: GroupTable, x: int, y: int, k1: int, m1, k2: int, m2
 ) -> bool:
-    """One cell of double_covering_grid."""
-    class_of = g.class_of
-    grid, (a, b) = _grid_cells(g, [(int(class_of[x]), m1, k1), (int(class_of[y]), m2, k2)])
-    return bool(grid[a, b])
-
-
-def _grid_cells(g: GroupTable, cells) -> tuple[np.ndarray, list[int]]:
-    """The group's double covering grid and the position in it of each
-    (class, m, k) cell.
-
-    The grid's two sides run over every combination of the classes, power
-    ranges and exponents asked for so far.  A cell outside it rebuilds the
-    grid over the union, or over the asked cells alone once the union would
-    pass _GRID_CELLS entries.
-    """
-    pos, grid = g.cache.get("double_covering", ({}, np.zeros((0, 0), dtype=bool)))
-    try:
-        return grid, [pos[cell] for cell in cells]
-    except KeyError:
-        axes = [list(dict.fromkeys(vs)) for vs in zip(*pos, *cells)]
-        if math.prod(map(len, axes)) ** 2 > _GRID_CELLS:
-            axes = [list(dict.fromkeys(vs)) for vs in zip(*cells)]
-        grid = _grid(g, *axes)
-        pos = {cell: i for i, cell in enumerate(itertools.product(*axes))}
-        g.cache["double_covering"] = pos, grid
-        return grid, [pos[cell] for cell in cells]
+    """The 1 x 1 case of double_covering_grid."""
+    return bool(double_covering_grid(g, [x], [m1], [k1], [y], [m2], [k2]).item())
 
 
 def _grid(g: GroupTable, cs, ms, ks) -> np.ndarray:
@@ -264,6 +238,27 @@ def inflation_factor(cosocle_classes: int) -> int:
     return 3 * cosocle_classes - 2
 
 
+def cosocle_inflation(g: GroupTable, xs, ms1, ks1, ys, ms2, ks2):
+    """(factor, mod, minimal) of the cosocle inflation over a grid of pairs.
+
+    mod[x, m1, k1, y, m2, k2] is the symmetric double covering modulo the
+    cosocle, and minimal the least f <= factor at which it holds in G with
+    both exponents multiplied by f, or 0 where none does.  If a cell holds
+    modulo the cosocle, it must hold in G at the inflation factor, which by
+    monotonicity is minimal > 0.
+    """
+    cos = cosocle(g)
+    factor = inflation_factor(cos.num_classes)
+    q = quotient(g, cos)
+    mod = double_covering_grid(q, q.proj[xs], ms1, ks1, q.proj[ys], ms2, ks2)
+    fks1, fks2 = ([f * k for f in range(1, factor + 1) for k in ks] for ks in (ks1, ks2))
+    lifted = double_covering_grid(g, xs, ms1, fks1, ys, ms2, fks2).reshape(
+        len(xs), len(ms1), factor, len(ks1), len(ys), len(ms2), factor, len(ks2))
+    # the cells with the same f on both sides, f last
+    lifted = np.diagonal(lifted, axis1=2, axis2=6)
+    return factor, mod, np.where(lifted.any(axis=-1), lifted.argmax(axis=-1) + 1, 0)
+
+
 def verify_cosocle_inflation(
     g: GroupTable, x: int, y: int, k1: int, m1, k2: int, m2
 ) -> InflationReport:
@@ -275,22 +270,11 @@ def verify_cosocle_inflation(
     inflation factor that actually suffices, so the slack is visible; by
     monotonicity the bound holds exactly when that factor exists.
     """
-    cos = cosocle(g)
-    n = cos.num_classes
-    factor = inflation_factor(n)
-    q = quotient(g, cos)
-    mod_holds = double_covering_feasible(q, int(q.proj[x]), int(q.proj[y]), k1, m1, k2, m2)
-    minimal = None
-    if mod_holds:
-        cx, cy = int(g.class_of[x]), int(g.class_of[y])
-        fs = range(1, factor + 1)
-        grid, pos = _grid_cells(
-            g, [(cx, m1, f * k1) for f in fs] + [(cy, m2, f * k2) for f in fs])
-        lifted = grid[pos[:factor], pos[factor:]]
-        if lifted[-1]:
-            minimal = int(lifted.argmax()) + 1
+    factor, mod, minimal = cosocle_inflation(g, [x], [m1], [k1], [y], [m2], [k2])
+    mod_holds = bool(mod.item())
+    minimal = int(minimal.item()) if mod_holds and minimal.item() else None
     return InflationReport(
-        cosocle_classes=n,
+        cosocle_classes=cosocle(g).num_classes,
         factor=factor,
         mod_holds=mod_holds,
         lifted_holds=(minimal is not None) if mod_holds else None,

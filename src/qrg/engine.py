@@ -145,9 +145,6 @@ class NormalSubgroup:
     def num_classes(self) -> int:
         return bin(self.class_bits).count("1")
 
-    def contains(self, idx: int) -> bool:
-        return bool(self.class_bits >> int(self.group.class_of[idx]) & 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, NormalSubgroup)

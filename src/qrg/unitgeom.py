@@ -92,9 +92,6 @@ class UnitaryPoint:
     def identity(cls, d: int) -> "UnitaryPoint":
         return cls(np.eye(d))
 
-    def inverse(self) -> "UnitaryPoint":
-        return UnitaryPoint(self.entries.conj().T)
-
     def __matmul__(self, other: "UnitaryPoint") -> "UnitaryPoint":
         return UnitaryPoint(self.entries @ other.entries)
 

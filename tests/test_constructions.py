@@ -9,14 +9,13 @@ from qrg import constructions
 from qrg.constructions import (
     Infeasible,
     brenner_sigma,
-    cycle_shift_ranks,
     double_embed,
     jordan_of_sigma,
     perm_matrix,
     solve_two_prime,
     symplectic_check,
 )
-from qrg.gf import FFMatrix, PrimeField, is_prime, jordan_length, shift_ranks
+from qrg.gf import FFMatrix, PrimeField, jordan_length
 from qrg.permutations import OddPermutation, Permutation, cycle_string
 
 F2 = PrimeField(2)
@@ -161,16 +160,6 @@ def test_jordan_of_sigma_block_rule_matches_full_matrix(p, q, f):
         assert got == jordan_length(m)
         if n <= 20:
             assert got == oracles.jordan_length_reference(m.entries.tolist(), f)
-
-
-@pytest.mark.parametrize("k", [2, 3, 5, 7, 11, 13])
-def test_cycle_shift_ranks_match_elimination(k):
-    # every prime f < 100 includes f = k, where t^k - 1 = (t - 1)^k, and
-    # primes f = 1 mod k, where t^k - 1 has k distinct roots
-    cycle = Permutation.from_cycles([range(k)], k)
-    for f in filter(is_prime, range(100)):
-        want = shift_ranks(perm_matrix(cycle, PrimeField(f)).entries[None], f)[0]
-        assert cycle_shift_ranks(k, f) == want.tolist()
 
 
 def test_jordan_of_sigma_propagates_infeasible():

@@ -208,14 +208,19 @@ def test_inflation_report_on_sl25():
 def test_inflation_lift_is_read_from_the_minimal_factor(spec):
     """lifted_holds is the double covering at factor * k1, factor * k2, and
     minimal_factor the least f at which it holds: feasibility only grows
-    with f, as A^a B^b = G gives A^(a+i) B^(b+j) = G."""
+    with f, as A^a B^b = G gives A^(a+i) B^(b+j) = G.  cosocle_inflation's
+    grid over every exponent at once reads the same cells."""
     g = build(spec)
     reps = [c.rep for c in g.classes]
+    ks = ms = [1, 2, 3]
+    _, mod, minimal = covering.cosocle_inflation(g, reps, ms, ks, reps, ms, ks)
     lifted = 0
-    for x in reps:
-        for y in reps:
+    for a, x in enumerate(reps):
+        for b, y in enumerate(reps):
             for k1, m1, k2, m2 in [(1, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 3)]:
                 rep = covering.verify_cosocle_inflation(g, x, y, k1, m1, k2, m2)
+                cell = (a, ms.index(m1), ks.index(k1), b, ms.index(m2), ks.index(k2))
+                assert mod[cell] == rep.mod_holds
                 if not rep.mod_holds:
                     assert (rep.lifted_holds, rep.minimal_factor, rep.slack) == (None,) * 3
                     continue
@@ -226,6 +231,7 @@ def test_inflation_lift_is_read_from_the_minimal_factor(spec):
                 assert rep.lifted_holds == feasible[-1]
                 want = feasible.index(True) + 1 if True in feasible else None
                 assert rep.minimal_factor == want
+                assert minimal[cell] == (want or 0)
                 # monotone in f: once it holds, it keeps holding
                 assert feasible == sorted(feasible)
                 lifted += rep.lifted_holds
@@ -355,8 +361,8 @@ def test_covering_number_matches_bruteforce_on_random_groups(gens, seed, symmetr
 def test_double_covering_grid_matches_bruteforce_on_random_groups(gens, seed, quotient, ms):
     """Sampled cells of a 2 x m x 2 grid on each side against brute force,
     with an exponent past the end of a base's cycle of powers; then every
-    cell asked one at a time on a fresh copy of the group, which grows its
-    cached grid request by request."""
+    cell asked one at a time, as its own 1 x 1 grid, on a fresh copy of the
+    group."""
 
     def build():
         g = engine.enumerate_group([Permutation(x) for x in gens])
@@ -387,22 +393,28 @@ def test_double_covering_grid_matches_bruteforce_on_random_groups(gens, seed, qu
 
 def test_minimal_factor_matches_element_oracle_on_sl25():
     """minimal_factor is the first f at which the double covering at
-    f * k1, f * k2 holds, by brute force over SL2(5) as entry 4-tuples."""
+    f * k1, f * k2 holds, by brute force over SL2(5) as entry 4-tuples, and
+    cosocle_inflation's grid reads the same f off each of its cells."""
     g = build("SL2:5")
     mul = oracles.sl2_mul(5)
     elements = sorted(oracles.group_closure(oracles.sl2_gens(5), mul))
     tuples = [tuple(g.element(i).entries.ravel().tolist()) for i in range(g.order)]
     assert sorted(tuples) == elements
     reps = [c.rep for c in g.classes]
+    ks = ms = [1, 2, 3]
+    factor, mod, minimal = covering.cosocle_inflation(g, reps, ms, ks, reps, ms, ks)
     factors = set()
-    for x, y in itertools.combinations_with_replacement(reps, 2):
+    for (a, x), (b, y) in itertools.combinations_with_replacement(enumerate(reps), 2):
         for k1, m1, k2, m2 in [(1, 1, 1, 1), (2, 1, 1, 2), (1, 3, 2, 1)]:
             rep = covering.verify_cosocle_inflation(g, x, y, k1, m1, k2, m2)
+            cell = (a, ms.index(m1), ks.index(k1), b, ms.index(m2), ks.index(k2))
+            assert (rep.factor, rep.mod_holds) == (factor, mod[cell])
             if not rep.mod_holds:
                 continue
             want = next((f for f in range(1, rep.factor + 1) if oracles.power_covering_bruteforce(
                 elements, mul, [(tuples[x], f * k1, m1, True), (tuples[y], f * k2, m2, True)]
             )), None)
             assert rep.minimal_factor == want
+            assert minimal[cell] == (want or 0)
             factors.add(want)
     assert {1, 2} <= factors
