@@ -671,27 +671,24 @@ class _KeySet:
         while len(self.runs) > 1 and len(self.runs[-2]) <= 2 * len(self.runs[-1]):
             top = self.runs.pop()
             low = self.runs.pop()
-            self.runs.append(np.insert(low, np.searchsorted(low, top), top))
+            # a stable sort merges two sorted runs in linear time
+            self.runs.append(np.sort(np.concatenate((low, top)), kind="stable"))
 
 
 def _carrier(gens):
     """Kind, identity row, generator rows, row product and key powers for a
-    generating set; rows are carrier elements flattened to int64 vectors,
-    and the product of two row stacks of equal ndim broadcasts like numpy
-    arithmetic.  Only enumeration composes rows."""
+    generating set; rows are carrier elements flattened to int64 vectors.
+    The row product, of matrices only, broadcasts two row stacks of equal
+    ndim like numpy arithmetic; permutation rows are composed by a gather.
+    Only enumeration composes rows."""
     if all(isinstance(x, Permutation) for x in gens):
         degrees = {x.degree for x in gens}
         if len(degrees) != 1:
             raise MixedCarriers(f"permutation degrees differ: {sorted(degrees)}")
         degree = degrees.pop()
-
-        def compose(a, b):
-            # rows of a * b, which maps i to a(b(i)); leading axes broadcast
-            return np.take_along_axis(a, b, axis=-1)
-
         rows = np.array([x.images for x in gens], dtype=np.int64).reshape(len(gens), degree)
         identity = np.arange(degree, dtype=np.int64)
-        return "perm", identity, rows, compose, _radix_powers(degree, degree)
+        return "perm", identity, rows, None, _radix_powers(degree, degree)
     if all(isinstance(x, FFMatrix) for x in gens):
         fields = {x.field for x in gens}
         sizes = {x.n for x in gens}
@@ -777,9 +774,12 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     while True:
         frontier = layers[-1]
         first = order - len(frontier)
-        # candidate a * k + b is frontier[a] * gens[b], composed from the
-        # carrier rows or gathered from the row table
-        if act is None:
+        # candidate a * k + b is frontier[a] * gens[b], which maps i to
+        # frontier[a](gens[b](i)) for permutations, and is composed from
+        # the carrier rows or gathered from the row table for matrices
+        if kind == "perm":
+            cand = frontier[:, gen_rows]
+        elif act is None:
             cand = compose(frontier[:, None], gen_rows[None])
         else:
             cand = act[frontier].transpose(0, 2, 1)

@@ -3,16 +3,18 @@
 Matrices are numpy int64 arrays reduced mod p; all elimination is exact.
 Extension fields GF(p^k), k >= 2, are out of scope.
 
-Every elimination runs through one kernel, _eliminate, which fully reduces
-a (b, n, m) stack of matrices: a loop over the m columns, vectorized over
-the b matrices.  It never swaps rows.  In each column a matrix takes its
-first unused row with a nonzero entry as the pivot row, scales it to a
-leading 1, clears the column in every other row and marks the row used.
+Every elimination runs through one kernel, _eliminate, which brings a
+(b, n, m) stack of matrices to echelon form: a loop over the m columns,
+vectorized over the b matrices.  It never swaps rows.  In each column a
+matrix takes its first row with a nonzero entry as the pivot row, scales
+it to a leading 1, stores it by its column and clears the column in every
+row, the pivot row included, so a used row is zero and never chosen again.
 Pivot inverses come from a per-p table of every inverse mod p for
-p < MAX_PRIME, and from Python's pow on the pivots above it.  Rank,
-determinant, inverse and the nullspaces of a whole stack (ff_nullspaces,
-one elimination for every matrix) are read off its pivot map; the
-character degrees read the kernels of all eigenvalue shifts of one
+p < MAX_PRIME, and from Python's pow on the pivots above it.  Rank and
+determinant are read off the pivots; the inverse and the nullspaces of a
+whole stack (ff_nullspaces, one elimination for every matrix) reduce the
+echelon rows fully, _back_substitute, over only the columns they read.
+The character degrees read the kernels of all eigenvalue shifts of one
 class-algebra action from a single ff_nullspaces call.  shift_ranks
 ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
 those ranks (jordan_numerators, in integers).  The two-prime witness's
@@ -39,9 +41,10 @@ MAX_PRIME = 1 << 16
 # the difference it is subtracted from inside int64.
 _ELIM_PRIME_LIMIT = 1 << 31
 
-# Matrix entries per rank call in jordan_lengths (8 MB of int64), which
-# bounds its memory whatever the number of matrices and the prime.
-_JORDAN_ENTRIES = 1 << 20
+# Matrix entries per rank call in shift_ranks: with the (n, n) echelon rows
+# kept for each (n, n) matrix, one call holds 8 MB of int64, which bounds
+# its memory whatever the number of matrices and the prime.
+_JORDAN_ENTRIES = 1 << 19
 
 # Enumeration cap shared with the group engine; classical_generators refuses
 # families whose full group would not be enumerable anyway.
@@ -198,69 +201,84 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def _eliminate(stack: np.ndarray, p: int):
-    """Fully reduce every matrix of a (b, n, m) stack mod p, without swapping rows.
+    """Echelon form of every matrix of a (b, n, m) stack mod p, without swapping rows.
 
-    For each column, each matrix takes its first unused row with a nonzero
-    entry as the pivot row, scales it to a leading 1, clears the column in
-    every other row and marks the row used.  Returns the reduced stack, the
-    pivot row of each column as a (b, m) array (-1 where there is none) and
-    the product mod p of each matrix's pivots before scaling.
+    For each column, each matrix takes its first row with a nonzero entry
+    as the pivot row, scales it to a leading 1 and stores it, then clears
+    the column in every row, the pivot row too: a used row is zero from
+    then on and is never chosen again.  Returns the stored rows as a
+    (b, m, m) stack, rows[:, c] the scaled pivot row of column c or zero;
+    the pivot row of each column as a (b, m) array, -1 where there is none;
+    and the pivots before scaling, also (b, m), 0 where there is none.
     """
     if not 2 <= p < _ELIM_PRIME_LIMIT:
         raise ValueError(f"elimination needs 2 <= p < 2**31, got {p}")
     a = np.asarray(stack, dtype=np.int64, order="C") % p
     table = _inverse_table(p) if p < MAX_PRIME else None
     b, n, m = a.shape
-    flat = a.reshape(b * n, m)
-    first = np.arange(0, b * n, n)
-    free = np.ones(b * n, dtype=bool)
-    pivot_row = np.full((b, m), -1, dtype=np.int64)
-    product = np.ones(b, dtype=np.int64)
+    at = np.arange(b)
+    rows = np.zeros((b, m, m), dtype=np.int64)
+    pivot_row = np.zeros((b, m), dtype=np.int64)
+    pivots = np.zeros((b, m), dtype=np.int64)
     left = b * n
     for c in range(m):
         if not left:
             break
-        col = flat[:, c]
-        cand = (col != 0) & free
-        r = cand.reshape(b, n).argmax(axis=1)
-        at = first + r
-        has = cand[at]
-        k = np.count_nonzero(has)
+        col = a[:, :, c]
+        r = (col != 0).argmax(axis=1)
+        piv = col[at, r]
+        k = np.count_nonzero(piv)
         if not k:
             continue
-        piv = col[at] * has
         if table is not None:
             inv = table[piv]
         else:
             inv = np.array([pow(v, -1, p) if v else 0 for v in piv.tolist()], dtype=np.int64)
-        row = flat[at] * inv[:, None] % p
         # A matrix without a pivot here has row = 0, so it is left unchanged.
-        a -= col.reshape(b, n, 1) * row[:, None, :]
+        row = a[at, r] * inv[:, None] % p
+        a -= col[:, :, None] * row[:, None, :]
         a %= p
-        flat[at] += row
-        free[at[has]] = False
-        pivot_row[:, c] = np.where(has, r, -1)
-        product = product * np.where(has, piv, 1) % p
+        rows[:, c] = row
+        pivot_row[:, c] = r
+        pivots[:, c] = piv
         left -= k
-    return a, pivot_row, product
+    pivot_row[pivots == 0] = -1
+    return rows, pivot_row, pivots
+
+
+def _back_substitute(rows: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Clear the pivot columns from y, (b, m, k) chosen columns of the
+    (b, m, m) echelon rows of _eliminate, the last column first: the same
+    columns of the fully reduced rows.  Row c of an echelon stack is zero
+    before column c, so clearing column c touches only the rows above it,
+    and a row without a pivot adds nothing."""
+    y = y.copy()
+    for c in range(rows.shape[1] - 1, 0, -1):
+        above = y[:, :c]
+        above -= rows[:, :c, c, None] * y[:, c, None, :]
+        above %= p
+    return y
 
 
 def ff_rank(a: np.ndarray, p: int):
     """Rank mod p of a matrix, or the array of ranks of a (b, n, m) stack."""
     a = np.asarray(a, dtype=np.int64)
-    _, pivot_row, _ = _eliminate(a[None] if a.ndim == 2 else a, p)
-    ranks = np.count_nonzero(pivot_row >= 0, axis=1)
+    _, _, pivots = _eliminate(a[None] if a.ndim == 2 else a, p)
+    ranks = np.count_nonzero(pivots, axis=1)
     return int(ranks[0]) if a.ndim == 2 else ranks
 
 
 def ff_det(a: np.ndarray, p: int) -> int:
     """Determinant mod p: the pivot product times the sign of column -> pivot row."""
-    _, pivot_row, product = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
+    _, pivot_row, pivots = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
     rows = pivot_row[0]
     if (rows < 0).any():
         return 0
+    product = 1
+    for v in pivots[0].tolist():
+        product = product * v % p
     inversions = np.count_nonzero(np.triu(rows[:, None] > rows[None, :], 1))
-    return int(product[0]) * (-1) ** inversions % p
+    return product * (-1) ** inversions % p
 
 
 def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
@@ -268,11 +286,10 @@ def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    reduced, pivot_row, _ = _eliminate(aug[None], p)
-    rows = pivot_row[0, :n]
-    if (rows < 0).any():
+    rows, _, pivots = _eliminate(aug[None], p)
+    if not pivots[0, :n].all():
         return None
-    return reduced[0, rows, n:]
+    return _back_substitute(rows[:, :n, :n], rows[:, :n, n:], p)[0]
 
 
 def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -280,19 +297,17 @@ def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarra
 
     Returns (basis, free) per matrix: basis is an (m, m - rank) column basis
     in reduced form and free the columns without a pivot, on which the basis
-    is the identity.  Row c of I - R, where R carries the reduced pivot row
-    of each pivot column c and zeros elsewhere, is -(that row) on the free
-    columns and e_c for a free c; the basis is its free columns.
+    is the identity.  Column j of the basis is e_f - (column f of the
+    reduced rows) for the j-th free column f, so only the free columns are
+    back-substituted, each matrix's padded to the widest nullity.
     """
-    reduced, pivot_row, _ = _eliminate(stack, p)
-    has = pivot_row >= 0
-    rows = np.take_along_axis(reduced, np.where(has, pivot_row, 0)[:, :, None], axis=1)
-    full = (np.eye(reduced.shape[2], dtype=np.int64) - rows * has[:, :, None]) % p
-    out = []
-    for basis, pivotless in zip(full, ~has):
-        free = np.flatnonzero(pivotless)
-        out.append((basis[:, free], free))
-    return out
+    rows, _, pivots = _eliminate(stack, p)
+    nullity = np.count_nonzero(pivots == 0, axis=1)
+    # free columns first, in order; the padding columns are discarded
+    free = np.argsort(pivots != 0, axis=1, kind="stable")[:, : nullity.max(initial=0)]
+    basis = -_back_substitute(rows, np.take_along_axis(rows, free[:, None, :], axis=2), p) % p
+    basis[np.arange(len(free))[:, None], free, np.arange(free.shape[1])] = 1
+    return [(x[:, :k], cols[:k]) for x, cols, k in zip(basis, free, nullity.tolist())]
 
 
 def ff_nullspace(a: np.ndarray, p: int) -> np.ndarray:

@@ -113,6 +113,38 @@ def test_rank_and_det_match_oracle_on_stacks(case):
         assert gf.ff_det(x[:k, :k], p) == oracles.det_mod_p(x[:k, :k].tolist(), p)
 
 
+def check_echelon(a, p):
+    rows, pivot_row, pivots = gf._eliminate(a, p)
+    assert rows.shape == (len(a), a.shape[2], a.shape[2])
+    for x, *got in zip(a, rows, pivot_row, pivots):
+        assert tuple(y.tolist() for y in got) == oracles.echelon_mod_p(x.tolist(), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_eliminate_matches_echelon_oracle_on_stacks(case):
+    p, a = case
+    check_echelon(a, p)
+
+
+def test_eliminate_matches_echelon_oracle_on_explicit_cases():
+    # pivots inverted by pow above the inverse table, up to the prime limit;
+    # [A | I] shapes, which stop after n pivots; an all-zero matrix
+    rng = np.random.default_rng(17)
+    for p in (65537, 2**31 - 1):
+        a = rng.integers(0, p, size=(3, 4, 4))
+        a[1] = 0
+        a[2, -1] = a[2, 0] * 5 % p
+        check_echelon(a, p)
+    for p in (2, 7, 65521, 65537):
+        for n in (1, 3, 5):
+            a = rng.integers(0, p, size=(3, n, n))
+            a[0, -1] = 0
+            eye = np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)
+            check_echelon(np.concatenate([a, eye], axis=2), p)
+    check_echelon(np.zeros((1, 3, 4), dtype=np.int64), 5)
+
+
 def check_nullspaces(a, p):
     # each basis is ff_nullspace's for its own matrix, kills it, has
     # m - rank columns and is the identity on its free rows; the products
@@ -147,6 +179,22 @@ def test_nullspaces_above_the_inverse_table():
     )
     check_nullspaces(a, p)
     assert [basis.shape[1] for basis, _ in gf.ff_nullspaces(a, p)] == [1, 3, 2]
+
+
+def test_nullspaces_of_a_mixed_stack_match_single_calls():
+    # nullity 0, 1 and m in one call: each kernel is padded to the widest,
+    # and the padding must not reach any basis
+    p = 7
+    invertible = [[1, 2, 0], [0, 1, 3], [2, 0, 1]]
+    rank_two = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    zero = [[0, 0, 0]] * 3
+    a = np.array([invertible, rank_two, zero, rank_two[::-1]], dtype=np.int64)
+    got = gf.ff_nullspaces(a, p)
+    assert [basis.shape[1] for basis, _ in got] == [0, 1, 3, 1]
+    for x, (basis, free) in zip(a, got):
+        [(alone, alone_free)] = gf.ff_nullspaces(x[None], p)
+        assert basis.shape == alone.shape and (basis == alone).all()
+        assert (free == alone_free).all()
 
 
 def test_inverse_table():
