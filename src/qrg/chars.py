@@ -11,8 +11,14 @@ split fails, then class by class.  Everything is exact integer arithmetic;
 no floating point appears anywhere in this module.  The eigenspaces of each
 action come from the one elimination kernel in gf: one ff_nullspaces call
 reduces the shifts by every eigenvalue at once.  The class-sum
-multiplication matrices are read from the engine's structure rows, the one
-place class products are formed.
+multiplication matrices are read from the engine's store of structure rows,
+the one place class products are formed: the generic element asks for every
+row in one call, so each row is walked once per group, and the class-by-class
+pass and every retried prime read the same rows again without a walk, as
+in Dixon's method and Schneider's (Dixon's character table algorithm
+revisited, J. Symbolic Comput. 1990), which form the class matrices once and
+reuse them for every split.
+D(G) needs no split at all when G is not perfect.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import GroupTable, TrivialGroup, normal_subgroups
+from .engine import GroupTable, TrivialGroup, is_perfect, normal_subgroups
 from .errors import CapExceeded
 from .gf import ff_nullspaces, is_prime
 
@@ -73,10 +79,11 @@ def _suitable_primes(exponent: int, order: int, num_classes: int):
 def _class_coefficients(g: GroupTable, i: int) -> np.ndarray:
     """a[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}, as an r x r array.
 
-    Read from the structure row of class i: counting the triples x y = z
-    with x in C_i, y in C_j, z in C_k once per x and once per z gives
-    a[j, k] = |C_i| N[i, j, k] / |C_k|.  The row is not cached, as r may
-    reach the thousands.
+    Read from the structure row of class i in the group's row store:
+    counting the triples x y = z with x in C_i, y in C_j, z in C_k once per
+    x and once per z gives a[j, k] = |C_i| N[i, j, k] / |C_k|.  The store
+    keeps every row formed, at most sum_j min(|G|, r**2) entries of 16
+    bytes, and no class coefficient matrix is kept.
     """
     r = len(g.classes)
     sizes = g.class_sizes
@@ -174,6 +181,8 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
         if spaces is None:
             raise _SplitFailure(f"defective action at class {i}")
         if i == 1 and any(b.shape[1] != 1 for b, _ in spaces):
+            # the generic element reads every row: walk them all at once
+            g.class_structure_rows(range(1, r))
             generic = np.zeros((r, r), dtype=np.int64)
             for j, c in enumerate(_generic_coefficients(r, ell).tolist(), 1):
                 generic = (generic + c * (_class_coefficients(g, j).T % ell)) % ell
@@ -236,11 +245,17 @@ def character_degrees(g: GroupTable, cap: int = DEGREE_ORDER_CAP) -> CharacterDe
 
 
 def quasirandom_degree(g: GroupTable, cap: int = DEGREE_ORDER_CAP):
-    """Minimal nontrivial irreducible degree D(G); math.inf for the trivial group."""
+    """Minimal nontrivial irreducible degree D(G); math.inf for the trivial group.
+
+    A group G other than G' has a nontrivial linear character, one of the
+    abelian quotient G/G', so D(G) = 1 is answered without the split while
+    |G| is within the cap and the degrees are not cached yet.
+    """
     if g.order == 1:
         return math.inf
-    degs = character_degrees(g, cap=cap).degrees
-    return degs[1]
+    if g.order <= cap and "chardeg" not in g.cache and not is_perfect(g):
+        return 1
+    return character_degrees(g, cap=cap).degrees[1]
 
 
 def min_normal_index(g: GroupTable) -> int:

@@ -38,8 +38,9 @@ breadth-first tree from the identity, kept as layers (new, parent, via)
 with new = parent * gens[via]: enumeration records its own, and products
 and quotients search R for theirs.  Whole-group products are index gathers
 over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
-for y = x * h fills a row rep * G, and row_blocks walks the rows of every
-element a block at a time.
+for y = x * h fills a row rep * G, and row_blocks walks the rows of any
+elements, a block of rows at a time, one gather per layer from the
+flattened R.
 
 Conjugacy classes are the orbits of the generators' conjugation maps.  With
 R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
@@ -55,7 +56,11 @@ smallest member of its coset, and the cosets are numbered in that order.
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
 and every subgroup question is answered from class products: row j of the
 class structure constants is the row rep_j * G, walked along the tree, and
-its support at i is the classes of C_i * C_j.  A class union N holding the
+its support at i is the classes of C_i * C_j.  Each row is walked once per
+group and kept as (codes, counts); the rows a caller asks for that are not
+kept yet are walked together, in blocks as row_blocks walks them.  The
+lattice, covering and the character degrees all read this one store, and
+the support bitmasks are derived from it.  A class union N holding the
 identity is a subgroup exactly when N * N = N; the join of normal subgroups
 A and B is A * B.  The powers S, S^2, ... of a class union S are formed
 until they first repeat and cached per S; past their end they cycle.  The
@@ -63,12 +68,13 @@ normal closure of some classes is the last power of S, those classes plus
 the identity.  The lattice joins each distinct principal normal subgroup,
 the closure of one class, into every normal subgroup found so far.
 
-A GroupTable keeps its own lazy state (classes, power map, structure rows,
-set products, class-set powers) in private fields.  Whatever a module-level
-function derives from it (lattice, cosocle, derived subgroup, quotients,
-character degrees, covering's double covering grid) is memoized in g.cache,
-as class bitmasks and orders rather than objects that point back at the
-group, so only a quotient and its parent form a reference cycle.
+A GroupTable keeps its own lazy state (classes, power map, the structure
+rows and their support bitmasks, set products, class-set powers) in private
+fields; the rows hold at most sum_j min(|G|, r**2) codes and counts for r
+classes.  Whatever a module-level function derives from it (lattice,
+cosocle, derived subgroup, quotients, character degrees) is memoized in
+g.cache, as class bitmasks and orders rather than objects that point back at
+the group, so only a quotient and its parent form a reference cycle.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
@@ -80,6 +86,7 @@ from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
@@ -175,6 +182,7 @@ class GroupTable:
         self._right = None
         self._layers = None
         self._parent_via = None
+        self._steps = None
         # perm and mat carriers: one flattened int64 row per element and the
         # row-key lookup (radix powers, or None for byte keys)
         self._rows = None
@@ -194,6 +202,7 @@ class GroupTable:
         self._class_reps = None
         self._class_inverses = None
         self._power_classes: dict[int, tuple[int, ...]] = {}
+        self._structure_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -270,22 +279,40 @@ class GroupTable:
             out = np.where(live, self._right[h, out], out)
         return np.array(out)
 
-    def row_blocks(self):
-        """The rows x * G for x = 0, 1, ... in order, walked along the tree
-        in blocks of whole rows, at most _ROW_BLOCK entries or one row."""
-        n = self.order
-        step = max(1, _ROW_BLOCK // n)
-        for s in range(0, n, step):
-            yield self._row_products(np.arange(s, min(s + step, n)))
+    def row_blocks(self, xs=None):
+        """The rows x * G for each x in xs, every element by default, in
+        order, walked along the tree in blocks of whole rows, at most
+        _ROW_BLOCK entries or one row."""
+        xs = np.arange(self.order) if xs is None else np.asarray(xs, dtype=np.int64)
+        step = max(1, _ROW_BLOCK // self.order)
+        for s in range(0, len(xs), step):
+            yield self._row_products(xs[s : s + step])
 
     def _row_products(self, xs) -> np.ndarray:
         """x * G for each x in xs, a scalar or a vector, walked along the
-        tree: x * y = R_h(x * p) for y = p * h, one gather per layer."""
+        tree: x * y = R_h(x * p) for y = p * h, one gather per layer from
+        the flattened R (_walk_steps)."""
         out = np.empty((*np.shape(xs), self.order), dtype=np.int64)
         out[..., 0] = xs
-        for new, parent, via in self._tree():
-            out[..., new] = self._right[via, out[..., parent]]
+        right = self._right.reshape(-1)
+        for new, parent, offset in self._walk_steps():
+            out[..., new] = right[offset + out[..., parent]]
         return out
+
+    def _walk_steps(self) -> list[tuple[slice | np.ndarray, np.ndarray, np.ndarray]]:
+        """The tree's layers as (new, parent, via * |G|), the offsets of the
+        vias' rows in the flattened R, with new a slice where its elements
+        are consecutive and ascending, as enumeration numbers them; cached."""
+        if self._steps is None:
+            self._steps = [
+                (
+                    slice(int(new[0]), int(new[-1]) + 1) if (np.diff(new) == 1).all() else new,
+                    parent,
+                    via * self.order,
+                )
+                for new, parent, via in self._tree()
+            ]
+        return self._steps
 
     def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Breadth-first layers (new, parent, via) over the right regular
@@ -437,20 +464,36 @@ class GroupTable:
 
     # -- class products (shared by covering, the lattice and characters) -----
 
-    def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero N[j, i, k] = #{y in C_i : rep_j y in C_k}, as (codes, counts).
+    def class_structure_rows(self, js) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Nonzero N[j, i, k] = #{y in C_i : rep_j y in C_k}, as (codes,
+        counts), for each j in js.
 
         Codes are i * r + k, ascending, for r classes: the row rep_j * G,
-        counted by (class of y, class of rep_j y).  Memory is O(|G|), and
-        codes stay below r**2 <= |G|**2, far inside int64 for any group that
-        can be enumerated.
+        counted by (class of y, class of rep_j y) in an r**2 bincount.  Each
+        row is formed once per group and kept, so the store holds at most
+        sum_j min(|G|, r**2) codes and counts; the rows of js not kept yet
+        are walked together, in blocks as row_blocks walks them.  Codes stay
+        below r**2 <= |G|**2, far inside int64 for any group that can be
+        enumerated.
         """
-        class_of = self.class_of
-        r = len(self._classes)
-        prod = self._row_products(self._class_reps[j])
-        counts = np.bincount(class_of * r + class_of[prod], minlength=r * r)
-        codes = np.flatnonzero(counts)
-        return codes, counts[codes]
+        js = [int(j) for j in js]
+        rows = self._structure_rows
+        todo = [j for j in dict.fromkeys(js) if j not in rows]
+        if todo:
+            class_of = self.class_of
+            r = len(self._classes)
+            first = class_of * r
+            # (class of y) * r + (class of rep_j y) for every y, a block at a time
+            blocks = (class_of[b] + first for b in self.row_blocks(self._class_reps[todo]))
+            for j, keys in zip(todo, chain.from_iterable(blocks)):
+                counts = np.bincount(keys, minlength=r * r)
+                codes = np.flatnonzero(counts)
+                rows[j] = codes, counts[codes]
+        return [rows[j] for j in js]
+
+    def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Structure row j, as class_structure_rows forms and keeps it."""
+        return self.class_structure_rows([j])[0]
 
     def class_pair_product_bits(self, ci: int, cj: int) -> int:
         """Bitmask of classes met by C_i * C_j: the support of structure row
@@ -957,6 +1000,8 @@ def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
             raise ClassCapExceeded(
                 f"{len(classes)} conjugacy classes exceed the lattice cap {CLASS_CAP}"
             )
+        # every closure below reads its class's row: walk them all at once
+        g.class_structure_rows(range(1, len(classes)))
         found: set[int] = {1}  # trivial subgroup: the identity class alone
         for nc in {g.normal_closure_bits([c]) for c in range(len(classes))}:
             # A * N_c = A when A already contains N_c

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qrg import chars, engine, gf
+from qrg import chars, covering, engine, gf
 from qrg.errors import CapExceeded
 from qrg.groupspec import build_group, parse_spec
 from qrg.permutations import Permutation
@@ -223,6 +223,91 @@ def test_quasirandom_degree():
     assert chars.quasirandom_degree(build("A6")) == 5
     assert chars.quasirandom_degree(build("S4")) == 1
     assert chars.quasirandom_degree(build("C1")) == math.inf
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "D12", "SL2:3", "prod(A5,C3)"])
+def test_quasirandom_degree_of_a_non_perfect_group_needs_no_split(monkeypatch, spec):
+    # G != G' has a nontrivial linear character, so D(G) = 1 is read off
+    # the derived subgroup, and no degree is computed
+    want = chars.character_degrees(build(spec)).degrees[1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("character degrees computed")
+
+    monkeypatch.setattr(chars, "character_degrees", forbidden)
+    assert chars.quasirandom_degree(build(spec)) == want == 1
+
+
+def test_quasirandom_degree_of_perfect_groups_and_cached_degrees(monkeypatch):
+    calls = []
+    character_degrees = chars.character_degrees
+
+    def counted(g, cap=chars.DEGREE_ORDER_CAP):
+        calls.append(g.label)
+        return character_degrees(g, cap=cap)
+
+    monkeypatch.setattr(chars, "character_degrees", counted)
+    # perfect groups still reach the split
+    assert chars.quasirandom_degree(build("A5")) == 3
+    assert chars.quasirandom_degree(build("SL2:5")) == 2
+    assert len(calls) == 2
+    # cached degrees are read as they are, with no derived subgroup formed
+    s4 = build("S4")
+    counted(s4)
+    monkeypatch.setattr(chars, "is_perfect", lambda g: pytest.fail("is_perfect called"))
+    assert chars.quasirandom_degree(s4) == 1
+    # above the cap D(G) is not known, perfect or not
+    with pytest.raises(CapExceeded):
+        chars.quasirandom_degree(build("S5"), cap=100)
+
+
+def _walked_classes(monkeypatch):
+    """Calls to GroupTable._row_products, each the list of classes whose
+    rows x * G it walked."""
+    walks = []
+    row_products = engine.GroupTable._row_products
+
+    def counted(self, xs):
+        walks.append(self.class_of[np.atleast_1d(xs)].tolist())
+        return row_products(self, xs)
+
+    monkeypatch.setattr(engine.GroupTable, "_row_products", counted)
+    return walks
+
+
+@pytest.mark.parametrize("spec", ["A6", "SL2:7"])
+@pytest.mark.parametrize("lattice_first", [True, False])
+def test_each_structure_row_is_walked_once_per_group(monkeypatch, spec, lattice_first):
+    # the lattice, the degrees and every retried prime read one store; the
+    # lattice and the generic element each walk all missing rows in one call
+    walks = _walked_classes(monkeypatch)
+    g = build(spec)
+    r = len(g.classes)
+    if lattice_first:
+        engine.cosocle(g)
+        assert walks == [list(range(1, r))]
+    chars.character_degrees(g)
+    if not lattice_first:
+        # class 1 alone, then the rest for the generic element
+        assert walks == [[1], list(range(2, r))]
+    engine.cosocle(g)
+    for ell, want in _SPLIT_OUTCOMES[spec].items():
+        try:
+            assert tuple(chars._degrees_at_prime(g, ell)) == want
+        except chars._SplitFailure as exc:
+            assert str(exc) == want
+    assert sorted(sum(walks, [])) == list(range(1, r))
+
+
+@pytest.mark.parametrize("spec", ["A6", "SL2:7"])
+def test_covering_walks_only_the_rows_of_its_class(monkeypatch, spec):
+    walks = _walked_classes(monkeypatch)
+    g = build(spec)
+    seen = []
+    for c in g.classes[1:4]:
+        covering.covering_number(g, c.rep)
+        seen.append(c.index)
+        assert sorted(sum(walks, [])) == seen
 
 
 def test_min_normal_index():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -392,3 +393,28 @@ def test_bcc_counts(capsys):
         ("SL2:5 inflation x4 lifts every mod-cosocle witness", 6561, 3625, 0),
         ("SL2:7 inflation x4 lifts every mod-cosocle witness", 9801, 6736, 0),
     ]
+
+
+def _readme_examples():
+    """(argv, printed object) for every `$ qrg ...` line of README.md that
+    is followed by its output: the JSON lines up to the next blank line."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    out = []
+    for at, line in enumerate(lines):
+        if not line.startswith("$ qrg ") or not lines[at + 1].startswith("{"):
+            continue
+        shown = []
+        for text in lines[at + 1:]:
+            if not text.strip():
+                break
+            shown.append(text)
+        out.append((shlex.split(line)[2:], json.loads(" ".join(shown))))
+    return out
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["analyze", "covering", "degree", "jordan"]
+    for argv, shown in examples:
+        code, lines = run(argv, capsys)
+        assert (code, lines) == (0, [shown])

@@ -1,8 +1,10 @@
 """Group enumeration, conjugacy machinery, quotients, and cosocles."""
 
+import copy
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -768,11 +770,35 @@ def test_products_match_oracle_on_every_carrier(gens_a, gens_b, drawn, seed):
 # -- class structure rows against brute-force structure constants -------------
 
 
+def _rows_in_blocks(g, rows_per_block):
+    """Every structure row of a copy of g that keeps no rows yet, read by
+    one class_structure_rows call with _ROW_BLOCK set so that each block
+    walks rows_per_block rows; the blocks' sizes are checked."""
+    fresh = copy.copy(g)
+    fresh._structure_rows, fresh._row_bits = {}, {}
+    sizes = []
+    row_products = fresh._row_products
+
+    def counted(xs):
+        sizes.append(np.size(xs))
+        return row_products(xs)
+
+    fresh._row_products = counted
+    r = len(g.classes)
+    with mock.patch.object(engine, "_ROW_BLOCK", rows_per_block * g.order):
+        rows = fresh.class_structure_rows(range(r))
+    full, rest = divmod(r, rows_per_block)
+    assert sizes == [rows_per_block] * full + [rest] * (rest > 0)
+    return rows
+
+
 def _check_structure_rows(g, rng):
     """Every structure row, pair bitmask and class coefficient matrix
     against the brute-force constants.  The oracle takes each class's
     largest member as its representative where g takes the smallest, so
-    the rows' independence of that choice is checked too."""
+    the rows' independence of that choice is checked too.  The rows are
+    read one at a time and all at once, in blocks of one row, of three
+    rows and of every row."""
     r = len(g.classes)
     classes = [c.members.tolist()[::-1] for c in g.classes]
     n, a = oracles.class_structure_constants(
@@ -783,12 +809,17 @@ def _check_structure_rows(g, rng):
     supports = [
         [sum(1 << int(k) for k in np.flatnonzero(n[j, i])) for i in range(r)] for j in range(r)
     ]
+    batched = [_rows_in_blocks(g, rows_per_block) for rows_per_block in (1, 3, r)]
     for j in range(r):
         codes, counts = g.class_structure_row(j)
         assert (np.diff(codes) > 0).all() and (counts > 0).all()
+        assert len(codes) <= min(g.order, r * r)
         row = np.zeros(r * r, dtype=np.int64)
         row[codes] = counts
         assert row.reshape(r, r).tolist() == n[j].tolist()
+        for rows in batched:
+            assert rows[j][0].tolist() == codes.tolist()
+            assert rows[j][1].tolist() == counts.tolist()
         for i in range(r):
             assert g.class_pair_product_bits(i, j) == supports[j][i]
             assert g.class_pair_product_bits(j, i) == supports[j][i]
@@ -806,6 +837,13 @@ def _check_structure_rows(g, rng):
                     want |= supports[j][i]
         assert g.class_set_product_bits(bits_a, bits_b) == want
         assert g.class_set_product_bits(bits_b, bits_a) == want
+
+
+def test_structure_rows_where_r_squared_exceeds_the_order():
+    # D12: 9 classes, so a row's r**2 = 81 counts outnumber its 24 products
+    g = build_group(parse_spec("D12"))
+    assert len(g.classes) ** 2 > g.order
+    _check_structure_rows(g, np.random.default_rng(12))
 
 
 def _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
