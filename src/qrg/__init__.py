@@ -4,16 +4,16 @@ finite groups, with exact arithmetic wherever the answer is a rational.
 The layers, bottom to top: permutations and prime-field matrices
 (permutations, gf), full group enumeration with conjugacy machinery
 (engine), class-product covering analysis (covering), character degrees
-and mixing (chars), unitary length geometry (unitgeom), explicit witness
-constructions (constructions), and the group-spec grammar plus CLI
-(groupspec, cli).
+and mixing (chars), explicit witness constructions (constructions), and
+the group-spec grammar plus CLI (groupspec, cli).  Unitary length
+geometry (unitgeom) stands beside them as a leaf: it depends on numpy
+alone and imports no other qrg module.
 """
 
 from .chars import (
     CharacterDegrees,
     MixingReport,
     character_degrees,
-    element_count_bound_check,
     gowers_mixing,
     min_normal_index,
     quasirandom_degree,
@@ -29,13 +29,11 @@ from .constructions import (
 )
 from .covering import (
     CoveringReport,
-    InflationReport,
     class_of_element,
     covering_number,
     covering_property,
     double_covering_feasible,
     kfold_product,
-    verify_cosocle_inflation,
     verify_product_preservation,
 )
 from .engine import (
@@ -54,9 +52,7 @@ from .groupspec import build_group, parse_spec, render_spec
 from .permutations import Permutation, cycle_string, parse_cycles
 from .unitgeom import (
     UnitaryPoint,
-    coverlength_bound_check,
     haar_unitary,
-    hs_distance,
     hs_length,
     length_axioms_check,
     packing_threshold,

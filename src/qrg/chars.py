@@ -266,18 +266,6 @@ def min_normal_index(g: GroupTable) -> int:
     return g.order // max(n.order for n in proper)
 
 
-def element_count_bound_check(g: GroupTable, cap: int = DEGREE_ORDER_CAP) -> bool:
-    """Check |G| > (D(G) - 1)^2.
-
-    The trivial group carries the infinity sentinel and fails the literal
-    inequality; callers exercise nontrivial groups.
-    """
-    d = quasirandom_degree(g, cap=cap)
-    if d == math.inf:
-        return False
-    return g.order > (d - 1) ** 2
-
-
 def _as_fraction(x) -> Fraction:
     # str() round-trip so that eps given as 0.1 means the decimal 1/10,
     # not the nearest binary double.

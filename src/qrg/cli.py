@@ -61,7 +61,10 @@ def _cap_order(args) -> int:
         return args.cap_order
     env = os.environ.get("QRG_CAP_ORDER")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"QRG_CAP_ORDER must be an integer, not {env!r}") from None
     return engine.DEFAULT_ORDER_CAP
 
 
@@ -99,6 +102,15 @@ def _parse_m(text: str):
     if m < 1:
         raise argparse.ArgumentTypeError(f"power range must be at least 1, not {text!r}")
     return m
+
+
+def _parse_alpha(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"subset density must be a rational such as 1/2 or 0.5, not {text!r}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
@@ -268,8 +280,7 @@ def cmd_construct(args) -> int:
 
 def cmd_mixing(args) -> int:
     g = _build(args)
-    alpha = Fraction(args.alpha)
-    size_frac = alpha * g.order
+    size_frac = args.alpha * g.order
     if size_frac.denominator != 1 or not 0 < size_frac.numerator <= g.order:
         raise ValueError(f"alpha {args.alpha} does not give an integer subset size")
     size = size_frac.numerator
@@ -289,7 +300,7 @@ def cmd_mixing(args) -> int:
     _emit(_report(
         "mixing-summary",
         spec=g.label,
-        alpha=str(alpha),
+        alpha=str(args.alpha),
         eps1=args.eps1,
         eps2=args.eps2,
         seed=args.seed,
@@ -347,7 +358,7 @@ def _suite_bcc(args):
 def _suite_packing(args):
     grid = [Fraction(str(args.eps))] if args.eps is not None else EPS_GRID
     for eps in grid:
-        got = unitgeom.packing_threshold(1, eps).m
+        got = unitgeom.packing_threshold(eps)
         want = _closed_form_m(eps)
         yield (f"packing D=1 eps={eps}", got == want, {"m": got, "closed_form": want})
 
@@ -613,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mixing", help="Gowers mixing trials")
     p.add_argument("groupspec")
-    p.add_argument("--alpha", required=True, help="subset density, e.g. 1/2")
+    p.add_argument("--alpha", type=_parse_alpha, required=True,
+                   help="subset density, e.g. 1/2")
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)

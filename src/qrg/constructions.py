@@ -14,12 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import FFMatrix, PrimeField, is_prime, symplectic_form
-from .permutations import (
-    OddPermutation,
-    Permutation,
-    is_exceptional,
-    is_fixed_point_free,
-)
+from .permutations import OddPermutation, Permutation, is_exceptional
 
 
 class Infeasible(ValueError):
@@ -59,7 +54,7 @@ def brenner_sigma(n: int, p: int, q: int) -> Permutation:
         cycles.append(tuple(range(start, start + length)))
         start += length
     sigma = Permutation.from_cycles(cycles, n)
-    assert is_fixed_point_free(sigma) and not is_exceptional(sigma)
+    assert sigma.is_fixed_point_free() and not is_exceptional(sigma)
     return sigma
 
 

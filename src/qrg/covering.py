@@ -46,14 +46,6 @@ class ClassSet:
     group: GroupTable
     bits: int
 
-    @property
-    def element_count(self) -> int:
-        return self.group.class_bits_size(self.bits)
-
-    @property
-    def class_count(self) -> int:
-        return bin(self.bits).count("1")
-
     def is_full(self) -> bool:
         return self.bits == self.group.full_class_bits()
 
@@ -79,11 +71,8 @@ def kfold_product(base: ClassSet, k: int) -> ClassSet:
 
 @dataclass
 class CoveringReport:
-    element: str
-    element_index: int
     symmetric: bool
     K: int | None
-    m_checked: int
     property_holds: bool
     growth_trace: list[tuple[int, int]] = field(default_factory=list)
     reason: str | None = None
@@ -133,15 +122,10 @@ def covering_number(
     exhausted.  The normal closure is the subgroup the class generates, the
     union of its powers, so it is read from the same cycle of powers.
     """
-    label = g.element_label(x)
-
     def report(K, trace, reason):
         return CoveringReport(
-            element=label,
-            element_index=x,
             symmetric=symmetric,
             K=K,
-            m_checked=1,
             property_holds=K is not None,
             growth_trace=trace,
             reason=reason,
@@ -220,16 +204,6 @@ def _grid(g: GroupTable, cs, ms, ks) -> np.ndarray:
     return ~hit.swapaxes(1, 2).reshape(len(hit), -1)
 
 
-@dataclass
-class InflationReport:
-    cosocle_classes: int
-    factor: int
-    mod_holds: bool
-    lifted_holds: bool | None
-    minimal_factor: int | None
-    slack: int | None
-
-
 def inflation_factor(cosocle_classes: int) -> int:
     """3n - 2, n the number of whole-group conjugacy classes lying inside
     the cosocle: the factor on both exponents of a symmetric double
@@ -257,30 +231,6 @@ def cosocle_inflation(g: GroupTable, xs, ms1, ks1, ys, ms2, ks2):
     # the cells with the same f on both sides, f last
     lifted = np.diagonal(lifted, axis1=2, axis2=6)
     return factor, mod, np.where(lifted.any(axis=-1), lifted.argmax(axis=-1) + 1, 0)
-
-
-def verify_cosocle_inflation(
-    g: GroupTable, x: int, y: int, k1: int, m1, k2: int, m2
-) -> InflationReport:
-    """Check the cosocle inflation bound on one witness pair.
-
-    If the symmetric double covering with (k1, m1), (k2, m2) holds modulo the
-    cosocle, the same powers must cover absolutely once both exponents are
-    multiplied by the inflation factor.  The report also carries the smallest
-    inflation factor that actually suffices, so the slack is visible; by
-    monotonicity the bound holds exactly when that factor exists.
-    """
-    factor, mod, minimal = cosocle_inflation(g, [x], [m1], [k1], [y], [m2], [k2])
-    mod_holds = bool(mod.item())
-    minimal = int(minimal.item()) if mod_holds and minimal.item() else None
-    return InflationReport(
-        cosocle_classes=cosocle(g).num_classes,
-        factor=factor,
-        mod_holds=mod_holds,
-        lifted_holds=(minimal is not None) if mod_holds else None,
-        minimal_factor=minimal,
-        slack=None if minimal is None else factor - minimal,
-    )
 
 
 def product_witness_index(groups: list[GroupTable], idxs: list[int]) -> int:

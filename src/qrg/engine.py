@@ -213,9 +213,6 @@ class GroupTable:
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_pairwise(i, j))
 
-    def inv_of(self, i: int) -> int:
-        return int(self.inv[i])
-
     def power(self, i: int, k: int) -> int:
         """Index of element(i)**k for any integer k: x^k = x^(k mod o),
         formed by repeated squaring."""

@@ -162,9 +162,6 @@ class FFMatrix:
             k >>= 1
         return result
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.entries, np.eye(self.n, dtype=np.int64)))
-
     def __eq__(self, other):
         return (
             isinstance(other, FFMatrix)
@@ -308,11 +305,6 @@ def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarra
     basis = -_back_substitute(rows, np.take_along_axis(rows, free[:, None, :], axis=2), p) % p
     basis[np.arange(len(free))[:, None], free, np.arange(free.shape[1])] = 1
     return [(x[:, :k], cols[:k]) for x, cols, k in zip(basis, free, nullity.tolist())]
-
-
-def ff_nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Column basis of the kernel, in reduced form (free rows carry identity)."""
-    return ff_nullspaces(np.asarray(a, dtype=np.int64)[None], p)[0][0]
 
 
 def shift_ranks(stack: np.ndarray, p: int) -> np.ndarray:

@@ -136,10 +136,6 @@ class Permutation:
         return f"Permutation({cycle_string(self)!r})"
 
 
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
-
-
 def is_exceptional(p: Permutation) -> bool:
     """Whether all cycle lengths (1-cycles included) are odd and pairwise distinct.
 
@@ -150,10 +146,6 @@ def is_exceptional(p: Permutation) -> bool:
         raise OddPermutation("exceptionality is only defined for even permutations")
     lengths = ct.lengths
     return all(ln % 2 == 1 for ln in lengths) and len(set(lengths)) == len(lengths)
-
-
-def is_fixed_point_free(p: Permutation) -> bool:
-    return p.is_fixed_point_free()
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

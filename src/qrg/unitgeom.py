@@ -3,7 +3,8 @@
 Floating-point verification layer: the length function ell(A) = ||A - I||,
 its axioms, the fact that some power of any nontrivial unitary has length
 above sqrt(2), and circle packing thresholds.  Algebraic identities are
-held to 1e-9; accumulated product bounds to 1e-6.
+held to 1e-9.  A leaf module: it reads no group table and imports nothing
+from the rest of qrg, only numpy and the standard library.
 
 Haar samples are drawn stacked: one standard_normal call and one stacked
 QR for a whole block, with the phases of R's diagonal folded back into Q
@@ -20,22 +21,16 @@ and the worst violation is part of the output.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
-from .covering import double_covering_feasible
-from .engine import GroupTable
-
 UNITARITY_TOL = 1e-9
 AXIOM_TOL = 1e-9
-PRODUCT_TOL = 1e-6
 SQRT2 = math.sqrt(2.0)
 
 # Samples per stacked draw in length_axioms_check: its arrays peak near
@@ -52,14 +47,6 @@ class NotUnitary(ValueError):
 
 
 class IdentityInput(ValueError):
-    pass
-
-
-class NotHomomorphism(ValueError):
-    pass
-
-
-class CoveringPreconditionFailed(ValueError):
     pass
 
 
@@ -92,21 +79,11 @@ class UnitaryPoint:
     def identity(cls, d: int) -> "UnitaryPoint":
         return cls(np.eye(d))
 
-    def __matmul__(self, other: "UnitaryPoint") -> "UnitaryPoint":
-        return UnitaryPoint(self.entries @ other.entries)
-
     def power(self, k: int) -> "UnitaryPoint":
         return UnitaryPoint(np.linalg.matrix_power(self.entries, k))
 
     def __repr__(self):
         return f"UnitaryPoint(D={self.D})"
-
-
-@dataclass(frozen=True)
-class PackingBound:
-    D: int
-    eps: object
-    m: int
 
 
 @dataclass(frozen=True)
@@ -142,12 +119,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> UnitaryPoint:
 def hs_length(a: UnitaryPoint) -> float:
     """ell(A) = ||A - I|| in the Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(a.entries - np.eye(a.D)))
-
-
-def hs_distance(a: UnitaryPoint, b: UnitaryPoint) -> float:
-    if a.D != b.D:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(a.entries - b.entries))
 
 
 def power_length_witness(a: UnitaryPoint, max_power: int = 10**6):
@@ -213,15 +184,13 @@ def _chord_below(m: int, eps: Fraction) -> bool:
         return 2 * half_chord < Decimal(eps.numerator) / eps.denominator
 
 
-def packing_threshold(d: int, eps) -> PackingBound:
-    """Exact circle packing threshold for D = 1.
+def packing_threshold(eps) -> int:
+    """Exact circle packing threshold on U_1(C).
 
     Returns the least m such that any m points of U_1(C) contain a pair at
     chordal distance strictly below eps.  Pigeonhole on arcs gives the
     bound 2 sin(pi/m); m-1 equally spaced points are the extremal witness.
     """
-    if d != 1:
-        raise ValueError("exact threshold available only for D = 1")
     eps_f = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     if not 0 < eps_f <= 2:
         raise ValueError("eps must lie in (0, 2]")
@@ -232,14 +201,14 @@ def packing_threshold(d: int, eps) -> PackingBound:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _chord_below(mid, eps_f) else (mid, hi)
-    return PackingBound(D=1, eps=eps_f, m=hi)
+    return hi
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """||x_i - y_i|| for each matrix of a stack x, y a stack or one matrix.
 
     One np.linalg.norm call per matrix, so each value is bitwise the one
-    hs_length and hs_distance give (see the module docstring).
+    hs_length gives (see the module docstring).
     """
     y = np.broadcast_to(y, x.shape)
     return np.array([np.linalg.norm(u - v) for u, v in zip(x, y)])
@@ -296,56 +265,3 @@ def length_axioms_check(samples: int, d: int, seed: int) -> AxiomReport:
         max_violation=max_violation,
         passed=max_violation < AXIOM_TOL,
     )
-
-
-def _rep_lookup(rep, idx: int) -> UnitaryPoint:
-    if callable(rep):
-        return rep(idx)
-    return rep[idx]
-
-
-def coverlength_bound_check(
-    g: GroupTable,
-    rep,
-    x: int,
-    y: int,
-    k1: int,
-    k2: int,
-) -> bool:
-    """Verify ell(rep(h)) <= K1 ell(rep(x)) + K2 ell(rep(y)) for all h.
-
-    rep maps element indices to UnitaryPoint (mapping or callable).  The
-    homomorphism property is spot-checked on generator pairs; the pair
-    (x, y) must have the symmetric double covering property with exact
-    K1- and K2-fold products, which is what makes every h a product of
-    K1 + K2 conjugates of the four elements x, x^-1, y, y^-1.
-    """
-    e = 0
-    ident = _rep_lookup(rep, e)
-    if hs_length(ident) > PRODUCT_TOL:
-        raise NotHomomorphism("identity does not map near I")
-    check = list(dict.fromkeys(g.gens)) or [e]
-    for a in check:
-        for b in check:
-            lhs = _rep_lookup(rep, int(g.mul(a, b))).entries
-            rhs = _rep_lookup(rep, a).entries @ _rep_lookup(rep, b).entries
-            if np.linalg.norm(lhs - rhs) > PRODUCT_TOL:
-                raise NotHomomorphism(f"rep({a})*rep({b}) strays from rep of the product")
-    if not double_covering_feasible(g, x, y, k1, 1, k2, 1):
-        raise CoveringPreconditionFailed(
-            f"pair lacks symmetric double covering with (K1, K2) = ({k1}, {k2})"
-        )
-    budget = k1 * hs_length(_rep_lookup(rep, x)) + k2 * hs_length(_rep_lookup(rep, y))
-    for h in range(g.order):
-        if hs_length(_rep_lookup(rep, h)) > budget + PRODUCT_TOL:
-            return False
-    return True
-
-
-def permutation_unitary(images) -> UnitaryPoint:
-    """Permutation matrix of a degree-n permutation as a point of U_n."""
-    n = len(images)
-    m = np.zeros((n, n))
-    for j, i in enumerate(images):
-        m[i, j] = 1.0
-    return UnitaryPoint(m)

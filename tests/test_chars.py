@@ -319,13 +319,6 @@ def test_min_normal_index():
         chars.min_normal_index(build("C1"))
 
 
-def test_element_count_bound():
-    # |G| > (D(G) - 1)^2
-    assert chars.element_count_bound_check(build("A5"))  # 60 > 4
-    assert chars.element_count_bound_check(build("S4"))  # 24 > 0
-    assert not chars.element_count_bound_check(build("C1"))  # inf sentinel
-
-
 def test_mixing_hand_computed_case():
     # C4 with A = {0, 1}: the pair counts |A n xA| are (2, 1, 0, 1)
     g = build("C4")

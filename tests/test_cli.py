@@ -204,6 +204,16 @@ def test_mixing_rejects_fractional_subset(capsys):
     assert lines[0]["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("alpha", ["abc", "0.5x", "1/0"])
+def test_malformed_alpha_is_usage_error(capsys, alpha):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["mixing", "C4", "--alpha", alpha, "--eps1", "0.1", "--eps2", "0.1",
+                  "--seed", "1"])
+    assert err.value.code == 2
+    message = f"subset density must be a rational such as 1/2 or 0.5, not {alpha!r}"
+    assert f"argument --alpha: {message}" in capsys.readouterr().err
+
+
 def test_bad_groupspec_is_usage_error(capsys):
     code, lines = run(["analyze", "X9"], capsys)
     assert code == 2
@@ -280,6 +290,17 @@ def test_cap_order_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("QRG_CAP_ORDER", "59")
     code, _ = run(["analyze", "A5"], capsys)
     assert code == 1
+    code, _ = run(["analyze", "A5", "--cap-order", "60"], capsys)
+    assert code == 0
+
+
+def test_malformed_cap_order_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QRG_CAP_ORDER", "abc")
+    code, lines = run(["analyze", "A5"], capsys)
+    assert code == 2
+    assert lines[0]["error"] == "parse"
+    assert lines[0]["message"] == "QRG_CAP_ORDER must be an integer, not 'abc'"
+    # the flag still wins over the variable
     code, _ = run(["analyze", "A5", "--cap-order", "60"], capsys)
     assert code == 0
 

@@ -51,9 +51,9 @@ def test_enumerate_s4():
 def test_inverses_and_powers():
     g = s4()
     for i in range(g.order):
-        assert g.mul(i, g.inv_of(i)) == 0
+        assert g.mul(i, int(g.inv[i])) == 0
         assert g.power(i, g.order_of(i)) == 0
-        assert g.power(i, -1) == g.inv_of(i)
+        assert g.power(i, -1) == int(g.inv[i])
 
 
 def test_batched_multiplication_matches_scalar():
@@ -99,7 +99,7 @@ def test_class_of_and_inverse_class():
     for c in g.classes:
         for x in c.members:
             assert int(g.class_of[x]) == c.index
-        xinv = g.inv_of(c.rep)
+        xinv = int(g.inv[c.rep])
         assert int(g.class_inverses[c.index]) == int(g.class_of[xinv])
 
 

@@ -10,15 +10,7 @@ import pytest
 
 import oracles
 from qrg import cli, unitgeom
-from qrg.groupspec import build_group, parse_spec
-from qrg.permutations import parse_cycles
-from qrg.unitgeom import (
-    CoveringPreconditionFailed,
-    IdentityInput,
-    NotHomomorphism,
-    NotUnitary,
-    UnitaryPoint,
-)
+from qrg.unitgeom import IdentityInput, NotUnitary, UnitaryPoint
 
 
 def diag_unitary(*angles):
@@ -142,7 +134,7 @@ def test_power_length_witness_identity_and_budget():
 @pytest.mark.parametrize("tenths", range(1, 20))
 def test_packing_threshold_matches_highprec(tenths):
     eps = Fraction(tenths, 10)
-    assert unitgeom.packing_threshold(1, eps).m == oracles.packing_m_highprec(eps)
+    assert unitgeom.packing_threshold(eps) == oracles.packing_m_highprec(eps)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +142,7 @@ def test_packing_threshold_matches_highprec(tenths):
 )
 def test_packing_threshold_matches_highprec_for_small_eps(eps):
     unitgeom._pi.cache_clear()
-    m = unitgeom.packing_threshold(1, eps).m
+    m = unitgeom.packing_threshold(eps)
     assert m == oracles.packing_m_highprec(eps)
     # pi is summed once per precision, and the precision grows with the
     # digits of m, while there are about 2 log2(m) comparisons
@@ -160,9 +152,9 @@ def test_packing_threshold_matches_highprec_for_small_eps(eps):
 
 def test_packing_threshold_ties():
     # the two rational-chord ties: eps = 2 at m = 2, eps = 1 at m = 6
-    assert unitgeom.packing_threshold(1, 2).m == 3
-    assert unitgeom.packing_threshold(1, 1).m == 7
-    assert unitgeom.packing_threshold(1, Fraction(1, 2)).m == 13
+    assert unitgeom.packing_threshold(2) == 3
+    assert unitgeom.packing_threshold(1) == 7
+    assert unitgeom.packing_threshold(Fraction(1, 2)) == 13
 
 
 def _chord_brackets_eps(m, eps, dps=50):
@@ -176,7 +168,7 @@ def _chord_brackets_eps(m, eps, dps=50):
     "eps", [Fraction(1, 10**6), Fraction(1, 10**7), Fraction(7, 10**8), Fraction(3, 2)]
 )
 def test_packing_threshold_for_small_eps(eps):
-    assert _chord_brackets_eps(unitgeom.packing_threshold(1, eps).m, eps)
+    assert _chord_brackets_eps(unitgeom.packing_threshold(eps), eps)
 
 
 @pytest.mark.parametrize("m", [3, 7, 1000, 6283186, 10**9])
@@ -184,7 +176,7 @@ def test_packing_threshold_at_float_ties(m):
     # eps is the float nearest the chord at m, so only the digits past
     # the sixteenth tell them apart
     eps = Fraction(2 * math.sin(math.pi / m))
-    got = unitgeom.packing_threshold(1, eps).m
+    got = unitgeom.packing_threshold(eps)
     assert got in (m, m + 1)
     assert _chord_brackets_eps(got, eps)
 
@@ -192,7 +184,7 @@ def test_packing_threshold_at_float_ties(m):
 def test_packing_threshold_below_the_float_range():
     # m has 101 digits, and neighbouring chords differ in about the 101st
     eps = Fraction(1, 10**100)
-    m = unitgeom.packing_threshold(1, eps).m
+    m = unitgeom.packing_threshold(eps)
     assert len(str(m)) == 101 and _chord_brackets_eps(m, eps, dps=150)
 
 
@@ -203,16 +195,14 @@ def test_verify_packing_small_eps_matches_closed_form(capsys):
 
 
 def test_packing_threshold_accepts_float_decimals():
-    assert unitgeom.packing_threshold(1, 0.5).m == 13
-    assert unitgeom.packing_threshold(1, 0.1).m == 63
+    assert unitgeom.packing_threshold(0.5) == 13
+    assert unitgeom.packing_threshold(0.1) == 63
 
 
 def test_packing_threshold_domain():
     for bad in (0, -1, 2.1):
         with pytest.raises(ValueError):
-            unitgeom.packing_threshold(1, bad)
-    with pytest.raises(ValueError):
-        unitgeom.packing_threshold(2, 1)  # exact route is D = 1 only
+            unitgeom.packing_threshold(bad)
 
 
 def test_length_axioms_all_small_dims():
@@ -281,48 +271,3 @@ def test_length_axioms_reject_a_non_unitary_sample(monkeypatch):
     with pytest.raises(NotUnitary):
         unitgeom.haar_unitary(3, np.random.default_rng(0))
 
-
-def perm_rep(g):
-    return {
-        i: unitgeom.permutation_unitary(g.element(i).images) for i in range(g.order)
-    }
-
-
-def test_coverlength_bound_holds_on_a5():
-    g = build_group(parse_spec("A5"))
-    x = g.index_of(parse_cycles("(1 2 3 4 5)", degree=5))
-    assert unitgeom.coverlength_bound_check(g, perm_rep(g), x, x, 2, 2)
-
-
-def test_coverlength_precondition_failure():
-    g = build_group(parse_spec("S3"))
-    # sign representation: unitary, a homomorphism, but no class pair can
-    # double-cover under the exact product reading
-    sign = {
-        i: UnitaryPoint(np.array([[1.0 if g.element(i).is_even() else -1.0]]))
-        for i in range(g.order)
-    }
-    x = g.index_of(parse_cycles("(1 2)", degree=3))
-    with pytest.raises(CoveringPreconditionFailed):
-        unitgeom.coverlength_bound_check(g, sign, x, x, 2, 2)
-
-
-def test_coverlength_rejects_non_homomorphism():
-    g = build_group(parse_spec("A5"))
-    rng = np.random.default_rng(30)
-    rep = perm_rep(g)
-    rep[g.gens[0]] = unitgeom.haar_unitary(5, rng)  # break one generator
-    x = g.index_of(parse_cycles("(1 2 3 4 5)", degree=5))
-    with pytest.raises(NotHomomorphism):
-        unitgeom.coverlength_bound_check(g, rep, x, x, 2, 2)
-
-
-def test_permutation_unitary_action():
-    u = unitgeom.permutation_unitary((1, 2, 0))
-    e0 = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(u.entries @ e0, [0.0, 1.0, 0.0])
-    # representation property on a sample pair
-    a, b = (1, 2, 0), (0, 2, 1)
-    ua, ub = unitgeom.permutation_unitary(a), unitgeom.permutation_unitary(b)
-    uab = unitgeom.permutation_unitary(oracles.compose(a, b))
-    assert np.allclose((ua @ ub).entries, uab.entries)
