@@ -11,32 +11,40 @@ every carrier alike: x * z is the right regular action R (below) composed
 along the tree path of z.  No order x order product table is kept.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
-time: every product x * h of a frontier element x with a generator h is
-formed in one array operation, and the products not seen before become the
-next frontier.  New elements are numbered in order of first occurrence over
-(frontier element, generator), frontier elements taken in index order; the
-first occurrence of a key is the least position in its run of an unstable
-sort.  Each element is found by a key of its flattened carrier row: a
-mixed-radix int64 code while the code space fits (see _radix_powers), the
-row's bytes past that.  Row r of a matrix product x * h is (row r of x) * h,
-so while the int64 code fits and the p**n rows of an n x n matrix over
-GF(p) are within the order cap, a table per generator maps each row, coded
-below p**n, to the code of its product, and a layer's products are gathers.
-Read as digits base p**n, the row codes give the same key as the entries.
-Matrix inverses ride along the same BFS: y = x * h has y^-1 = h^-1 * x^-1
-and (y^-1)^T = (x^-1)^T * (h^-1)^T, so with row codes the transposed
-inverses are gathers from a second table.  Only the generators are inverted
-by elimination, and no inverse is searched for by its key.
+time: the key of every product x * h of a frontier element x with a
+generator h is formed in one array operation, and the products not seen
+before become the next frontier.  New elements are numbered in order of
+first occurrence over (frontier element, generator), frontier elements taken
+in index order; the first occurrence of a key is the least position in its
+run of an unstable sort.  Each element is found by a key of its flattened
+carrier row: a mixed-radix int64 code while the code space fits (see
+_radix_powers), the row's bytes past that.  An int64 key is linear in the
+row, so the keys of products are formed without their rows: a permutation
+product's key is one matrix product with the frontier, and row r of a
+matrix product x * h is (row r of x) * h, so while the p**n rows of an
+n x n matrix over GF(p) are within the order cap, a table per generator
+maps each row, coded below p**n, to the code of its product; read as
+digits base p**n the row codes give the entries' key, a sum of n gathers.
+Only the rows of the new elements are formed, by gathers or, past the row
+table and with byte keys, by composing rows.  Matrix inverses ride along the
+same BFS: y = x * h has y^-1 = h^-1 * x^-1 and (y^-1)^T = (x^-1)^T *
+(h^-1)^T, so with row codes the transposed inverses are gathers from a
+second table.  Only the generators are inverted by elimination, a
+permutation's inverse is one scatter, and no inverse is searched for by its
+key.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
 trivial subgroup (Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, ch. 5).  Enumeration keeps the key of every product x * h it
-forms and reads R off those keys; a direct product builds R from its
+Theory, 2005, ch. 5).  Enumeration keeps the key of every product x * h
+and reads R off those keys; a direct product builds R from its
 factors' tables and a quotient projects its parent's.  Every group has a
 breadth-first tree from the identity, kept as layers (new, parent, via)
 with new = parent * gens[via]: enumeration records its own, and products
-and quotients search R for theirs.  Whole-group products are index gathers
+and quotients search R for theirs, a layer at a time, each new element
+picked at its first occurrence among the layer's products by a scatter-min
+of their positions, so a search of R numbers an enumerated group's
+elements as enumeration did.  Whole-group products are index gathers
 over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
 for y = x * h fills a row rep * G, and row_blocks walks the rows of any
 elements, a block of rows at a time, one gather per layer from the
@@ -46,12 +54,14 @@ Conjugacy classes are the orbits of the generators' conjugation maps.  With
 R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
 inv o R_h^-1 o inv o R_h^-1, four gathers; the orbits are found by
 min-label propagation over those index arrays, and the classes are numbered
-by ascending (size, smallest member).  The center is the union of the
+by ascending (size, smallest member).  The labels, smallest members, are
+below |G|, so they are counted, not sorted.  The center is the union of the
 classes of size 1.  The cosets x N of a quotient G/N are the orbits of
-x -> x * z, R composed along the tree path of z, for z in Z: while the
-identity's orbit <Z> is short of N, the smallest member of N outside it
-joins Z and the propagation goes on.  Each element ends labelled by the
-smallest member of its coset, and the cosets are numbered in that order.
+x -> x * z for z in Z, read as (z^-1 x^-1)^-1 off one row walk of z^-1:
+while the identity's orbit <Z> is short of N, the smallest member of N
+outside it joins Z and the propagation goes on.  Each element ends labelled
+by the smallest member of its coset, and the cosets are numbered in that
+order, by counting the labels met.
 
 Normal subgroups are unions of conjugacy classes, kept as class bitmasks,
 and every subgroup question is answered from class products: row j of the
@@ -88,6 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -442,17 +453,24 @@ class GroupTable:
     def _finish_classes(self, label: np.ndarray):
         """Number the classes, ascending (size, smallest member), from a
         labelling of every element by the smallest member of its class, so
-        the distinct labels are the smallest members themselves."""
-        first, old_of, sizes = np.unique(label, return_inverse=True, return_counts=True)
-        new_to_old = np.lexsort((first, sizes))
-        relabel = np.empty_like(new_to_old)
-        relabel[new_to_old] = np.arange(len(new_to_old))
-        class_of = relabel[old_of]
-        self._class_sizes = sizes[new_to_old]
-        self._class_reps = first[new_to_old]
-        self._class_inverses = class_of[self.inv[self._class_reps]]
-        # a stable sort keeps each class's members ascending
-        parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(self._class_sizes)[:-1])
+        the distinct labels are the smallest members themselves.
+
+        The labels are below |G|, so they are counted, not sorted: the
+        nonzero counts sit at the smallest members, ascending, and a stable
+        sort of their sizes orders the classes."""
+        counts = np.bincount(label, minlength=self.order)
+        first = np.flatnonzero(counts)
+        reps = first[np.argsort(counts[first], kind="stable")]
+        number = np.empty(self.order, dtype=np.int64)
+        number[reps] = np.arange(len(reps))
+        class_of = number[label]
+        self._class_sizes = counts[reps]
+        self._class_reps = reps
+        self._class_inverses = class_of[self.inv[reps]]
+        # a stable sort keeps each class's members ascending; numpy sorts
+        # integers of 16 bits or fewer by radix
+        small = class_of.astype(np.min_scalar_type(len(reps)))
+        parts = np.split(np.argsort(small, kind="stable"), np.cumsum(self._class_sizes)[:-1])
         self._classes = [
             ConjClass(index=k, rep=int(members[0]), size=len(members), members=members)
             for k, members in enumerate(parts)
@@ -631,10 +649,17 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     """Breadth-first layers (new, parent, via) of the Cayley graph given by
     right[t, x] = x * gens[t], from the identity: new elements in order of
     first occurrence over (frontier element, generator), as enumeration
-    numbers them, with new = parent * gens[via]."""
+    numbers them, with new = parent * gens[via].
+
+    Candidates are elements, below |G|, so the first occurrence of each is
+    a scatter-min of candidate positions into one array over G, not a sort;
+    the positions that hold their element's minimum are the picks, already
+    in order."""
     k, n = right.shape
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
+    # first[x]: the least position at which x is a candidate of the layer
+    first = np.empty(n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     layers = []
     while True:
@@ -643,8 +668,11 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         fresh = np.flatnonzero(~seen[cand])
         if not fresh.size:
             return layers
-        _, first = _first_unique(cand[fresh])
-        pick = fresh[np.sort(first)]
+        elems = cand[fresh]
+        first[elems] = len(cand)
+        np.minimum.at(first, elems, fresh)
+        # fresh ascends, so the first occurrences are picked in order
+        pick = fresh[first[elems] == fresh]
         new = cand[pick]
         seen[new] = True
         layers.append((new, frontier[pick // k], pick % k))
@@ -715,37 +743,139 @@ class _KeySet:
             self.runs.append(np.sort(np.concatenate((low, top)), kind="stable"))
 
 
-def _carrier(gens):
-    """Kind, identity row, generator rows, row product and key powers for a
-    generating set; rows are carrier elements flattened to int64 vectors.
-    The row product, of matrices only, broadcasts two row stacks of equal
-    ndim like numpy arithmetic; permutation rows are composed by a gather.
-    Only enumeration composes rows."""
+class _Carrier(NamedTuple):
+    """How enumerate_group carries one kind of generating set.
+
+    Each element is carried as one int64 row: a permutation's images; a
+    matrix's entries followed by its inverse's, or, from the row table, its
+    n row codes followed by those of its transposed inverse.  keys(rows)
+    gives the key of every product rows[a] * gens[b], at a * k + b for k
+    generators; products(rows, a, b) forms the carried rows of rows[a] *
+    gens[b] for index arrays a and b; finish(rows) gives the entry rows of
+    the carried elements and the keys of their inverses.
+    """
+
+    kind: str
+    identity: np.ndarray  # entry row of the identity
+    gen_rows: np.ndarray  # entry rows of the generators
+    powers: np.ndarray | None  # key powers of an entry row (_radix_powers)
+    start: np.ndarray  # carried row of the identity
+    keys: Callable[[np.ndarray], np.ndarray]
+    products: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    finish: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _carrier(gens, cap: int) -> _Carrier:
+    """The _Carrier of a generating set, all permutations of one degree or
+    all invertible matrices of one size over one field.
+
+    With int64 keys the keys of products are formed without their rows.  A
+    permutation product x * h maps i to x(h(i)), so its key sum_i x(h(i)) *
+    d**i is x @ w for w[h(i), h] = d**i.  Matrices with p**n <= cap are
+    carried as row codes below p**n, and the code of row r of x * h is
+    act[code_r(x), h] (_row_table); read as digits base p**n they key the
+    product, a sum of n gathers from the key tables act * (p**n)**r.  The
+    key tables hold n times the row table's p**n * k int64 entries, and the
+    row table is no larger than the regular action the cap admits, k * cap.
+    Byte keys and matrices past the row table form every product's row to
+    key it.
+    """
+    k = len(gens)
     if all(isinstance(x, Permutation) for x in gens):
         degrees = {x.degree for x in gens}
         if len(degrees) != 1:
             raise MixedCarriers(f"permutation degrees differ: {sorted(degrees)}")
         degree = degrees.pop()
-        rows = np.array([x.images for x in gens], dtype=np.int64).reshape(len(gens), degree)
+        gen_rows = np.array([x.images for x in gens], dtype=np.int64).reshape(k, degree)
         identity = np.arange(degree, dtype=np.int64)
-        return "perm", identity, rows, None, _radix_powers(degree, degree)
+        powers = _radix_powers(degree, degree)
+
+        def products(rows, a, b):
+            # flat takes: row a, entry h(i) sits at a * degree + h(i)
+            return rows.reshape(-1).take(a[:, None] * degree + gen_rows.take(b, axis=0))
+
+        if powers is None:
+            def keys(rows):
+                return _row_keys(rows[:, gen_rows].reshape(-1, degree), None)
+        else:
+            w = np.zeros((degree, k), dtype=np.int64)
+            w[gen_rows, np.arange(k)[:, None]] = powers
+
+            def keys(rows):
+                return (rows @ w).reshape(-1)
+
+        def finish(rows):
+            # one scatter inverts every row: inv[x(i)] = i
+            inv = np.empty_like(rows)
+            inv[np.arange(len(rows))[:, None], rows] = identity
+            return rows, _row_keys(inv, powers)
+
+        return _Carrier("perm", identity, gen_rows, powers, identity, keys, products, finish)
     if all(isinstance(x, FFMatrix) for x in gens):
         fields = {x.field for x in gens}
         sizes = {x.n for x in gens}
         if len(fields) != 1 or len(sizes) != 1:
             raise MixedCarriers("matrix generators must share field and size")
         p, n = gens[0].field.p, gens[0].n
+        width = n * n
+        gen_rows = np.array([x.entries for x in gens], dtype=np.int64).reshape(k, width)
+        gen_inv = [ff_inv(x.entries, p) for x in gens]
+        if any(x is None for x in gen_inv):
+            raise SingularMatrix("matrix generators must be invertible")
+        gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
+        identity = np.eye(n, dtype=np.int64).ravel()
+        powers = _radix_powers(p, width)
+        if powers is not None and p**n <= cap:
+            # y = x * h has (y^-1)^T = (x^-1)^T * (h^-1)^T, so the transposed
+            # inverses' row codes are gathers from a second row table
+            vecs, act = _row_table(gen_rows, p, n)
+            _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
+            tables = act * (p**n) ** np.arange(n, dtype=np.int64)[:, None, None]
+            # both tables flattened, code c of h_b at c * k + b; the first n
+            # digits of a carried row read act, the last n act_inv
+            flat = np.concatenate((act, act_inv)).reshape(-1)
+            shift = np.repeat([0, p**n * k], n)
+            start = np.tile(p ** np.arange(n, dtype=np.int64), 2)
+
+            def keys(rows):
+                out = tables[0].take(rows[:, 0], axis=0)
+                for r in range(1, n):
+                    out += tables[r].take(rows[:, r], axis=0)
+                return out.reshape(-1)
+
+            def products(rows, a, b):
+                return flat.take(rows.take(a, axis=0) * k + (b[:, None] + shift))
+
+            def finish(rows):
+                # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
+                # its digit c to p**(c * n) and adding p**r places them all
+                inv_keys = (vecs @ powers[::n]).take(rows[:, n:]) @ powers[:n]
+                return vecs.take(rows[:, :n], axis=0).reshape(-1, width), inv_keys
+
+            return _Carrier("mat", identity, gen_rows, powers, start, keys, products, finish)
 
         def compose(a, b):
             # leading axes broadcast; each entry sums n terms below
             # p**2 < 2**32, far inside int64
             prod = a.reshape(*a.shape[:-1], n, n) @ b.reshape(*b.shape[:-1], n, n)
             prod %= p
-            return prod.reshape(*prod.shape[:-2], n * n)
+            return prod.reshape(*prod.shape[:-2], width)
 
-        rows = np.array([x.entries for x in gens], dtype=np.int64).reshape(len(gens), n * n)
-        identity = np.eye(n, dtype=np.int64).ravel()
-        return "mat", identity, rows, compose, _radix_powers(p, n * n)
+        def keys(rows):
+            return _row_keys(compose(rows[:, None, :width], gen_rows).reshape(-1, width), powers)
+
+        def products(rows, a, b):
+            # y = x * h has y^-1 = h^-1 * x^-1
+            x = rows.take(a, axis=0)
+            return np.concatenate(
+                (compose(x[:, :width], gen_rows[b]), compose(gen_inv[b], x[:, width:])), axis=1
+            )
+
+        def finish(rows):
+            return np.ascontiguousarray(rows[:, :width]), _row_keys(rows[:, width:], powers)
+
+        start = np.tile(identity, 2)
+        return _Carrier("mat", identity, gen_rows, powers, start, keys, products, finish)
     raise MixedCarriers(
         "generators must be all Permutation or all FFMatrix, not a mixture"
     )
@@ -757,74 +887,42 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     All generators must share one carrier: permutations of equal degree or
     matrices over one field and size.  Raises MixedCarriers otherwise.
 
-    The closure is built breadth first, a whole layer per step: all products
-    x * h of the previous layer with the generators are formed at once and
-    keyed (int64 codes, or row bytes past the limit in _radix_powers); the
-    keys already known are dropped by a search in sorted key runs.  The new
-    elements get the next indices in order of first occurrence over
-    (frontier element, generator), found by _first_unique, so index 0 is
-    the identity and the numbering equals that of an element-by-element
-    BFS.  CapExceeded is raised as soon as the order would pass cap, before
-    that layer's rows are kept.
-
-    Matrices with int64 keys and p**n <= cap, a table no larger than the
-    regular action the cap admits, are carried as n row codes
-    sum(v_c * p**c) < p**n.  As row r of x * h is (row r of x) * h, the
-    products are gathers from _row_table, and their keys, the row codes
-    as digits base p**n, are the entry keys sum(e_i * p**i).  The rows are
-    decoded once at the end.  Other groups compose carrier rows.
+    The closure is built breadth first, a whole layer per step: the keys of
+    all products x * h of the previous layer with the generators are formed
+    at once (int64 codes, or row bytes past the limit in _radix_powers; see
+    _carrier), and the keys already known are dropped by a search in sorted
+    key runs.  The new elements get the next indices in order of first
+    occurrence over (frontier element, generator), found by _first_unique,
+    so index 0 is the identity and the numbering equals that of an
+    element-by-element BFS.  Only the new elements' rows are formed, and
+    their keys are the picked products' keys.  CapExceeded is raised as
+    soon as the order would pass cap, before that layer's rows are formed.
 
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key
     once, so their argsort, composed with the sorted element keys, is R_h.
-
-    Permutation inverses are the argsort of each row.  Matrix inverses are
-    carried next to each layer, y^-1 = h^-1 * x^-1 composed, or as row codes
-    (y^-1)^T = (x^-1)^T * (h^-1)^T gathered from a _row_table of the
-    (h^-1)^T; only the generators are inverted by elimination.  At the end
-    the inverses' keys are formed once and give g.inv as R_h's give R_h.
+    Matrix inverses are carried next to each element and permutations are
+    inverted at the end (_carrier); only the generators are inverted by
+    elimination, and the inverses' keys give g.inv as R_h's give R_h.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    kind, identity, gen_rows, compose, powers = _carrier(gens)
-    k, width = gen_rows.shape
-    start, cand_powers, act = identity, powers, None
-    if kind == "mat":
-        p, n = gens[0].field.p, gens[0].n
-        gen_inv = [ff_inv(x.entries, p) for x in gens]
-        if any(x is None for x in gen_inv):
-            raise SingularMatrix("matrix generators must be invertible")
-        gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
-        if powers is not None and p**n <= cap:
-            # elements are carried as row codes, keyed as their entries:
-            # sum_r code_r * (p**n)**r = sum_i entry_i * p**i
-            vecs, act = _row_table(gen_rows, p, n)
-            _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
-            start, cand_powers = p ** np.arange(n, dtype=np.int64), powers[::n]
-
-    layers, inv_layers = [start[None, :]], [start[None, :]]
+    carrier = _carrier(gens, cap)
+    k = len(gens)
+    layers = [carrier.start[None]]
     # for each layer after the first and each y = x * h in it: the index
     # of x and the position of h in gens
     parent, via = [], []
-    # the key of element x * gens[b] at x * k + b
+    # the key of element x * gens[b] at x * k + b, and of each element
     cand_keys = []
-    known = _KeySet(_row_keys(layers[0], cand_powers))
+    elem_keys = [_row_keys(carrier.identity[None], carrier.powers)]
+    known = _KeySet(elem_keys[0])
     order = 1
     while True:
         frontier = layers[-1]
         first = order - len(frontier)
-        # candidate a * k + b is frontier[a] * gens[b], which maps i to
-        # frontier[a](gens[b](i)) for permutations, and is composed from
-        # the carrier rows or gathered from the row table for matrices
-        if kind == "perm":
-            cand = frontier[:, gen_rows]
-        elif act is None:
-            cand = compose(frontier[:, None], gen_rows[None])
-        else:
-            cand = act[frontier].transpose(0, 2, 1)
-        cand = cand.reshape(len(frontier) * k, -1)
-        cand_keys.append(_row_keys(cand, cand_powers))
+        cand_keys.append(carrier.keys(frontier))
         uniq, at = _first_unique(cand_keys[-1])
         fresh = known.missing(uniq)
         if not fresh.any():
@@ -835,33 +933,28 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
                 f"group enumeration passed cap {cap}; raise the cap to continue"
             )
         known.add(uniq[fresh])
-        layers.append(cand[pick])
-        parent.append(first + pick // k)
-        via.append(pick % k)
-        if kind == "mat":
-            x_inv = inv_layers[-1][pick // k]
-            if act is None:
-                inv_layers.append(compose(gen_inv[via[-1]], x_inv))
-            else:
-                inv_layers.append(act_inv[x_inv, via[-1][:, None]])
+        a, b = np.divmod(pick, k)
+        layers.append(carrier.products(frontier, a, b))
+        elem_keys.append(cand_keys[-1][pick])
+        parent.append(first + a)
+        via.append(b)
         order += len(pick)
-        del cand  # free before the next layer's products exist
 
     g = GroupTable()
-    g.kind = kind
+    g.kind = carrier.kind
     g.order = order
-    elements = np.concatenate(layers)
+    elements, inv_keys = carrier.finish(np.concatenate(layers))
     del layers
-    if act is not None:
-        elements = vecs[elements].reshape(order, width)
     elements.setflags(write=False)
-    keys = _row_keys(elements, powers)
+    keys = np.concatenate(elem_keys)
     g._rows = elements
-    g._pow = powers
+    g._pow = carrier.powers
     # keys are distinct, so any sort orders them the same way
     g._sorted_pos = np.argsort(keys)
     g._sorted_codes = keys[g._sorted_pos]
-    g.gens, cols = _distinct_gens(g._find_keys(_row_keys(gen_rows, powers)).tolist())
+    g.gens, cols = _distinct_gens(
+        g._find_keys(_row_keys(carrier.gen_rows, carrier.powers)).tolist()
+    )
     cand_keys = np.concatenate(cand_keys).reshape(order, k)
     g._right = np.empty((len(cols), order), dtype=np.int64)
     for t, b in enumerate(cols):
@@ -875,19 +968,11 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         (np.arange(start, stop), x, position[h])
         for start, stop, x, h in zip(sizes[:-1], sizes[1:], parent, via)
     ]
-    if kind == "perm":
-        g.degree = width
-        g.inv = g._bijection(_row_keys(np.argsort(elements, axis=1), powers))
-        g.label = f"permutation group on {width} points"
+    g.inv = g._bijection(inv_keys)
+    if g.kind == "perm":
+        g.degree = elements.shape[1]
+        g.label = f"permutation group on {g.degree} points"
     else:
-        inverses = np.concatenate(inv_layers)
-        if act is None:
-            inv_keys = _row_keys(inverses, powers)
-        else:
-            # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
-            # its digit c to p**(c * n) and adding p**r places them all
-            inv_keys = (vecs @ powers[::n])[inverses] @ powers[:n]
-        g.inv = g._bijection(inv_keys)
         g.field = gens[0].field
         g.label = f"matrix group over {g.field}"
     return g
@@ -914,8 +999,12 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ORDER_CAP)
 def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     """Quotient group G/N with the projection map attached.
 
-    The cosets are numbered in order of their smallest member, so the coset
-    of the identity is index 0.
+    The cosets are the orbits of x -> x * z for a few z in N, each such
+    shift formed as (z^-1 x^-1)^-1 from one row walk of z^-1, whatever the
+    depth of z in the tree.  They are numbered in order of their smallest
+    member, so the coset of the identity is index 0; with every element
+    labelled by that member, the numbering is a running count of the labels
+    met, not a sort.
     """
     if n.group is not g:
         raise ValueError("normal subgroup belongs to a different group")
@@ -930,16 +1019,22 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     # label each element by the smallest member of its orbit under x -> x * z
     # for z in Z, the coset x<Z>; while the identity's orbit <Z> is short of
     # N, add to Z the smallest member of N outside it, which at least
-    # doubles <Z>, so that log2 |N| steps suffice
-    members = n.members
+    # doubles <Z>, so that log2 |N| steps suffice.  x * z = (z^-1 x^-1)^-1
+    # reads the row z^-1 * G at x^-1, one row walk whatever the depth of z
+    members, inv = n.members, g.inv
     shifts, least = [], np.arange(g.order)
     for _ in range(n.order.bit_length()):
         outside = members[least[members] != 0]
         if not outside.size:
             break
-        shifts.append(g.mul_pairwise(np.arange(g.order), int(outside[0])))
+        shifts.append(inv[g._row_products(inv[outside[0]])[inv]])
         least = _orbit_labels(shifts, least)
-    reps, proj = np.unique(least, return_inverse=True)
+    # the labels are below |G|: the representatives are the labels met, and
+    # a running count of them numbers the cosets
+    met = np.zeros(g.order, dtype=bool)
+    met[least] = True
+    reps = np.flatnonzero(met)
+    proj = (np.cumsum(met) - 1)[least]
     q = GroupTable()
     q.kind = "quot"
     q.parent = g

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -177,7 +178,42 @@ class FFMatrix:
         return f"FFMatrix({matrix_literal(self)!r})"
 
 
-@functools.lru_cache(maxsize=4)
+class _BytesCache:
+    """The results of a one-argument function that returns numpy arrays,
+    kept while their total size is at most limit bytes.  The least recently
+    used go first, and the newest result is always kept."""
+
+    def __init__(self, fn, limit: int):
+        functools.update_wrapper(self, fn)
+        self._fn = fn
+        self._limit = limit
+        self._kept: OrderedDict = OrderedDict()
+        self._bytes = self._hits = self._misses = 0
+
+    def __call__(self, key):
+        got = self._kept.get(key)
+        if got is not None:
+            self._hits += 1
+            self._kept.move_to_end(key)
+            return got
+        self._misses += 1
+        got = self._kept[key] = self._fn(key)
+        self._bytes += got.nbytes
+        while self._bytes > self._limit and len(self._kept) > 1:
+            self._bytes -= self._kept.popitem(last=False)[1].nbytes
+        return got
+
+    def cache_info(self) -> tuple[int, int, int]:
+        """Hits, misses and the bytes kept."""
+        return self._hits, self._misses, self._bytes
+
+    def cache_clear(self):
+        self._kept.clear()
+        self._bytes = self._hits = self._misses = 0
+
+
+# four tables at p near MAX_PRIME, or every table of the small primes at once
+@functools.partial(_BytesCache, limit=1 << 21)
 def _inverse_table(p: int) -> np.ndarray:
     """x -> x^-1 mod p for every x in GF(p), with 0 -> 0; p < MAX_PRIME (512 KB).
 

@@ -414,6 +414,79 @@ def test_row_table_enumeration_matches_compose_path(drawn):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _check_bfs_numbering(g):
+    """The BFS over R picks each new element where enumeration numbered it."""
+    layers = engine._bfs_layers(g._right)
+    assert len(layers) == len(g._layers)
+    for got, want in zip(layers, g._layers):
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_generators())
+def test_bfs_layers_match_enumeration_on_int_keyed_permutations(gens):
+    # drawn generating sets may repeat a generator or hold the identity
+    g = engine.enumerate_group([Permutation(x) for x in gens])
+    assert g._pow is not None
+    _check_bfs_numbering(g)
+
+
+def test_bfs_layers_match_enumeration_with_byte_keys():
+    # degrees 16 and 17 are past the int64 codes; C4 x C4 reaches most of
+    # its elements twice a layer, and the repeated generator and the
+    # identity are dropped from gens but not from the enumeration
+    c16 = Permutation(tuple((i + 1) % 16 for i in range(16)))
+    a16 = Permutation(tuple(i - i % 4 + (i + 1) % 4 for i in range(16)))
+    b16 = Permutation(tuple((i + 4) % 16 for i in range(16)))
+    r17 = Permutation(tuple((i + 1) % 17 for i in range(17)))
+    s17 = Permutation(tuple((17 - i) % 17 for i in range(17)))
+    for gens in ([c16], [a16, b16], [r17, s17], [s17, Permutation.identity(17), r17, s17]):
+        g = engine.enumerate_group(gens)
+        assert g._pow is None
+        _check_bfs_numbering(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_generators())
+def test_bfs_layers_match_enumeration_on_both_matrix_paths(drawn):
+    # row-table products at the default cap, composed products at p**n - 1
+    p, n, gens = drawn
+    carriers = [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
+    g = engine.enumerate_group(carriers)
+    _check_bfs_numbering(g)
+    assume(g.order < p**n)
+    _check_bfs_numbering(engine.enumerate_group(carriers, cap=p**n - 1))
+
+
+@pytest.mark.parametrize("spec", ["A7", "SL2:13"])
+def test_build_forms_only_the_new_elements_rows(monkeypatch, spec):
+    # products are keyed without their rows: the carrier forms the row of
+    # each element once, and the rows keyed as rows are the identity's, the
+    # generators' and, for permutations, the inverses', never the products'
+    formed, keyed = [], []
+    carrier, row_keys = engine._carrier, engine._row_keys
+
+    def counted_carrier(gens, cap):
+        c = carrier(gens, cap)
+
+        def products(rows, a, b):
+            out = c.products(rows, a, b)
+            formed.append(len(out))
+            return out
+
+        return c._replace(products=products)
+
+    def counted_keys(rows, powers):
+        keyed.append(len(np.atleast_2d(rows)))
+        return row_keys(rows, powers)
+
+    monkeypatch.setattr(engine, "_carrier", counted_carrier)
+    monkeypatch.setattr(engine, "_row_keys", counted_keys)
+    g = build_group(parse_spec(spec))
+    assert sum(formed) == g.order - 1
+    assert sum(keyed) <= g.order + len(g.gens) + 1
+
+
 @pytest.mark.parametrize("spec", ["SL2:7", "SL3:3", "Sp4:3"])
 def test_bfs_inverses_match_elimination(spec):
     g = build_group(parse_spec(spec))

@@ -205,6 +205,30 @@ def test_inverse_table():
         assert (np.arange(1, p) * table[1:] % p == 1).all()
 
 
+def test_inverse_table_cache_is_bounded_by_bytes():
+    # the six primes of the Jordan queries fit the 2 MB bound together, so
+    # shuffled passes over them build each table once
+    primes = [2, 3, 5, 7, 11, 13]
+    rng = np.random.default_rng(5)
+    gf._inverse_table.cache_clear()
+    try:
+        for _ in range(10):
+            for p in rng.permutation(primes).tolist():
+                gf._inverse_table(p)
+        assert gf._inverse_table.cache_info()[:2] == (54, 6)
+        # tables at p near 2**16 hold 512 KB each: four fit, and a fifth
+        # evicts the least recently used
+        big = [65449, 65479, 65497, 65519, 65521]
+        for p in big:
+            gf._inverse_table(p)
+        hits, misses, kept = gf._inverse_table.cache_info()
+        assert kept <= 1 << 21 and kept == 8 * sum(big[1:])
+        gf._inverse_table(big[0])
+        assert gf._inverse_table.cache_info()[1] == misses + 1
+    finally:
+        gf._inverse_table.cache_clear()
+
+
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_inverse_round_trips_on_stacks(case):
