@@ -62,9 +62,12 @@ def _cap_order(args) -> int:
     env = os.environ.get("QRG_CAP_ORDER")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ParseError(f"QRG_CAP_ORDER must be an integer, not {env!r}") from None
+        if cap < 1:
+            raise ParseError(f"QRG_CAP_ORDER must be at least 1, not {env!r}")
+        return cap
     return engine.DEFAULT_ORDER_CAP
 
 
@@ -126,7 +129,7 @@ def _positive_int(text: str) -> int:
 def _add_common(sub):
     sub.add_argument("--json", dest="fmt", action="store_const", const="json")
     sub.add_argument("--tsv", dest="fmt", action="store_const", const="tsv")
-    sub.add_argument("--cap-order", type=int, default=None,
+    sub.add_argument("--cap-order", type=_positive_int, default=None,
                      help="group enumeration cap (env QRG_CAP_ORDER)")
     sub.set_defaults(fmt="json")
 
@@ -575,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="order, classes, cosocle, D(G)")
     p.add_argument("groupspec")
-    p.add_argument("--cap-degree", type=int, default=chars.DEGREE_ORDER_CAP)
+    p.add_argument("--cap-degree", type=_positive_int, default=chars.DEGREE_ORDER_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -593,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("degree", help="irreducible character degrees")
     p.add_argument("groupspec")
-    p.add_argument("--cap-degree", type=int, default=chars.DEGREE_ORDER_CAP)
+    p.add_argument("--cap-degree", type=_positive_int, default=chars.DEGREE_ORDER_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_degree)
 

@@ -98,6 +98,8 @@ def _power_sets(g: GroupTable, xs, ms, ks, symmetric: bool):
     appearance, of the base power (C(c) [u C(c)^-1])^k.
     """
     mask = np.zeros((len(xs), len(ms), len(g.classes)), dtype=bool)
+    # each power map is read off its class's structure row: walk them all at once
+    g.class_structure_rows(sorted({int(g.class_of[x]) for x in xs} - {0}))
     for a, x in enumerate(xs):
         powers = list(g.power_classes(int(g.class_of[x])))
         for b, m in enumerate(ms):

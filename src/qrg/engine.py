@@ -5,10 +5,10 @@ identity at index 0, and answers products, inverses, conjugacy classes,
 normal subgroups, cosocles, quotients and derived subgroups.  Elements are
 carried either as permutations, as matrices over a prime field, as pairs
 (direct products) or as cosets (quotients), but the carriers are read only
-by enumeration and by element, element_label and index_of.  One product,
-mul_pairwise, multiplies index arrays that broadcast like numpy arrays, on
-every carrier alike: x * z is the right regular action R (below) composed
-along the tree path of z.  No order x order product table is kept.
+by enumeration and by element, element_label and index_of.  After
+enumeration every product is read off one walk, the rows x * G over the
+right regular action R (below), on every carrier alike.  No order x order
+product table is kept.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
 time: the key of every product x * h of a frontier element x with a
@@ -76,7 +76,9 @@ A and B is A * B.  The powers S, S^2, ... of a class union S are formed
 until they first repeat and cached per S; past their end they cycle.  The
 normal closure of some classes is the last power of S, those classes plus
 the identity.  The lattice joins each distinct principal normal subgroup,
-the closure of one class, into every normal subgroup found so far.
+the closure of one class, into every normal subgroup found so far.  The
+commutators x^-1 x^h of x in a class C are exactly the products C^-1 * C,
+so the derived subgroup is the normal closure of those pair products.
 
 A GroupTable keeps its own lazy state (classes, power map, the structure
 rows and their support bitmasks, set products, class-set powers) in private
@@ -88,9 +90,11 @@ the group, so only a quotient and its parent form a reference cycle.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
-power map (Holt, Eick & O'Brien) is read once per class along the cycle of
-the class representative and cached; element orders and the exponent come
-from it.
+power map (Holt, Eick & O'Brien) is read off structure row c as it is
+walked: x^(i+1) = x * x^i is the entry of the row x * G at x^i, so the
+cycle 1, x, x^2, ... of the representative costs no walk of its own.
+Element orders and the exponent come from it, and power(x, k) reads the
+same cycle off the row x * G.
 """
 
 from __future__ import annotations
@@ -192,7 +196,6 @@ class GroupTable:
         # over it, layers (new, parent, via) with new = parent * gens[via]
         self._right = None
         self._layers = None
-        self._parent_via = None
         self._steps = None
         # perm and mat carriers: one flattened int64 row per element and the
         # row-key lookup (radix powers, or None for byte keys)
@@ -212,7 +215,8 @@ class GroupTable:
         self._class_sizes = None
         self._class_reps = None
         self._class_inverses = None
-        self._power_classes: dict[int, tuple[int, ...]] = {}
+        # the identity's class is 0, and its power map needs no row
+        self._power_classes: dict[int, tuple[int, ...]] = {0: (0,)}
         self._structure_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._row_bits: dict[int, list[int]] = {}
         self._set_prod_cache: dict[tuple[int, int], int] = {}
@@ -221,26 +225,20 @@ class GroupTable:
 
     # -- scalar ops ---------------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_pairwise(i, j))
-
     def power(self, i: int, k: int) -> int:
-        """Index of element(i)**k for any integer k: x^k = x^(k mod o),
-        formed by repeated squaring."""
-        k %= self.order_of(i)
-        out = 0
-        while k:
-            if k & 1:
-                out = self.mul(out, i)
-            i = self.mul(i, i)
-            k >>= 1
-        return out
+        """Index of element(i)**k for any integer k: x^k = x^(k mod o), read
+        off the cycle 1, x, x^2, ... of the row x * G (_cycle)."""
+        cycle = _cycle(self._row_products(i))
+        return cycle[k % len(cycle)]
 
     def order_of(self, i: int) -> int:
         return len(self.power_classes(int(self.class_of[i])))
 
     def exponent(self) -> int:
-        return lcm(*(len(self.power_classes(c.index)) for c in self.classes))
+        r = len(self.classes)
+        # every class's power map is read off its structure row: walk them all at once
+        self.class_structure_rows(range(1, r))
+        return lcm(*(len(self.power_classes(c)) for c in range(r)))
 
     # -- batched ops --------------------------------------------------------
 
@@ -255,37 +253,6 @@ class GroupTable:
         out = np.empty(self.order, dtype=np.int64)
         out[np.argsort(keys)] = self._sorted_pos
         return out
-
-    def mul_pairwise(self, is_, js) -> np.ndarray:
-        """Indices of element(i) * element(j); the index arguments broadcast
-        like numpy arrays, so either may be a scalar, a vector or a grid.
-
-        x * z is R composed along the tree path of z: for z = h_1 ... h_d,
-        x * z is R_h_d(... R_h_1(x)), one gather per step, the path read
-        from z towards the identity and walked back.  A scalar z walks its
-        path on whole arrays; the zs of an array walk together, each masked
-        out until its own path begins.
-        """
-        parent, via = self._tree_arrays()
-        out = np.asarray(is_, dtype=np.int64)
-        if np.ndim(js) == 0:
-            path, z = [], int(js)
-            while z:
-                path.append(via[z])
-                z = parent[z]
-            out = out.copy()
-            for h in reversed(path):
-                out = self._right[h, out]
-            return np.asarray(out)
-        z = np.asarray(js, dtype=np.int64)
-        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, z.shape))
-        steps = []
-        while z.any():
-            steps.append((via[z], z != 0))
-            z = parent[z]
-        for h, live in reversed(steps):
-            out = np.where(live, self._right[h, out], out)
-        return np.array(out)
 
     def row_blocks(self, xs=None):
         """The rows x * G for each x in xs, every element by default, in
@@ -328,16 +295,6 @@ class GroupTable:
         if self._layers is None:
             self._layers = _bfs_layers(self._right)
         return self._layers
-
-    def _tree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The tree's parent and via of every element, 0 at the identity; cached."""
-        if self._parent_via is None:
-            parent = np.zeros(self.order, dtype=np.int64)
-            via = np.zeros(self.order, dtype=np.int64)
-            for new, par, v in self._tree():
-                parent[new], via[new] = par, v
-            self._parent_via = parent, via
-        return self._parent_via
 
     # -- elements -----------------------------------------------------------
 
@@ -413,20 +370,12 @@ class GroupTable:
     def power_classes(self, c: int) -> tuple[int, ...]:
         """Classes of x, x^2, ..., x^o = 1 for any x in class c, o = o(x).
 
-        Read along the cycle of the class representative, which doubles with
-        each product (x^1..x^n times x^n is x^(n+1)..x^2n) until the
-        identity, index 0, appears; cached per class.
+        Read off structure row c as class_structure_rows walks it, so only
+        row c is walked, and only when it is not kept yet.
         """
-        got = self._power_classes.get(c)
-        if got is None:
-            class_of = self.class_of
-            cycle = self._class_reps[c : c + 1]
-            while cycle.all():
-                cycle = np.concatenate((cycle, self.mul_pairwise(cycle, int(cycle[-1]))))
-            # argmin finds the first identity
-            got = tuple(class_of[cycle[: cycle.argmin() + 1]].tolist())
-            self._power_classes[c] = got
-        return got
+        if c not in self._power_classes:
+            self.class_structure_rows([c])
+        return self._power_classes[c]
 
     def _ensure_classes(self):
         """Partition the group into conjugacy classes.
@@ -489,7 +438,8 @@ class GroupTable:
         sum_j min(|G|, r**2) codes and counts; the rows of js not kept yet
         are walked together, in blocks as row_blocks walks them.  Codes stay
         below r**2 <= |G|**2, far inside int64 for any group that can be
-        enumerated.
+        enumerated.  The same walk gives class j's power map (power_classes),
+        read off the row along the cycle of rep_j.
         """
         js = [int(j) for j in js]
         rows = self._structure_rows
@@ -498,12 +448,14 @@ class GroupTable:
             class_of = self.class_of
             r = len(self._classes)
             first = class_of * r
-            # (class of y) * r + (class of rep_j y) for every y, a block at a time
-            blocks = (class_of[b] + first for b in self.row_blocks(self._class_reps[todo]))
-            for j, keys in zip(todo, chain.from_iterable(blocks)):
-                counts = np.bincount(keys, minlength=r * r)
+            walked = chain.from_iterable(self.row_blocks(self._class_reps[todo]))
+            for j, row in zip(todo, walked):
+                # (class of y) * r + (class of rep_j y) for every y
+                counts = np.bincount(class_of[row] + first, minlength=r * r)
                 codes = np.flatnonzero(counts)
                 rows[j] = codes, counts[codes]
+                # the classes of x, ..., x^(o-1), then of x^o = 1
+                self._power_classes[j] = tuple(class_of[_cycle(row)[1:] + [0]].tolist())
         return [rows[j] for j in js]
 
     def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -604,6 +556,15 @@ def _iter_bits(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _cycle(row: np.ndarray) -> list[int]:
+    """The powers 1, x, ..., x^(o-1) of x, o = o(x), read off the row x * G,
+    where x^(i+1) = x * x^i is the entry at x^i."""
+    cycle = [0]
+    while y := row.item(cycle[-1]):
+        cycle.append(y)
+    return cycle
 
 
 def _distinct_gens(images) -> tuple[list[int], list[int]]:
@@ -1126,14 +1087,22 @@ def center(g: GroupTable) -> NormalSubgroup:
 
 
 def commutator_subgroup(g: GroupTable) -> NormalSubgroup:
-    """Derived subgroup, as the normal closure of generator commutators."""
+    """Derived subgroup, as the normal closure of the commutators.
+
+    The commutators x^-1 h^-1 x h = x^-1 x^h with x in a class C are exactly
+    the products C^-1 * C, so their classes are the supports of the pair
+    products, structure row c at the class of inverses of c, for every c.
+    """
     bits = g.cache.get("derived")
     if bits is None:
-        # [a, b] = ab (ba)^-1, and ba is ab transposed over the gens grid
-        gens = np.array(g.gens, dtype=np.int64)
-        ab = g.mul_pairwise(gens[:, None], gens[None, :])
-        seeds = np.unique(g.class_of[g.mul_pairwise(ab, g.inv[ab.T])])
-        bits = g.cache["derived"] = g.normal_closure_bits(seeds)
+        r = len(g.classes)
+        # every class's row is read: walk them all at once
+        g.class_structure_rows(range(1, r))
+        inverses = g.class_inverses.tolist()
+        seeds = 0
+        for c in range(r):
+            seeds |= g.class_pair_product_bits(inverses[c], c)
+        bits = g.cache["derived"] = g.normal_closure_bits(_iter_bits(seeds))
     return NormalSubgroup(g, bits)
 
 

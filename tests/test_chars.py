@@ -278,18 +278,17 @@ def _walked_classes(monkeypatch):
 @pytest.mark.parametrize("spec", ["A6", "SL2:7"])
 @pytest.mark.parametrize("lattice_first", [True, False])
 def test_each_structure_row_is_walked_once_per_group(monkeypatch, spec, lattice_first):
-    # the lattice, the degrees and every retried prime read one store; the
-    # lattice and the generic element each walk all missing rows in one call
+    # the lattice, the exponent, the degrees and every retried prime read
+    # one store; the lattice and the exponent each walk all missing rows in
+    # one call
     walks = _walked_classes(monkeypatch)
     g = build(spec)
     r = len(g.classes)
     if lattice_first:
         engine.cosocle(g)
-        assert walks == [list(range(1, r))]
     chars.character_degrees(g)
-    if not lattice_first:
-        # class 1 alone, then the rest for the generic element
-        assert walks == [[1], list(range(2, r))]
+    # the lattice, or else the exponent that picks the primes, walks first
+    assert walks == [list(range(1, r))]
     engine.cosocle(g)
     for ell, want in _SPLIT_OUTCOMES[spec].items():
         try:
@@ -297,6 +296,23 @@ def test_each_structure_row_is_walked_once_per_group(monkeypatch, spec, lattice_
         except chars._SplitFailure as exc:
             assert str(exc) == want
     assert sorted(sum(walks, [])) == list(range(1, r))
+
+
+@pytest.mark.parametrize("spec", ["A6", "SL2:7", "PSL2:7", "prod(A5,C3)"])
+def test_power_maps_and_derived_subgroup_read_the_lattice_rows(monkeypatch, spec):
+    # the power maps are read off the structure rows as they are walked, and
+    # the commutators are the pair products C^-1 * C, so once the lattice has
+    # walked every row nothing below walks one
+    g = build(spec)
+    engine.normal_subgroups(g)
+    walks = _walked_classes(monkeypatch)
+    g.exponent()
+    engine.commutator_subgroup(g)
+    for x in range(g.order):
+        g.order_of(x)
+    for c in range(len(g.classes)):
+        g.power_classes(c)
+    assert walks == []
 
 
 @pytest.mark.parametrize("spec", ["A6", "SL2:7"])

@@ -268,6 +268,10 @@ def test_nonpositive_depth_or_power_range_is_usage_error(capsys, extra, message)
         (["verify", "jordan"], "--samples"),
         (["verify", "mustexp"], "--D"),
         (["verify", "axioms"], "--D"),
+        (["analyze", "A5"], "--cap-order"),
+        (["analyze", "A5"], "--cap-degree"),
+        (["degree", "A5"], "--cap-degree"),
+        (["verify", "brenner"], "--cap-order"),
     ],
 )
 def test_nonpositive_counts_are_usage_errors(capsys, argv, option, value):
@@ -303,6 +307,15 @@ def test_malformed_cap_order_env_is_usage_error(capsys, monkeypatch):
     # the flag still wins over the variable
     code, _ = run(["analyze", "A5", "--cap-order", "60"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_cap_order_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("QRG_CAP_ORDER", value)
+    code, lines = run(["analyze", "A5"], capsys)
+    assert code == 2
+    assert lines[0]["error"] == "parse"
+    assert lines[0]["message"] == f"QRG_CAP_ORDER must be at least 1, not {value!r}"
 
 
 def test_missing_required_argument_is_systemexit(capsys):

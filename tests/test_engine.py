@@ -35,37 +35,43 @@ def sl25():
     return engine.enumerate_group(gf.classical_generators("SL", 2, PrimeField(5)))
 
 
+def _product_table(g):
+    """Every row x * G, walked along the tree: the whole product table."""
+    return np.concatenate(list(g.row_blocks()))
+
+
 def test_enumerate_s4():
     g = s4()
     assert g.order == 24
     assert g.kind == "perm"
     assert g.element(0) == Permutation.identity(4)
     # every listed generator index multiplies correctly against the oracle
+    table = _product_table(g)
     for i in range(g.order):
         for j in g.gens:
-            got = g.element(g.mul(i, j))
+            got = g.element(int(table[i, j]))
             want = oracles.compose(g.element(i).images, g.element(j).images)
             assert got.images == want
 
 
 def test_inverses_and_powers():
     g = s4()
+    assert not _products(g, np.arange(g.order), g.inv).any()
     for i in range(g.order):
-        assert g.mul(i, int(g.inv[i])) == 0
         assert g.power(i, g.order_of(i)) == 0
         assert g.power(i, -1) == int(g.inv[i])
 
 
 def test_batched_multiplication_matches_scalar():
+    # rows x * G walked three at a time equal the rows walked one at a time
     g = a5()
     rng = np.random.default_rng(5)
     xs = rng.integers(0, g.order, size=40)
-    for x in rng.integers(0, g.order, size=6):
-        left = g.mul_pairwise(int(x), xs)
-        right = g.mul_pairwise(xs, int(x))
-        for k, y in enumerate(xs):
-            assert left[k] == g.mul(int(x), int(y))
-            assert right[k] == g.mul(int(y), int(x))
+    with mock.patch.object(engine, "_ROW_BLOCK", 3 * g.order):
+        blocks = list(g.row_blocks(xs))
+    assert [len(rows) for rows in blocks] == [3] * 13 + [1]
+    for x, row in zip(xs.tolist(), np.concatenate(blocks)):
+        assert row.tolist() == g._row_products(x).tolist()
 
 
 def test_index_of_round_trip():
@@ -142,11 +148,9 @@ def test_quotient_s4_by_v4():
     assert sorted(c.size for c in q.classes) == [1, 2, 3]
     # proj is a homomorphism
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        x, y = rng.integers(0, g.order, size=2)
-        assert int(q.proj[g.mul(int(x), int(y))]) == q.mul(
-            int(q.proj[x]), int(q.proj[y])
-        )
+    xs, ys = rng.integers(0, g.order, size=(2, 50))
+    want = q.proj[_products(g, xs, ys)]
+    assert _products(q, q.proj[xs], q.proj[ys]).tolist() == want.tolist()
 
 
 def test_normal_subgroups_of_s4():
@@ -264,8 +268,7 @@ def _check_against_bfs(g, gens, mul):
         if index[h] != 0 and index[h] not in want_gens:
             want_gens.append(index[h])
     assert g.gens == (want_gens or [0])
-    every = np.arange(g.order)
-    assert not g.mul_pairwise(every, g.inv).any()
+    assert all(mul(x, want[i]) == want[0] for x, i in zip(want, g.inv.tolist()))
 
 
 @st.composite
@@ -372,7 +375,7 @@ def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap)
     monkeypatch.setattr(engine.GroupTable, "_find_keys", counted)
     g = engine.enumerate_group(matrices(p, n, gens), cap=cap)
     assert calls == [(len(gens),)]
-    assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
+    assert not _products(g, np.arange(g.order), g.inv).any()
     assert calls == [(len(gens),)]
     assert g.index_of(g.element(g.order - 1)) == g.order - 1
     assert calls == [(len(gens),), ()]
@@ -654,17 +657,23 @@ def test_commutators_match_bruteforce_on_random_permutation_groups(gens):
 
 @pytest.mark.parametrize("spec", ["C60", "D50"])
 def test_commutators_match_bruteforce_on_thin_groups(spec):
-    """Many classes and a deep tree: on C60 a product walks up to 59 steps
-    of its right factor's path, and the zs of one vector walk paths of
-    mixed depths together."""
+    """Many classes and a deep tree, 59 layers on C60 and 26 on D50: the
+    derived subgroup, the rows x * G of 40 seeded x, and every class's
+    power map, read off its row, against the oracle products."""
     g = build_group(parse_spec(spec))
     _check_derived_subgroup(g)
-    rng = np.random.default_rng(3)
-    _check_products(g, rng)
     elements = [g.element(i).images for i in range(g.order)]
-    xs, ys = rng.integers(g.order, size=(2, 40))
-    want = [elements.index(oracles.compose(elements[x], elements[y])) for x, y in zip(xs, ys)]
-    assert g.mul_pairwise(xs, ys).tolist() == want
+    index = {x: i for i, x in enumerate(elements)}
+    xs = np.random.default_rng(3).integers(g.order, size=40)
+    for x, row in zip(xs.tolist(), np.concatenate(list(g.row_blocks(xs)))):
+        assert row.tolist() == [index[oracles.compose(elements[x], y)] for y in elements]
+    for c in g.classes:
+        x = y = elements[c.rep]
+        want = [c.index]
+        while y != elements[0]:
+            y = oracles.compose(y, x)
+            want.append(int(g.class_of[index[y]]))
+        assert g.power_classes(c.index) == tuple(want)
 
 
 # -- classes, center and quotients against the oracles -------------------------
@@ -746,7 +755,7 @@ def _check_quotients(g):
             a, b = np.divmod(np.arange(q.order**2), q.order)
         else:
             a, b = rng.integers(0, q.order, size=(2, 500))
-        got = q.mul_pairwise(a, b).tolist()
+        got = _products(q, a, b).tolist()
         assert got == [coset_of_product(int(x), int(y)) for x, y in zip(a, b)]
 
 
@@ -780,7 +789,7 @@ def test_classes_center_and_quotients_match_oracle_on_random_matrix_groups(drawn
     _check_quotients(g)
 
 
-# -- the broadcasting product on every carrier ---------------------------------
+# -- the rows x * G on every carrier ------------------------------------------
 
 
 def _oracle_index_mul(g):
@@ -795,25 +804,24 @@ def _oracle_index_mul(g):
     return lambda i, j: index[mul(elements[i], elements[j])]
 
 
+def _products(g, xs, ys):
+    """element(x) * element(y) for each pair, read off the rows x * G."""
+    rows = np.concatenate(list(g.row_blocks(xs)))
+    return rows[np.arange(len(rows)), ys]
+
+
 def _check_products(g, rng):
-    """mul_pairwise broadcasts its index arguments like numpy, returns an
-    ndarray for scalars too, and agrees with the oracle and with mul on
-    every pair."""
-    want = np.vectorize(_oracle_index_mul(g), otypes=[np.int64])
-    xs, ys = rng.integers(0, g.order, size=(2, 6))
-    empty = np.zeros(0, dtype=np.int64)
-    x = int(xs[0])
-    shapes = [
-        (x, ys), (xs, x), (xs, ys), (x, empty), (empty, x), (empty, empty),
-        (xs[:, None], ys[None, :]), (xs[:4, None], ys), (xs[1], ys[:, None]),
-        (x, int(ys[0])), (x, 0), (xs[2], ys[3]),
-    ]
-    for a, b in shapes:
-        got = g.mul_pairwise(a, b)
-        assert isinstance(got, np.ndarray)
-        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
-        assert got.tolist() == want(a, b).tolist()
-    assert [g.mul(int(i), int(j)) for i, j in zip(xs, ys)] == want(xs, ys).tolist()
+    """The rows x * G of sampled x, walked one at a time and together, agree
+    with each other everywhere and with the oracle at sampled y and at the
+    identity."""
+    mul = _oracle_index_mul(g)
+    xs = rng.integers(0, g.order, size=3)
+    ys = [0, *rng.integers(0, g.order, size=12).tolist()]
+    rows = np.concatenate(list(g.row_blocks(xs)))
+    assert rows.shape == (3, g.order)
+    for x, row in zip(xs.tolist(), rows):
+        assert g._row_products(x).tolist() == row.tolist()
+        assert row[ys].tolist() == [mul(x, y) for y in ys]
 
 
 @settings(max_examples=30, deadline=None)
@@ -965,8 +973,8 @@ def _check_regular_action(g, rng):
     """R_h(x) = x h for every generator h and element x; the tree reaches
     every element once, layer by layer, with new = parent * gens[via]; the
     conjugation maps are x -> h x h^-1; at sampled i, the rows read from
-    row_blocks hold i * G in row i and G * i in column i, and the column is
-    R composed along the tree path of i; and the derived subgroup is the
+    row_blocks hold i * G in row i and G * i in column i; and the derived
+    subgroup is the
     normal closure of the classes of a x a^-1 x^-1 for a over the class
     representatives and x over G, enough as the commutators are invariant
     under conjugation."""
@@ -993,12 +1001,10 @@ def _check_regular_action(g, rng):
     assert len(depth) == sum(len(new) for new, _, _ in g._tree()) + 1
 
     sample = rng.choice(g.order, size=min(g.order, 4), replace=False).tolist()
-    walked = [g.mul_pairwise(np.arange(g.order), i).tolist() for i in sample]
-    table = np.concatenate(list(g.row_blocks()))
-    for i, column in zip(sample, walked):
+    table = _product_table(g)
+    for i in sample:
         assert table[i].tolist() == [mul(i, y) for y in every]
         assert table[:, i].tolist() == [mul(x, i) for x in every]
-        assert column == table[:, i].tolist()
 
     met = set()
     for c in g.classes:
@@ -1064,7 +1070,7 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
         assert g.exponent() > 1
         engine.commutator_subgroup(g)
         quotients.append(engine.quotient(g, engine.cosocle(g)))
-        assert not g.mul_pairwise(np.arange(g.order), g.inv).any()
+        assert not _products(g, np.arange(g.order), g.inv).any()
         chars.gowers_mixing(g, [range(0, g.order, 3)], 0.1, 0.1)
     assert [q.order for q in quotients] == [60, 60, 120, 2, 168]
     for q in quotients:
