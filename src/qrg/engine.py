@@ -18,15 +18,17 @@ first occurrence over (frontier element, generator), frontier elements taken
 in index order; the first occurrence of a key is the least position in its
 run of an unstable sort.  Each element is found by a key of its flattened
 carrier row: a mixed-radix int64 code while the code space fits (see
-_radix_powers), the row's bytes past that.  An int64 key is linear in the
-row, so the keys of products are formed without their rows: a permutation
-product's key is one matrix product with the frontier, and row r of a
-matrix product x * h is (row r of x) * h, so while the p**n rows of an
-n x n matrix over GF(p) are within the order cap, a table per generator
-maps each row, coded below p**n, to the code of its product; read as
-digits base p**n the row codes give the entries' key, a sum of n gathers.
-Only the rows of the new elements are formed, by gathers or, past the row
-table and with byte keys, by composing rows.  Matrix inverses ride along the
+_radix_powers), and the row's bytes for permutations past that.  An int64
+key is linear in the row, so the keys of products are formed without their
+rows: a permutation product's key is one matrix product with the frontier,
+and row r of a matrix product x * h is (row r of x) * h, so a table per
+generator maps each row of an n x n matrix over GF(p), coded below p**n,
+to the code of its product; read as digits base p**n the row codes give
+the entries' key, a sum of n gathers.  The table holds all p**n rows, so a
+matrix group is built only while p**n is within the order cap and
+p**(n*n) within int64 codes, and CapExceeded is raised past either; the
+groups classical_generators admits are within both.  Only the rows of the
+new elements are formed, by gathers.  Matrix inverses ride along the
 same BFS: y = x * h has y^-1 = h^-1 * x^-1 and (y^-1)^T = (x^-1)^T *
 (h^-1)^T, so with row codes the transposed inverses are gathers from a
 second table.  Only the generators are inverted by elimination, a
@@ -198,7 +200,8 @@ class GroupTable:
         self._layers = None
         self._steps = None
         # perm and mat carriers: one flattened int64 row per element and the
-        # row-key lookup (radix powers, or None for byte keys)
+        # row-key lookup (radix powers, or None for the byte keys of
+        # permutations of degree 16 and up)
         self._rows = None
         self._pow = None
         self._sorted_codes = None
@@ -648,9 +651,9 @@ def _radix_powers(base: int, width: int) -> np.ndarray | None:
 
     A row of `width` digits in [0, base) codes to sum(d_k * base**k), which
     is below base**width.  Codes are used only while base**width <= 2**62, so
-    they and their sums stay inside int64; past that limit this returns None
-    and rows are keyed by their bytes instead.  That happens for permutations
-    of degree 16 and up and for n x n matrices with p**(n*n) > 2**62.
+    they and their sums stay inside int64; past that limit this returns None.
+    Permutations of degree 16 and up are then keyed by their bytes, and
+    n x n matrices with p**(n*n) > 2**62 are refused (_carrier).
     """
     if base**width > 1 << 62:
         return None
@@ -707,13 +710,13 @@ class _KeySet:
 class _Carrier(NamedTuple):
     """How enumerate_group carries one kind of generating set.
 
-    Each element is carried as one int64 row: a permutation's images; a
-    matrix's entries followed by its inverse's, or, from the row table, its
-    n row codes followed by those of its transposed inverse.  keys(rows)
-    gives the key of every product rows[a] * gens[b], at a * k + b for k
-    generators; products(rows, a, b) forms the carried rows of rows[a] *
-    gens[b] for index arrays a and b; finish(rows) gives the entry rows of
-    the carried elements and the keys of their inverses.
+    Each element is carried as one int64 row: a permutation's images, or a
+    matrix's n row codes followed by those of its transposed inverse
+    (_row_table).  keys(rows) gives the key of every product rows[a] *
+    gens[b], at a * k + b for k generators; products(rows, a, b) forms the
+    carried rows of rows[a] * gens[b] for index arrays a and b;
+    finish(rows) gives the entry rows of the carried elements and the keys
+    of their inverses.
     """
 
     kind: str
@@ -732,14 +735,15 @@ def _carrier(gens, cap: int) -> _Carrier:
 
     With int64 keys the keys of products are formed without their rows.  A
     permutation product x * h maps i to x(h(i)), so its key sum_i x(h(i)) *
-    d**i is x @ w for w[h(i), h] = d**i.  Matrices with p**n <= cap are
-    carried as row codes below p**n, and the code of row r of x * h is
-    act[code_r(x), h] (_row_table); read as digits base p**n they key the
-    product, a sum of n gathers from the key tables act * (p**n)**r.  The
-    key tables hold n times the row table's p**n * k int64 entries, and the
-    row table is no larger than the regular action the cap admits, k * cap.
-    Byte keys and matrices past the row table form every product's row to
-    key it.
+    d**i is x @ w for w[h(i), h] = d**i.  Matrices are carried as row codes
+    below p**n, and the code of row r of x * h is act[code_r(x), h]
+    (_row_table); read as digits base p**n they key the product, a sum of
+    n gathers from the key tables act * (p**n)**r.  The key tables hold n
+    times the row table's p**n * k int64 entries, and the row table is no
+    larger than the regular action the cap admits, k * cap.  Byte keys form
+    every product's row to key it.  Matrices with p**n > cap, or with
+    p**(n*n) > 2**62 so that n row codes do not fit one int64 key, raise
+    CapExceeded before any table is built.
     """
     k = len(gens)
     if all(isinstance(x, Permutation) for x in gens):
@@ -786,56 +790,38 @@ def _carrier(gens, cap: int) -> _Carrier:
         gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
         identity = np.eye(n, dtype=np.int64).ravel()
         powers = _radix_powers(p, width)
-        if powers is not None and p**n <= cap:
-            # y = x * h has (y^-1)^T = (x^-1)^T * (h^-1)^T, so the transposed
-            # inverses' row codes are gathers from a second row table
-            vecs, act = _row_table(gen_rows, p, n)
-            _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
-            tables = act * (p**n) ** np.arange(n, dtype=np.int64)[:, None, None]
-            # both tables flattened, code c of h_b at c * k + b; the first n
-            # digits of a carried row read act, the last n act_inv
-            flat = np.concatenate((act, act_inv)).reshape(-1)
-            shift = np.repeat([0, p**n * k], n)
-            start = np.tile(p ** np.arange(n, dtype=np.int64), 2)
-
-            def keys(rows):
-                out = tables[0].take(rows[:, 0], axis=0)
-                for r in range(1, n):
-                    out += tables[r].take(rows[:, r], axis=0)
-                return out.reshape(-1)
-
-            def products(rows, a, b):
-                return flat.take(rows.take(a, axis=0) * k + (b[:, None] + shift))
-
-            def finish(rows):
-                # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
-                # its digit c to p**(c * n) and adding p**r places them all
-                inv_keys = (vecs @ powers[::n]).take(rows[:, n:]) @ powers[:n]
-                return vecs.take(rows[:, :n], axis=0).reshape(-1, width), inv_keys
-
-            return _Carrier("mat", identity, gen_rows, powers, start, keys, products, finish)
-
-        def compose(a, b):
-            # leading axes broadcast; each entry sums n terms below
-            # p**2 < 2**32, far inside int64
-            prod = a.reshape(*a.shape[:-1], n, n) @ b.reshape(*b.shape[:-1], n, n)
-            prod %= p
-            return prod.reshape(*prod.shape[:-2], width)
+        if p**n > cap or powers is None:
+            raise CapExceeded(
+                f"{n} x {n} matrices over GF({p}) are enumerated on a table of p**n = "
+                f"{p**n} row vectors, which needs p**n <= cap {cap} and "
+                f"p**(n*n) = {p}**{width} <= 2**62"
+            )
+        # y = x * h has (y^-1)^T = (x^-1)^T * (h^-1)^T, so the transposed
+        # inverses' row codes are gathers from a second row table
+        vecs, act = _row_table(gen_rows, p, n)
+        _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
+        tables = act * (p**n) ** np.arange(n, dtype=np.int64)[:, None, None]
+        # both tables flattened, code c of h_b at c * k + b; the first n
+        # digits of a carried row read act, the last n act_inv
+        flat = np.concatenate((act, act_inv)).reshape(-1)
+        shift = np.repeat([0, p**n * k], n)
+        start = np.tile(p ** np.arange(n, dtype=np.int64), 2)
 
         def keys(rows):
-            return _row_keys(compose(rows[:, None, :width], gen_rows).reshape(-1, width), powers)
+            out = tables[0].take(rows[:, 0], axis=0)
+            for r in range(1, n):
+                out += tables[r].take(rows[:, r], axis=0)
+            return out.reshape(-1)
 
         def products(rows, a, b):
-            # y = x * h has y^-1 = h^-1 * x^-1
-            x = rows.take(a, axis=0)
-            return np.concatenate(
-                (compose(x[:, :width], gen_rows[b]), compose(gen_inv[b], x[:, width:])), axis=1
-            )
+            return flat.take(rows.take(a, axis=0) * k + (b[:, None] + shift))
 
         def finish(rows):
-            return np.ascontiguousarray(rows[:, :width]), _row_keys(rows[:, width:], powers)
+            # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
+            # its digit c to p**(c * n) and adding p**r places them all
+            inv_keys = (vecs @ powers[::n]).take(rows[:, n:]) @ powers[:n]
+            return vecs.take(rows[:, :n], axis=0).reshape(-1, width), inv_keys
 
-        start = np.tile(identity, 2)
         return _Carrier("mat", identity, gen_rows, powers, start, keys, products, finish)
     raise MixedCarriers(
         "generators must be all Permutation or all FFMatrix, not a mixture"
@@ -850,14 +836,16 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
     The closure is built breadth first, a whole layer per step: the keys of
     all products x * h of the previous layer with the generators are formed
-    at once (int64 codes, or row bytes past the limit in _radix_powers; see
-    _carrier), and the keys already known are dropped by a search in sorted
+    at once (int64 codes, or a permutation's row bytes past the limit in
+    _radix_powers; see _carrier), and the keys already known are dropped by a search in sorted
     key runs.  The new elements get the next indices in order of first
     occurrence over (frontier element, generator), found by _first_unique,
     so index 0 is the identity and the numbering equals that of an
     element-by-element BFS.  Only the new elements' rows are formed, and
     their keys are the picked products' keys.  CapExceeded is raised as
-    soon as the order would pass cap, before that layer's rows are formed.
+    soon as the order would pass cap, before that layer's rows are formed,
+    and before enumeration for matrices whose row table would pass cap or
+    whose keys would pass int64 (_carrier).
 
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key

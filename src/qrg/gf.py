@@ -511,7 +511,10 @@ def parse_matrix(text: str) -> FFMatrix:
     width = {len(r) for r in rows}
     if len(width) != 1 or width.pop() != len(rows):
         raise ParseError("matrix must be square", pos=m.start(2))
-    return FFMatrix(field, rows)
+    # JSON integers only (bool is not one), reduced in Python so any size reads
+    if not all(type(x) is int for r in rows for x in r):
+        raise ParseError("matrix entries must be integers", pos=m.start(2))
+    return FFMatrix(field, [[x % p for x in r] for r in rows])
 
 
 def matrix_literal(m: FFMatrix) -> str:

@@ -461,6 +461,95 @@ def degrees_class_algebra(gens, mul, inv, seed: int = 11):
     return tuple(degs)
 
 
+# -- character degrees in closed form ----------------------------------------
+# Each family's degree multiset from its formula, sorted, and checked to
+# have squares summing to |G|: S_n by hook lengths (Frame, Robinson and
+# Thrall 1954), A_n by restriction from S_n, and SL2(q) and PSL2(q) for odd
+# q (Fulton and Harris, Representation Theory, 1991, sections 5.1 and 5.2).
+
+def _closed_form(degrees, order: int):
+    degrees = tuple(sorted(degrees))
+    assert sum(d * d for d in degrees) == order
+    return degrees
+
+
+def partitions(n: int, largest: int):
+    """The partitions of n into parts of at most largest, as non-increasing
+    tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def conjugate_partition(shape):
+    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0]))
+
+
+def hook_length_degree(shape) -> int:
+    """n! over the product of the hook lengths of the Young diagram."""
+    cols = conjugate_partition(shape)
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (cols[j] - i) - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def symmetric_degrees(n: int):
+    return _closed_form(map(hook_length_degree, partitions(n, n)), math.factorial(n))
+
+
+def alternating_degrees(n: int):
+    """A pair of conjugate shapes restricts to one irreducible of A_n, and a
+    self-conjugate shape splits into two of half its degree (n >= 2)."""
+    out = []
+    for shape in partitions(n, n):
+        conj = conjugate_partition(shape)
+        f = hook_length_degree(shape)
+        if shape == conj:
+            out += [f // 2, f // 2]
+        elif shape > conj:
+            out.append(f)
+    return _closed_form(out, math.factorial(n) // 2)
+
+
+def sl2_degrees(q: int):
+    """SL2(q), q odd: 1, q, q + 1 (q - 3)/2 times, q - 1 (q - 1)/2 times,
+    and (q + 1)/2 and (q - 1)/2 twice each."""
+    out = [1, q] + [q + 1] * ((q - 3) // 2) + [q - 1] * ((q - 1) // 2)
+    out += [(q + 1) // 2] * 2 + [(q - 1) // 2] * 2
+    return _closed_form(out, q * (q * q - 1))
+
+
+def psl2_degrees(q: int):
+    """PSL2(q), q odd: the characters of SL2(q) trivial on -1."""
+    if q % 4 == 1:
+        out = [q + 1] * ((q - 5) // 4) + [q - 1] * ((q - 1) // 4) + [(q + 1) // 2] * 2
+    else:
+        out = [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4) + [(q - 1) // 2] * 2
+    return _closed_form([1, q] + out, q * (q * q - 1) // 2)
+
+
+def cyclic_degrees(n: int):
+    return _closed_form([1] * n, n)
+
+
+def dihedral_degrees(n: int):
+    """D_n of order 2n: 2 linear characters for odd n and 4 for even n, the
+    rest of degree 2."""
+    linear = 2 if n % 2 else 4
+    return _closed_form([1] * linear + [2] * ((2 * n - linear) // 4), 2 * n)
+
+
+def product_degrees(a, b):
+    return _closed_form(
+        [d * e for d in a for e in b], sum(d * d for d in a) * sum(e * e for e in b)
+    )
+
+
 # -- mod-p elimination, written small and slow -------------------------------
 
 def rank_mod_p(rows, p: int) -> int:

@@ -172,6 +172,30 @@ def build_degrees(spec):
     return chars.character_degrees(build(spec)).degrees
 
 
+CLOSED_FORMS = (
+    [(f"A{n}", oracles.alternating_degrees(n)) for n in range(5, 10)]
+    + [(f"S{n}", oracles.symmetric_degrees(n)) for n in range(5, 8)]
+    + [(f"SL2:{p}", oracles.sl2_degrees(p)) for p in (5, 7, 11, 13, 17, 29, 31)]
+    + [(f"PSL2:{p}", oracles.psl2_degrees(p)) for p in (7, 11, 29, 31)]
+    + [
+        ("prod(A5,A6)", oracles.product_degrees(
+            oracles.alternating_degrees(5), oracles.alternating_degrees(6))),
+        ("C12", oracles.cyclic_degrees(12)),
+        ("D12", oracles.dihedral_degrees(12)),
+    ]
+)
+
+
+@pytest.mark.parametrize("spec, degrees", CLOSED_FORMS, ids=[s for s, _ in CLOSED_FORMS])
+def test_degrees_match_closed_forms(spec, degrees):
+    # one degree per class, and SL2(p) has center {1, -1}
+    g = build(spec)
+    assert chars.character_degrees(g, cap=10**6).degrees == degrees
+    assert len(g.classes) == len(degrees)
+    if spec.startswith("SL2:"):
+        assert engine.center(g).order == 2
+
+
 def test_abelian_shortcut():
     assert build_degrees("C6") == (1,) * 6
     assert build_degrees("C1") == (1,)

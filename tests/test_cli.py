@@ -281,6 +281,23 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv, option, value):
     assert f"expected a positive integer, not '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jordan", "--matrix", "mat:p=5:[[1.5,0],[0,1]]"],
+        ["covering", "SL2:5", "--element", "mat:p=5:[[1,true],[0,1]]", "--K", "3"],
+    ],
+)
+def test_non_integer_matrix_entries_are_usage_errors(capsys, argv):
+    code, lines = run(argv, capsys)
+    assert code == 2
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "parse",
+        "message": "matrix entries must be integers (at offset 8)",
+    }]
+
+
 def test_domain_failures_exit_one(capsys):
     code, lines = run(["covering", "S4", "--element", "idx:99"], capsys)
     assert code == 1 and "out of range" in lines[0]["message"]

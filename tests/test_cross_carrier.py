@@ -11,18 +11,25 @@ from collections import Counter
 
 import pytest
 
-from qrg import chars, engine
+from qrg import chars, covering, engine
 from qrg.groupspec import build_group, parse_spec
 
 
 def invariants(g):
     """Numbering-free invariants: the multiset of (class size, element
-    order, sizes of the classes of x, x^2, ..., x^o), the derived subgroup's
+    order, sizes of the classes of x, x^2, ..., x^o, covering number K of
+    the class and of the class with its inverses), the derived subgroup's
     order, the orders of the normal-subgroup lattice, of the cosocle and of
     the center, and the character degrees."""
     sizes = g.class_sizes.tolist()
     classes = Counter(
-        (c.size, g.order_of(c.rep), tuple(sizes[k] for k in g.power_classes(c.index)))
+        (
+            c.size,
+            g.order_of(c.rep),
+            tuple(sizes[k] for k in g.power_classes(c.index)),
+            covering.covering_number(g, c.rep).K,
+            covering.covering_number(g, c.rep, symmetric=True).K,
+        )
         for c in g.classes
     )
     return {

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -213,19 +213,33 @@ def test_enumeration_cap():
         assert engine.enumerate_group(gens, cap=order).order == order
 
 
-def test_enumeration_cap_on_compose_path():
-    # a cap below p**n keeps matrix products off the row table: SL2(5) at
-    # cap 24 < 5**2 composes entries keyed by int64 codes, and the 3 x 3
-    # diagonal group mod 127 (order 126) composes entries keyed by bytes
-    sl25_gens = gf.classical_generators("SL", 2, PrimeField(5))
-    diag = [FFMatrix(PrimeField(127), np.diag([3, 9, 5]))]
-    for gens, cap in ((sl25_gens, 24), (diag, 125)):
+def test_matrix_sets_past_the_row_table_are_refused(monkeypatch):
+    # matrices are enumerated only on the table of all p**n row vectors,
+    # with n row codes in one int64 key, and refused before any table is
+    # built past either: SL2(5) at cap 24 < 5**2, monomial matrices of order
+    # 32 mod 101 at cap 100 < 101**2, the 3 x 3 diagonal group mod 127
+    # (order 126, 127**3 = 2048383 past the default cap, 127**9 > 2**62)
+    # and S4 as 4 x 4 permutation matrices mod 17 (17**16 > 2**62)
+    def no_table(*args):
+        raise AssertionError("row table built")
+
+    monkeypatch.setattr(engine, "_row_table", no_table)
+    monomial = matrices(101, 2, [(10, 0, 0, 1), (0, 1, 1, 0)])
+    cases = [
+        (gf.classical_generators("SL", 2, PrimeField(5)), 24, ["p**n = 25", "cap 24"]),
+        (monomial, 100, ["p**n = 10201", "cap 100"]),
+        (matrices(127, 3, [(3, 0, 0, 0, 9, 0, 0, 0, 5)]), engine.DEFAULT_ORDER_CAP,
+         ["p**n = 2048383", f"cap {engine.DEFAULT_ORDER_CAP}", "127**9 <= 2**62"]),
+        (matrices(17, 4, _S4_MATRICES), engine.DEFAULT_ORDER_CAP, ["17**16 <= 2**62"]),
+    ]
+    for gens, cap, parts in cases:
         with pytest.raises(CapExceeded) as err:
             engine.enumerate_group(gens, cap=cap)
-        assert str(err.value) == (
-            f"group enumeration passed cap {cap}; raise the cap to continue"
-        )
-    assert engine.enumerate_group(diag, cap=126).order == 126
+        for part in parts:
+            assert part in str(err.value)
+    # a cap that admits the row table builds the monomial group
+    monkeypatch.undo()
+    assert engine.enumerate_group(monomial, cap=101**2).order == 32
 
 
 def test_mixed_carriers_rejected():
@@ -317,7 +331,6 @@ def matrices(p, n, gens):
     return [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
 
 
-_SWAP = (0, 1, 1, 0)
 _S4_MATRICES = [
     tuple(int(x) for x in np.eye(4, dtype=np.int64)[list(perm)].ravel())
     for perm in ((1, 2, 3, 0), (1, 0, 2, 3))
@@ -325,25 +338,17 @@ _S4_MATRICES = [
 
 
 def test_wide_keys_match_bfs_oracle():
-    # codes would overflow int64 here (16**16, 17**17, 127**9 and 17**16
-    # are all past 2**62), so rows are keyed by their bytes
+    # codes would overflow int64 here (16**16 and 17**17 are past 2**62),
+    # so rows are keyed by their bytes
     c16 = [tuple((i + 1) % 16 for i in range(16))]
     d17 = [
         tuple((i + 1) % 17 for i in range(17)),
         tuple((17 - i) % 17 for i in range(17)),
     ]
-    diag = [(3, 0, 0, 0, 9, 0, 0, 0, 5)]
-    cases = [
-        ([Permutation(x) for x in c16], c16, oracles.compose),
-        ([Permutation(x) for x in d17], d17, oracles.compose),
-        (matrices(127, 3, diag), diag, oracles.matmul_mod(127)),
-        # S4 as its 4 x 4 permutation matrices, not commutative
-        (matrices(17, 4, _S4_MATRICES), _S4_MATRICES, oracles.matmul_mod(17)),
-    ]
-    for carriers, gens, mul in cases:
-        g = engine.enumerate_group(carriers)
+    for gens in (c16, d17):
+        g = engine.enumerate_group([Permutation(x) for x in gens])
         assert g._pow is None
-        _check_against_bfs(g, gens, mul)
+        _check_against_bfs(g, gens, oracles.compose)
         for i in range(g.order):
             assert g.index_of(g.element(i)) == i
     assert engine._radix_powers(15, 15) is not None
@@ -353,12 +358,8 @@ def test_wide_keys_match_bfs_oracle():
 @pytest.mark.parametrize(
     "p, n, gens, cap",
     [
-        # GL2(7) from the row table, as p**n = 49 is under the cap
+        # GL2(7)
         (7, 2, [(3, 0, 0, 5), (1, 1, 0, 1), (0, 6, 1, 0)], engine.DEFAULT_ORDER_CAP),
-        # monomial matrices of order 32 composed, as p**n = 10201 is past the cap
-        (101, 2, [(10, 0, 0, 1), _SWAP], 100),
-        # S4 keyed by row bytes, as 17**16 is past 2**62
-        (17, 4, _S4_MATRICES, engine.DEFAULT_ORDER_CAP),
     ],
 )
 def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap):
@@ -399,24 +400,6 @@ def test_first_unique_matches_np_unique(ints, rows):
         assert np.array_equal(first, want_first)
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrix_generators())
-def test_row_table_enumeration_matches_compose_path(drawn):
-    # the default cap admits the row table of all p**n row vectors, and cap
-    # p**n - 1 does not, so the same group is built both ways
-    p, n, gens = drawn
-    carriers = [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
-    g = engine.enumerate_group(carriers)
-    assume(g.order < p**n)
-    h = engine.enumerate_group(carriers, cap=p**n - 1)
-    assert np.array_equal(g._rows, h._rows)
-    assert np.array_equal(g._right, h._right)
-    assert np.array_equal(g.inv, h.inv)
-    assert len(g._layers) == len(h._layers)
-    for a, b in zip(g._layers, h._layers):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 def _check_bfs_numbering(g):
     """The BFS over R picks each new element where enumeration numbered it."""
     layers = engine._bfs_layers(g._right)
@@ -451,14 +434,10 @@ def test_bfs_layers_match_enumeration_with_byte_keys():
 
 @settings(max_examples=40, deadline=None)
 @given(matrix_generators())
-def test_bfs_layers_match_enumeration_on_both_matrix_paths(drawn):
-    # row-table products at the default cap, composed products at p**n - 1
+def test_bfs_layers_match_enumeration_on_matrix_groups(drawn):
     p, n, gens = drawn
     carriers = [FFMatrix(PrimeField(p), np.reshape(x, (n, n))) for x in gens]
-    g = engine.enumerate_group(carriers)
-    _check_bfs_numbering(g)
-    assume(g.order < p**n)
-    _check_bfs_numbering(engine.enumerate_group(carriers, cap=p**n - 1))
+    _check_bfs_numbering(engine.enumerate_group(carriers))
 
 
 @pytest.mark.parametrize("spec", ["A7", "SL2:13"])
@@ -1024,7 +1003,7 @@ def test_regular_action_matches_oracle_on_every_carrier(gens_a, gens_b, gens_c, 
 
 
 def test_regular_action_with_wide_keys():
-    # rows keyed by their bytes: degrees 16 and 17, and 3 x 3 matrices mod 127
+    # rows keyed by their bytes: degrees 16 and 17
     rng = np.random.default_rng(4)
     groups = [
         engine.enumerate_group([Permutation(tuple((i + 1) % 16 for i in range(16)))]),
@@ -1032,7 +1011,6 @@ def test_regular_action_with_wide_keys():
             Permutation(tuple((i + 1) % 17 for i in range(17))),
             Permutation(tuple((17 - i) % 17 for i in range(17))),
         ]),
-        engine.enumerate_group([FFMatrix(PrimeField(127), np.diag([3, 9, 5]))]),
     ]
     for g in groups:
         assert g._pow is None

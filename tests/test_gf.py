@@ -413,9 +413,21 @@ def test_parse_matrix_errors():
         "mat:p=5:[[1,2],[3]]",  # ragged
         "mat:p=5:[1,2]",  # not nested
         "p=5:[[1]]",  # missing prefix
+        "mat:p=5:[[1.5,0],[0,1]]",  # not an integer
+        "mat:p=5:[[1.0,0],[0,1]]",
+        "mat:p=5:[[true,0],[0,1]]",  # a bool is not an integer
+        'mat:p=5:[["1",0],[0,1]]',
+        "mat:p=5:[[null,0],[0,1]]",
+        "mat:p=5:[[[1],0],[0,1]]",
     ]:
         with pytest.raises(ParseError):
             gf.parse_matrix(bad)
+
+
+def test_parse_matrix_reduces_integers_of_any_size():
+    for entry, want in [(7, 2), (-3, 2), (10**23, 0), (10**23 + 1, 1)]:
+        m = gf.parse_matrix(f"mat:p=5:[[{entry},0],[0,1]]")
+        assert m == FFMatrix(PrimeField(5), [[want, 0], [0, 1]])
 
 
 def test_format_rational_always_shows_denominator():
