@@ -126,6 +126,15 @@ def _positive_int(text: str) -> int:
     return k
 
 
+def _prime_field(text: str) -> gf.PrimeField:
+    try:
+        return gf.PrimeField(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a prime p with 2 <= p < {gf.MAX_PRIME}, not {text!r}"
+        ) from None
+
+
 def _add_common(sub):
     sub.add_argument("--json", dest="fmt", action="store_const", const="json")
     sub.add_argument("--tsv", dest="fmt", action="store_const", const="tsv")
@@ -229,15 +238,14 @@ def cmd_jordan(args) -> int:
         return EXIT_PASS
     if args.n is None or args.p is None or args.q is None or args.field is None:
         raise ParseError("jordan needs either --matrix or all of --n --p --q --field")
-    field = gf.PrimeField(args.field)
-    value = constructions.jordan_of_sigma(args.n, args.p, args.q, field)
+    value = constructions.jordan_of_sigma(args.n, args.p, args.q, args.field)
     a, b = constructions.solve_two_prime(args.n, args.p, args.q)
     _emit(_report(
         "jordan",
         n=args.n,
         p=args.p,
         q=args.q,
-        field=args.field,
+        field=args.field.p,
         a=a,
         b=b,
         jordan_length=gf.format_rational(value),
@@ -259,19 +267,17 @@ def cmd_construct(args) -> int:
             "fixed_point_free": sigma.is_fixed_point_free(),
         }
         if args.field is not None:
-            value = constructions.jordan_of_sigma(
-                args.n, args.p, args.q, gf.PrimeField(args.field)
-            )
-            fields["field"] = args.field
+            value = constructions.jordan_of_sigma(args.n, args.p, args.q, args.field)
+            fields["field"] = args.field.p
             fields["jordan_length"] = gf.format_rational(value)
         _emit(_report("construct", **fields), args.fmt)
         return EXIT_PASS
     perm = parse_cycles(args.perm)
-    m = constructions.double_embed(perm, args.pad, gf.PrimeField(args.field))
+    m = constructions.double_embed(perm, args.pad, args.field)
     fields = {
         "perm": cycle_string(perm),
         "pad": args.pad,
-        "field": args.field,
+        "field": args.field.p,
         "size": m.n,
         "matrix": gf.matrix_literal(m),
     }
@@ -426,7 +432,7 @@ def _suite_mixing(args):
 def _random_invertible(rng, n: int, field: gf.PrimeField) -> gf.FFMatrix:
     while True:
         entries = rng.integers(0, field.p, size=(n, n))
-        if gf.ff_det(entries.astype(np.int64), field.p) != 0:
+        if gf.ff_rank(entries, field.p) == n:
             return gf.FFMatrix(field, entries)
 
 
@@ -605,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--field", type=int, default=None)
+    p.add_argument("--field", type=_prime_field, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_jordan)
 
@@ -615,13 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--q", type=int, required=True)
-    ps.add_argument("--field", type=int, default=None)
+    ps.add_argument("--field", type=_prime_field, default=None)
     _add_common(ps)
     ps.set_defaults(func=cmd_construct, what="sigma")
     pe = what.add_parser("embed")
     pe.add_argument("--perm", required=True, help='cycles with degree, e.g. "(1 2 3) degree=3"')
     pe.add_argument("--pad", type=int, choices=(0, 1, 2), required=True)
-    pe.add_argument("--field", type=int, required=True)
+    pe.add_argument("--field", type=_prime_field, required=True)
     _add_common(pe)
     pe.set_defaults(func=cmd_construct, what="embed")
 
@@ -669,10 +675,12 @@ def main(argv=None) -> int:
         ArithmeticError,
         KeyError,
     ) as exc:
+        # str() of a KeyError with one argument is that argument's repr
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)
         _emit({
             "schema": SCHEMA,
             "error": type(exc).__name__,
-            "message": str(exc),
+            "message": str(message),
         }, "json")
         return EXIT_FAIL
 

@@ -5,10 +5,9 @@ identity at index 0, and answers products, inverses, conjugacy classes,
 normal subgroups, cosocles, quotients and derived subgroups.  Elements are
 carried either as permutations, as matrices over a prime field, as pairs
 (direct products) or as cosets (quotients), but the carriers are read only
-by enumeration and by element, element_label and index_of.  After
-enumeration every product is read off one walk, the rows x * G over the
-right regular action R (below), on every carrier alike.  No order x order
-product table is kept.
+by enumeration, element and index_of.  After enumeration every product is
+read off one walk, the rows x * G over the right regular action R (below),
+on every carrier alike.  No order x order product table is kept.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
 time: the key of every product x * h of a frontier element x with a
@@ -83,12 +82,12 @@ commutators x^-1 x^h of x in a class C are exactly the products C^-1 * C,
 so the derived subgroup is the normal closure of those pair products.
 
 A GroupTable keeps its own lazy state (classes, power map, the structure
-rows and their support bitmasks, set products, class-set powers) in private
-fields; the rows hold at most sum_j min(|G|, r**2) codes and counts for r
-classes.  Whatever a module-level function derives from it (lattice,
-cosocle, derived subgroup, quotients, character degrees) is memoized in
-g.cache, as class bitmasks and orders rather than objects that point back at
-the group, so only a quotient and its parent form a reference cycle.
+rows and their support bitmasks, class-set powers) in private fields; the
+rows hold at most sum_j min(|G|, r**2) codes and counts for r classes.
+g.cache holds the lattice, the derived subgroup and the character degrees,
+as class bitmasks, orders and integers rather than objects that point back
+at the group, so no group is part of a reference cycle: a quotient points
+at its parent, and nothing points back.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
@@ -109,8 +108,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded
-from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv, matrix_literal
-from .permutations import Permutation, cycle_string
+from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv
+from .permutations import Permutation
 
 # Entries of the rows x * G walked at once by row_blocks: 512 KiB of int64
 # products, or one whole row of a group of larger order.
@@ -148,22 +147,17 @@ class ConjClass:
 class NormalSubgroup:
     """A normal subgroup, recorded as the union of the classes it contains."""
 
-    __slots__ = ("group", "class_bits", "order", "_members")
+    __slots__ = ("group", "class_bits", "order")
 
     def __init__(self, group: "GroupTable", class_bits: int, order: int | None = None):
         self.group = group
         self.class_bits = class_bits
         self.order = group.class_bits_size(class_bits) if order is None else order
-        self._members = None
 
     @property
     def members(self) -> np.ndarray:
-        if self._members is None:
-            parts = [
-                c.members for c in self.group.classes if self.class_bits >> c.index & 1
-            ]
-            self._members = np.sort(np.concatenate(parts))
-        return self._members
+        parts = [c.members for c in self.group.classes if self.class_bits >> c.index & 1]
+        return np.sort(np.concatenate(parts))
 
     @property
     def num_classes(self) -> int:
@@ -222,7 +216,6 @@ class GroupTable:
         self._power_classes: dict[int, tuple[int, ...]] = {0: (0,)}
         self._structure_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._row_bits: dict[int, list[int]] = {}
-        self._set_prod_cache: dict[tuple[int, int], int] = {}
         self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
         self.cache: dict = {}
 
@@ -315,17 +308,6 @@ class GroupTable:
             int(x)
             for x in np.nonzero(self.proj == i)[0]
         )
-
-    def element_label(self, i: int) -> str:
-        if self.kind == "perm":
-            return cycle_string(self.element(i), with_degree=False)
-        if self.kind == "mat":
-            return matrix_literal(self.element(i))
-        if self.kind == "prod":
-            g1, g2 = self.factors
-            i1, i2 = divmod(int(i), g2.order)
-            return f"({g1.element_label(i1)}, {g2.element_label(i2)})"
-        return f"coset({self.parent.element_label(int(self.coset_reps[i]))})"
 
     def index_of(self, elt) -> int:
         """Index of a carrier element (Permutation or FFMatrix)."""
@@ -490,16 +472,12 @@ class GroupTable:
         from the structure rows of the side with fewer classes, as
         A * B = B * A; of B on a tie, as callers pass the fixed factor of a
         growing product (N * S, S^(k-1) * S) second."""
-        key = (bits_a, bits_b)
-        got = self._set_prod_cache.get(key)
-        if got is None:
-            if bits_a.bit_count() < bits_b.bit_count():
-                bits_a, bits_b = bits_b, bits_a
-            got = 0
-            for i in _iter_bits(bits_a):
-                for j in _iter_bits(bits_b):
-                    got |= self.class_pair_product_bits(i, j)
-            self._set_prod_cache[key] = got
+        if bits_a.bit_count() < bits_b.bit_count():
+            bits_a, bits_b = bits_b, bits_a
+        got = 0
+        for i in _iter_bits(bits_a):
+            for j in _iter_bits(bits_b):
+                got |= self.class_pair_product_bits(i, j)
         return got
 
     def full_class_bits(self) -> int:
@@ -957,10 +935,6 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     """
     if n.group is not g:
         raise ValueError("normal subgroup belongs to a different group")
-    key = ("quotient", n.class_bits)
-    cached = g.cache.get(key)
-    if cached is not None:
-        return cached
     # a union of classes is automatically conjugation invariant; still verify
     # it is a subgroup
     if not _is_subgroup(g, n.class_bits):
@@ -995,7 +969,6 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     # the coset of x times that of h is the coset of rep(x) * h
     q._right = proj[g._right[cols][:, reps]]
     q.label = f"({g.label}) / N of order {n.order}"
-    g.cache[key] = q
     return q
 
 
@@ -1057,16 +1030,12 @@ def cosocle(g: GroupTable) -> NormalSubgroup:
     For the trivial group (no proper normal subgroups) this is the whole
     group, by the empty-intersection convention.
     """
-    got = g.cache.get("cosocle")
-    if got is None:
-        proper = [n.class_bits for n in normal_subgroups(g) if n.order < g.order]
-        bits = g.full_class_bits()
-        for n in proper:
-            if not any(m != n and m & n == n for m in proper):
-                bits &= n
-        got = g.cache["cosocle"] = (g.class_bits_size(bits), bits)
-    order, bits = got
-    return NormalSubgroup(g, bits, order)
+    proper = [n.class_bits for n in normal_subgroups(g) if n.order < g.order]
+    bits = g.full_class_bits()
+    for n in proper:
+        if not any(m != n and m & n == n for m in proper):
+            bits &= n
+    return NormalSubgroup(g, bits)
 
 
 def center(g: GroupTable) -> NormalSubgroup:

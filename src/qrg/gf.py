@@ -10,10 +10,10 @@ matrix takes its first row with a nonzero entry as the pivot row, scales
 it to a leading 1, stores it by its column and clears the column in every
 row, the pivot row included, so a used row is zero and never chosen again.
 Pivot inverses come from a per-p table of every inverse mod p for
-p < MAX_PRIME, and from Python's pow on the pivots above it.  Rank and
-determinant are read off the pivots; the inverse and the nullspaces of a
-whole stack (ff_nullspaces, one elimination for every matrix) reduce the
-echelon rows fully, _back_substitute, over only the columns they read.
+p < MAX_PRIME, and from Python's pow on the pivots above it.  The rank is
+read off the pivots; the inverse and the nullspaces of a whole stack
+(ff_nullspaces, one elimination for every matrix) reduce the echelon rows
+fully, _back_substitute, over only the columns they read.
 The character degrees read the kernels of all eigenvalue shifts of one
 class-algebra action from a single ff_nullspaces call.  shift_ranks
 ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
@@ -151,18 +151,6 @@ class FFMatrix:
     def transpose(self) -> "FFMatrix":
         return FFMatrix(self.field, self.entries.T)
 
-    def __pow__(self, k: int) -> "FFMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = FFMatrix.identity(self.field, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, FFMatrix)
@@ -240,9 +228,8 @@ def _eliminate(stack: np.ndarray, p: int):
     as the pivot row, scales it to a leading 1 and stores it, then clears
     the column in every row, the pivot row too: a used row is zero from
     then on and is never chosen again.  Returns the stored rows as a
-    (b, m, m) stack, rows[:, c] the scaled pivot row of column c or zero;
-    the pivot row of each column as a (b, m) array, -1 where there is none;
-    and the pivots before scaling, also (b, m), 0 where there is none.
+    (b, m, m) stack, rows[:, c] the scaled pivot row of column c or zero,
+    and the pivots before scaling as a (b, m) array, 0 where there is none.
     """
     if not 2 <= p < _ELIM_PRIME_LIMIT:
         raise ValueError(f"elimination needs 2 <= p < 2**31, got {p}")
@@ -251,7 +238,6 @@ def _eliminate(stack: np.ndarray, p: int):
     b, n, m = a.shape
     at = np.arange(b)
     rows = np.zeros((b, m, m), dtype=np.int64)
-    pivot_row = np.zeros((b, m), dtype=np.int64)
     pivots = np.zeros((b, m), dtype=np.int64)
     left = b * n
     for c in range(m):
@@ -272,11 +258,9 @@ def _eliminate(stack: np.ndarray, p: int):
         a -= col[:, :, None] * row[:, None, :]
         a %= p
         rows[:, c] = row
-        pivot_row[:, c] = r
         pivots[:, c] = piv
         left -= k
-    pivot_row[pivots == 0] = -1
-    return rows, pivot_row, pivots
+    return rows, pivots
 
 
 def _back_substitute(rows: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -296,22 +280,9 @@ def _back_substitute(rows: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 def ff_rank(a: np.ndarray, p: int):
     """Rank mod p of a matrix, or the array of ranks of a (b, n, m) stack."""
     a = np.asarray(a, dtype=np.int64)
-    _, _, pivots = _eliminate(a[None] if a.ndim == 2 else a, p)
+    _, pivots = _eliminate(a[None] if a.ndim == 2 else a, p)
     ranks = np.count_nonzero(pivots, axis=1)
     return int(ranks[0]) if a.ndim == 2 else ranks
-
-
-def ff_det(a: np.ndarray, p: int) -> int:
-    """Determinant mod p: the pivot product times the sign of column -> pivot row."""
-    _, pivot_row, pivots = _eliminate(np.asarray(a, dtype=np.int64)[None], p)
-    rows = pivot_row[0]
-    if (rows < 0).any():
-        return 0
-    product = 1
-    for v in pivots[0].tolist():
-        product = product * v % p
-    inversions = np.count_nonzero(np.triu(rows[:, None] > rows[None, :], 1))
-    return product * (-1) ** inversions % p
 
 
 def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
@@ -319,7 +290,7 @@ def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    rows, _, pivots = _eliminate(aug[None], p)
+    rows, pivots = _eliminate(aug[None], p)
     if not pivots[0, :n].all():
         return None
     return _back_substitute(rows[:, :n, :n], rows[:, :n, n:], p)[0]
@@ -334,7 +305,7 @@ def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarra
     reduced rows) for the j-th free column f, so only the free columns are
     back-substituted, each matrix's padded to the widest nullity.
     """
-    rows, _, pivots = _eliminate(stack, p)
+    rows, pivots = _eliminate(stack, p)
     nullity = np.count_nonzero(pivots == 0, axis=1)
     # free columns first, in order; the padding columns are discarded
     free = np.argsort(pivots != 0, axis=1, kind="stable")[:, : nullity.max(initial=0)]

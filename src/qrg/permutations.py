@@ -1,6 +1,7 @@
 """Permutations on {0, ..., n-1} with cycle-type predicates.
 
-The composition convention is (p * q)(x) = p(q(x)), i.e. q acts first.
+The group engine composes permutations as (p * q)(x) = p(q(x)), i.e. q
+acts first; Permutation itself carries no arithmetic.
 Textual cycle notation is 1-indexed, as in "(1 2 3)(4 5) degree=6".
 """
 
@@ -65,34 +66,6 @@ class Permutation:
             for i, pt in enumerate(cyc):
                 images[pt] = cyc[(i + 1) % len(cyc)]
         return cls(images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        o = other.images
-        s = self.images
-        return Permutation(tuple(s[o[i]] for i in range(self.degree)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(inv)
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest point, sorted by that point."""

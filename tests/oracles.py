@@ -577,24 +577,22 @@ def echelon_mod_p(rows, p: int):
     """gf._eliminate's contract for one matrix: in each column the first
     nonzero row is the pivot row, scaled to a leading 1 and stored at its
     column, and the column is cleared in every row, the pivot row too, so
-    that row is zero from then on.  Returns (echelon, pivot_row, pivots):
-    echelon[c] the scaled pivot row of column c or zeros, pivot_row[c] its
-    row or -1, pivots[c] its entry before scaling or 0."""
+    that row is zero from then on.  Returns (echelon, pivots): echelon[c]
+    the scaled pivot row of column c or zeros, pivots[c] its entry before
+    scaling or 0."""
     rows = [[int(x) % p for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     echelon = [[0] * ncols for _ in range(ncols)]
-    pivot_row = [-1] * ncols
     pivots = [0] * ncols
     for col in range(ncols):
         piv = next((i for i, row in enumerate(rows) if row[col]), None)
         if piv is None:
             continue
-        pivot_row[col] = piv
         pivots[col] = rows[piv][col]
         scale = pow(pivots[col], p - 2, p)
         echelon[col] = [(x * scale) % p for x in rows[piv]]
         rows = [[(x - row[col] * y) % p for x, y in zip(row, echelon[col])] for row in rows]
-    return echelon, pivot_row, pivots
+    return echelon, pivots
 
 
 def det_mod_p(rows, p: int) -> int:

@@ -281,6 +281,23 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv, option, value):
     assert f"expected a positive integer, not '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["4", "1", "65537", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jordan", "--n", "17", "--p", "5", "--q", "7"],
+        ["construct", "sigma", "--n", "31", "--p", "5", "--q", "7"],
+        ["construct", "embed", "--perm", "(1 2 3) degree=3", "--pad", "0"],
+    ],
+)
+def test_non_prime_field_is_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--field", value])
+    assert err.value.code == 2
+    message = f"expected a prime p with 2 <= p < 65536, not '{value}'"
+    assert f"argument --field: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -305,6 +322,16 @@ def test_domain_failures_exit_one(capsys):
     assert code == 1 and lines[0]["error"] == "ValueError"
     code, lines = run(["analyze", "A5", "--cap-order", "59"], capsys)
     assert code == 1 and lines[0]["error"] == "CapExceeded"
+    # a KeyError's message prints as its text, not its repr
+    code, lines = run(
+        ["covering", "SL2:5", "--element", "mat:p=7:[[1,1],[0,1]]", "--K", "3"], capsys
+    )
+    assert code == 1
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "KeyError",
+        "message": "element does not belong to this group",
+    }]
 
 
 def test_cap_order_env_and_flag(capsys, monkeypatch):

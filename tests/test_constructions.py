@@ -90,7 +90,8 @@ def test_perm_matrix_convention_and_determinant():
 def test_perm_matrix_is_a_representation():
     a = Permutation((2, 0, 1, 3))
     b = Permutation((1, 0, 3, 2))
-    assert perm_matrix(a, F5) * perm_matrix(b, F5) == perm_matrix(a * b, F5)
+    ab = Permutation(oracles.compose(a.images, b.images))
+    assert perm_matrix(a, F5) * perm_matrix(b, F5) == perm_matrix(ab, F5)
 
 
 def test_double_embed_sizes_and_blocks():

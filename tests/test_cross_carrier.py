@@ -9,6 +9,7 @@ do not depend on it are compared.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qrg import chars, covering, engine
@@ -18,7 +19,9 @@ from qrg.groupspec import build_group, parse_spec
 def invariants(g):
     """Numbering-free invariants: the multiset of (class size, element
     order, sizes of the classes of x, x^2, ..., x^o, covering number K of
-    the class and of the class with its inverses), the derived subgroup's
+    the class and of the class with its inverses), the multiset of double
+    coverings over every pair of classes for m and k in 1..2, each keyed by
+    the (class size, element order) of both classes, the derived subgroup's
     order, the orders of the normal-subgroup lattice, of the cosocle and of
     the center, and the character degrees."""
     sizes = g.class_sizes.tolist()
@@ -32,9 +35,17 @@ def invariants(g):
         )
         for c in g.classes
     )
+    reps = [c.rep for c in g.classes]
+    kinds = [(c.size, g.order_of(c.rep)) for c in g.classes]
+    grid = covering.double_covering_grid(g, reps, (1, 2), (1, 2), reps, (1, 2), (1, 2))
+    double = Counter(
+        (kinds[x], m1 + 1, k1 + 1, kinds[y], m2 + 1, k2 + 1, bool(v))
+        for (x, m1, k1, y, m2, k2), v in np.ndenumerate(grid)
+    )
     return {
         "order": g.order,
         "classes": classes,
+        "double": double,
         "derived": engine.commutator_subgroup(g).order,
         "lattice": [n.order for n in engine.normal_subgroups(g)],
         "cosocle": engine.cosocle(g).order,

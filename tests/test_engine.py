@@ -254,13 +254,6 @@ def test_singular_generator_rejected():
         engine.enumerate_group([FFMatrix(PrimeField(5), [[1, 2], [2, 4]])])
 
 
-def test_element_labels():
-    g = s4()
-    assert g.element_label(0) == "()"
-    sl = sl25()
-    assert sl.element_label(0) == "mat:p=5:[[1,0],[0,1]]"
-
-
 # -- enumeration against a plain element-by-element BFS ------------------------
 
 
@@ -1055,19 +1048,20 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
         assert q.exponent() >= 1 and q.classes
 
 
-@pytest.mark.parametrize("spec", ["S4", "SL2:5", "prod(S3,C2)"])
+@pytest.mark.parametrize("spec", ["S4", "SL2:5", "prod(S3,C2)", "prod(A5,C3)", "PSL2:7"])
 def test_lattice_and_cosocle_leave_no_reference_cycle(spec):
     g = build_group(parse_spec(spec))
     lattice = [(n.order, n.class_bits) for n in engine.normal_subgroups(g)]
-    cos = engine.cosocle(g).class_bits
     # read back from the cache
     assert [(n.order, n.class_bits) for n in engine.normal_subgroups(g)] == lattice
-    assert engine.cosocle(g).class_bits == cos
-    ref = weakref.ref(g)
+    # a quotient points at its parent and nothing points back; PSL2:7 is
+    # itself the quotient of SL2:7 by its center
+    q = engine.quotient(g, engine.cosocle(g))
+    refs = [weakref.ref(x) for x in (g, q, g.parent) if x is not None]
     gc.disable()
     try:
-        del g
-        assert ref() is None
+        del g, q
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

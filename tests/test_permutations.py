@@ -22,36 +22,13 @@ def random_permutations(count, max_degree, seed):
     return out
 
 
-def test_identity_and_call():
-    e = Permutation.identity(4)
-    assert e.images == (0, 1, 2, 3)
-    assert [e(i) for i in range(4)] == [0, 1, 2, 3]
+def test_identity():
+    assert Permutation.identity(4).images == (0, 1, 2, 3)
 
 
 def test_images_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
-
-
-def test_composition_matches_reference():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        a = Permutation(rng.permutation(n))
-        b = Permutation(rng.permutation(n))
-        assert (a * b).images == oracles.compose(a.images, b.images)
-        assert (a * b)(0) == a(b(0))
-
-
-def test_inverse_and_power():
-    for p in random_permutations(20, 9, seed=2):
-        assert (p * p.inverse()).images == Permutation.identity(p.degree).images
-        assert p.inverse().images == oracles.invert(p.images)
-        q = Permutation.identity(p.degree)
-        for k in range(5):
-            assert (p ** k).images == q.images
-            q = p * q
-        assert (p ** -2).images == (p.inverse() ** 2).images
 
 
 def test_parity_against_inversion_count():
