@@ -87,9 +87,8 @@ def _parse_element(g: engine.GroupTable, text: str) -> int:
     if text.startswith("mat:"):
         return g.index_of(gf.parse_matrix(text))
     if g.kind != "perm":
-        raise ValueError(
-            "cycle notation addresses permutation groups; use idx:<k> or mat:..."
-        )
+        forms = "idx:<k> or mat:..." if g.kind == "mat" else "idx:<k>"
+        raise ValueError(f"cycle notation addresses permutation groups; use {forms}")
     return g.index_of(parse_cycles(text, degree=g.degree))
 
 
@@ -212,13 +211,12 @@ def cmd_covering(args) -> int:
 def cmd_degree(args) -> int:
     g = _build(args)
     report = chars.character_degrees(g, cap=args.cap_degree)
-    d = chars.quasirandom_degree(g, cap=args.cap_degree)
     _emit(_report(
         "degree",
         spec=g.label,
         order=g.order,
         degrees=list(report.degrees),
-        quasirandom_degree=None if d == math.inf else d,
+        quasirandom_degree=report.degrees[1] if len(report.degrees) > 1 else None,
         sum_of_squares=sum(x * x for x in report.degrees),
     ), args.fmt)
     return EXIT_PASS

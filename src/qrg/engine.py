@@ -27,19 +27,15 @@ the entries' key, a sum of n gathers.  The table holds all p**n rows, so a
 matrix group is built only while p**n is within the order cap and
 p**(n*n) within int64 codes, and CapExceeded is raised past either; the
 groups classical_generators admits are within both.  Only the rows of the
-new elements are formed, by gathers.  Matrix inverses ride along the
-same BFS: y = x * h has y^-1 = h^-1 * x^-1 and (y^-1)^T = (x^-1)^T *
-(h^-1)^T, so with row codes the transposed inverses are gathers from a
-second table.  Only the generators are inverted by elimination, a
-permutation's inverse is one scatter, and no inverse is searched for by its
-key.
+new elements are formed, by gathers, and a matrix is kept as its n row
+codes.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
 trivial subgroup (Holt, Eick & O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 5).  Enumeration keeps the key of every product x * h
-and reads R off those keys; a direct product builds R from its
-factors' tables and a quotient projects its parent's.  Every group has a
+and reads R off those keys; a direct product builds R from its factors'
+tables and a quotient projects its parent's.  Every group has a
 breadth-first tree from the identity, kept as layers (new, parent, via)
 with new = parent * gens[via]: enumeration records its own, and products
 and quotients search R for theirs, a layer at a time, each new element
@@ -49,7 +45,9 @@ elements as enumeration did.  Whole-group products are index gathers
 over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
 for y = x * h fills a row rep * G, and row_blocks walks the rows of any
 elements, a block of rows at a time, one gather per layer from the
-flattened R.
+flattened R.  Inverses are read off R on every carrier alike: h^-1 is the
+x with R_h(x) = 1, and y = x * h has y^-1 = h^-1 * x^-1, the entry at x^-1
+of the row h^-1 * G, so one more gather per layer gives them all.
 
 Conjugacy classes are the orbits of the generators' conjugation maps.  With
 R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
@@ -102,13 +100,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import isqrt, lcm
+from math import lcm
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_inv
+from .gf import DEFAULT_ORDER_CAP, FFMatrix, SingularMatrix, ff_rank
 from .permutations import Permutation
 
 # Entries of the rows x * G walked at once by row_blocks: 512 KiB of int64
@@ -184,7 +182,6 @@ class GroupTable:
         self.kind = None  # 'perm' | 'mat' | 'prod' | 'quot'
         self.order = 0
         self.gens: list[int] = []
-        self.inv: np.ndarray | None = None
         self.label = ""
         self.degree = None  # perm carrier
         self.field = None  # mat carrier
@@ -193,9 +190,9 @@ class GroupTable:
         self._right = None
         self._layers = None
         self._steps = None
-        # perm and mat carriers: one flattened int64 row per element and the
-        # row-key lookup (radix powers, or None for the byte keys of
-        # permutations of degree 16 and up)
+        # perm and mat carriers: one int64 row per element, a permutation's
+        # images or a matrix's n row codes, and the row-key lookup (radix
+        # powers, or None for the byte keys of permutations of degree 16 and up)
         self._rows = None
         self._pow = None
         self._sorted_codes = None
@@ -207,6 +204,7 @@ class GroupTable:
         self.coset_reps = None
         self.proj = None
         # lazy state
+        self._inv = None
         self._classes = None
         self._class_of = None
         self._class_sizes = None
@@ -292,14 +290,29 @@ class GroupTable:
             self._layers = _bfs_layers(self._right)
         return self._layers
 
+    @property
+    def inv(self) -> np.ndarray:
+        """Index of the inverse of every element; cached.  h^-1 is the x with
+        R_h(x) = 1, and y = x * h has y^-1 = h^-1 * x^-1, the entry at x^-1
+        of the row h^-1 * G: one walk of the generators' inverses, then one
+        gather per layer, with the offsets _row_products reads R with."""
+        if self._inv is None:
+            left = self._row_products(self._right.argmin(axis=1)).reshape(-1)
+            inv = np.zeros(self.order, dtype=np.int64)
+            for new, parent, offset in self._walk_steps():
+                inv[new] = left[offset + inv[parent]]
+            self._inv = inv
+        return self._inv
+
     # -- elements -----------------------------------------------------------
 
     def element(self, i: int):
         if self.kind == "perm":
             return Permutation(self._rows[i])
         if self.kind == "mat":
-            n = isqrt(self._rows.shape[1])
-            return FFMatrix(self.field, self._rows[i].reshape(n, n))
+            # digit c of row code r is entry (r, c)
+            codes = self._rows[i]
+            return FFMatrix(self.field, codes[:, None] // self._pow[: len(codes)] % self.field.p)
         if self.kind == "prod":
             g1, g2 = self.factors
             i1, i2 = divmod(int(i), g2.order)
@@ -319,7 +332,7 @@ class GroupTable:
             self.kind == "mat"
             and isinstance(elt, FFMatrix)
             and elt.field == self.field
-            and elt.entries.size == self._rows.shape[1]
+            and elt.n == self._rows.shape[1]
         ):
             row = elt.entries.ravel()
         else:
@@ -647,14 +660,12 @@ def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
 
 
-def _row_table(gen_rows: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every row vector v of GF(p)^n, coded as sum(v_c * p**c): vecs[code]
-    is v, and act[code, t] is the code of v * h_t for each generator h_t,
-    all formed by one matmul."""
+def _row_table(gen_rows: np.ndarray, p: int, n: int) -> np.ndarray:
+    """act[code, t], the code of v * h_t for every row vector v of GF(p)^n,
+    coded as sum(v_c * p**c), and each generator h_t, formed by one matmul."""
     radix = p ** np.arange(n, dtype=np.int64)
     vecs = np.arange(p**n, dtype=np.int64)[:, None] // radix % p
-    act = (vecs @ gen_rows.reshape(-1, n, n)) % p @ radix
-    return vecs, np.ascontiguousarray(act.T)
+    return np.ascontiguousarray(((vecs @ gen_rows.reshape(-1, n, n)) % p @ radix).T)
 
 
 class _KeySet:
@@ -688,13 +699,11 @@ class _KeySet:
 class _Carrier(NamedTuple):
     """How enumerate_group carries one kind of generating set.
 
-    Each element is carried as one int64 row: a permutation's images, or a
-    matrix's n row codes followed by those of its transposed inverse
-    (_row_table).  keys(rows) gives the key of every product rows[a] *
-    gens[b], at a * k + b for k generators; products(rows, a, b) forms the
-    carried rows of rows[a] * gens[b] for index arrays a and b;
-    finish(rows) gives the entry rows of the carried elements and the keys
-    of their inverses.
+    Each element is carried as one int64 row, the row the group keeps: a
+    permutation's images, or a matrix's n row codes (_row_table).
+    keys(rows) gives the key of every product rows[a] * gens[b], at a * k +
+    b for k generators; products(rows, a, b) forms the carried rows of
+    rows[a] * gens[b] for index arrays a and b.
     """
 
     kind: str
@@ -704,7 +713,6 @@ class _Carrier(NamedTuple):
     start: np.ndarray  # carried row of the identity
     keys: Callable[[np.ndarray], np.ndarray]
     products: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    finish: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _carrier(gens, cap: int) -> _Carrier:
@@ -747,13 +755,7 @@ def _carrier(gens, cap: int) -> _Carrier:
             def keys(rows):
                 return (rows @ w).reshape(-1)
 
-        def finish(rows):
-            # one scatter inverts every row: inv[x(i)] = i
-            inv = np.empty_like(rows)
-            inv[np.arange(len(rows))[:, None], rows] = identity
-            return rows, _row_keys(inv, powers)
-
-        return _Carrier("perm", identity, gen_rows, powers, identity, keys, products, finish)
+        return _Carrier("perm", identity, gen_rows, powers, identity, keys, products)
     if all(isinstance(x, FFMatrix) for x in gens):
         fields = {x.field for x in gens}
         sizes = {x.n for x in gens}
@@ -762,10 +764,8 @@ def _carrier(gens, cap: int) -> _Carrier:
         p, n = gens[0].field.p, gens[0].n
         width = n * n
         gen_rows = np.array([x.entries for x in gens], dtype=np.int64).reshape(k, width)
-        gen_inv = [ff_inv(x.entries, p) for x in gens]
-        if any(x is None for x in gen_inv):
+        if (ff_rank(gen_rows.reshape(k, n, n), p) < n).any():
             raise SingularMatrix("matrix generators must be invertible")
-        gen_inv = np.array(gen_inv, dtype=np.int64).reshape(k, width)
         identity = np.eye(n, dtype=np.int64).ravel()
         powers = _radix_powers(p, width)
         if p**n > cap or powers is None:
@@ -774,16 +774,8 @@ def _carrier(gens, cap: int) -> _Carrier:
                 f"{p**n} row vectors, which needs p**n <= cap {cap} and "
                 f"p**(n*n) = {p}**{width} <= 2**62"
             )
-        # y = x * h has (y^-1)^T = (x^-1)^T * (h^-1)^T, so the transposed
-        # inverses' row codes are gathers from a second row table
-        vecs, act = _row_table(gen_rows, p, n)
-        _, act_inv = _row_table(gen_inv.reshape(k, n, n).transpose(0, 2, 1), p, n)
+        act = _row_table(gen_rows, p, n)
         tables = act * (p**n) ** np.arange(n, dtype=np.int64)[:, None, None]
-        # both tables flattened, code c of h_b at c * k + b; the first n
-        # digits of a carried row read act, the last n act_inv
-        flat = np.concatenate((act, act_inv)).reshape(-1)
-        shift = np.repeat([0, p**n * k], n)
-        start = np.tile(p ** np.arange(n, dtype=np.int64), 2)
 
         def keys(rows):
             out = tables[0].take(rows[:, 0], axis=0)
@@ -792,15 +784,11 @@ def _carrier(gens, cap: int) -> _Carrier:
             return out.reshape(-1)
 
         def products(rows, a, b):
-            return flat.take(rows.take(a, axis=0) * k + (b[:, None] + shift))
+            # flat takes: code c of h_b sits at c * k + b
+            return act.take(rows.take(a, axis=0) * k + b[:, None])
 
-        def finish(rows):
-            # row r of (x^-1)^T holds entries (c, r) of x^-1, so spreading
-            # its digit c to p**(c * n) and adding p**r places them all
-            inv_keys = (vecs @ powers[::n]).take(rows[:, n:]) @ powers[:n]
-            return vecs.take(rows[:, :n], axis=0).reshape(-1, width), inv_keys
-
-        return _Carrier("mat", identity, gen_rows, powers, start, keys, products, finish)
+        # row r of the identity is digit 1 at c = r, code p**r
+        return _Carrier("mat", identity, gen_rows, powers, powers[:n], keys, products)
     raise MixedCarriers(
         "generators must be all Permutation or all FFMatrix, not a mixture"
     )
@@ -828,9 +816,7 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key
     once, so their argsort, composed with the sorted element keys, is R_h.
-    Matrix inverses are carried next to each element and permutations are
-    inverted at the end (_carrier); only the generators are inverted by
-    elimination, and the inverses' keys give g.inv as R_h's give R_h.
+    No inverse is formed here; GroupTable.inv reads them off R.
     """
     gens = list(generators)
     if not gens:
@@ -870,11 +856,10 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g = GroupTable()
     g.kind = carrier.kind
     g.order = order
-    elements, inv_keys = carrier.finish(np.concatenate(layers))
+    g._rows = np.concatenate(layers)
     del layers
-    elements.setflags(write=False)
+    g._rows.setflags(write=False)
     keys = np.concatenate(elem_keys)
-    g._rows = elements
     g._pow = carrier.powers
     # keys are distinct, so any sort orders them the same way
     g._sorted_pos = np.argsort(keys)
@@ -895,9 +880,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         (np.arange(start, stop), x, position[h])
         for start, stop, x, h in zip(sizes[:-1], sizes[1:], parent, via)
     ]
-    g.inv = g._bijection(inv_keys)
     if g.kind == "perm":
-        g.degree = elements.shape[1]
+        g.degree = g._rows.shape[1]
         g.label = f"permutation group on {g.degree} points"
     else:
         g.field = gens[0].field
@@ -913,7 +897,6 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ORDER_CAP)
     g.factors = (g1, g2)
     g.order = g1.order * g2.order
     o2 = g2.order
-    g.inv = (g1.inv[:, None] * o2 + g2.inv[None, :]).reshape(-1)
     g.gens, cols = _distinct_gens([i * o2 for i in g1.gens] + list(g2.gens))
     # (x1, x2) * (h1, 1) = (x1 h1, x2) and (x1, x2) * (1, h2) = (x1, x2 h2)
     x1, x2 = np.divmod(np.arange(g.order, dtype=np.int64), o2)
@@ -964,7 +947,6 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     q.coset_reps = reps
     q.proj = proj
     q.order = len(reps)
-    q.inv = proj[g.inv[q.coset_reps]]
     q.gens, cols = _distinct_gens(proj[g.gens].tolist())
     # the coset of x times that of h is the coset of rep(x) * h
     q._right = proj[g._right[cols][:, reps]]

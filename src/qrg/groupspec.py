@@ -168,16 +168,12 @@ def render_spec(spec: GroupSpec) -> str:
     return f"{spec.family}{spec.n}:{spec.p}"
 
 
-def _cycle(*points: int) -> tuple[int, ...]:
-    return points
-
-
 def _alternating_gens(n: int) -> list[Permutation]:
     if n <= 2:
         return [Permutation.identity(max(n, 1))]
     if n == 3:
-        return [Permutation.from_cycles([_cycle(0, 1, 2)], 3)]
-    three = Permutation.from_cycles([_cycle(0, 1, 2)], n)
+        return [Permutation.from_cycles([(0, 1, 2)], 3)]
+    three = Permutation.from_cycles([(0, 1, 2)], n)
     if n % 2 == 1:
         big = Permutation.from_cycles([tuple(range(n))], n)
     else:
@@ -189,9 +185,9 @@ def _symmetric_gens(n: int) -> list[Permutation]:
     if n <= 1:
         return [Permutation.identity(max(n, 1))]
     if n == 2:
-        return [Permutation.from_cycles([_cycle(0, 1)], 2)]
+        return [Permutation.from_cycles([(0, 1)], 2)]
     return [
-        Permutation.from_cycles([_cycle(0, 1)], n),
+        Permutation.from_cycles([(0, 1)], n),
         Permutation.from_cycles([tuple(range(n))], n),
     ]
 
@@ -200,11 +196,11 @@ def _dihedral_gens(n: int) -> list[Permutation]:
     # Degenerate ranks are realized on extra points so the orders come
     # out as 2n rather than collapsing.
     if n == 1:
-        return [Permutation.from_cycles([_cycle(0, 1)], 2)]
+        return [Permutation.from_cycles([(0, 1)], 2)]
     if n == 2:
         return [
-            Permutation.from_cycles([_cycle(0, 1)], 4),
-            Permutation.from_cycles([_cycle(2, 3)], 4),
+            Permutation.from_cycles([(0, 1)], 4),
+            Permutation.from_cycles([(2, 3)], 4),
         ]
     rot = Permutation.from_cycles([tuple(range(n))], n)
     ref = Permutation([(n - i) % n for i in range(n)])

@@ -320,6 +320,12 @@ def test_domain_failures_exit_one(capsys):
     assert code == 1 and "out of range" in lines[0]["message"]
     code, lines = run(["covering", "SL2:5", "--element", "(1 2)"], capsys)
     assert code == 1 and lines[0]["error"] == "ValueError"
+    assert lines[0]["message"].endswith("use idx:<k> or mat:...")
+    # products and quotients take only idx:<k>
+    for spec in ("PSL2:7", "prod(A5,C3)"):
+        code, lines = run(["covering", spec, "--element", "(1 2 3)"], capsys)
+        assert code == 1 and lines[0]["error"] == "ValueError"
+        assert lines[0]["message"].endswith("use idx:<k>")
     code, lines = run(["analyze", "A5", "--cap-order", "59"], capsys)
     assert code == 1 and lines[0]["error"] == "CapExceeded"
     # a KeyError's message prints as its text, not its repr

@@ -356,9 +356,8 @@ def test_wide_keys_match_bfs_oracle():
     ],
 )
 def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap):
-    # inverses are carried through the BFS, so the one key search of a
-    # build is the one that indexes the generators, and products after it
-    # search no keys
+    # inverses are read off R, so the one key search of a build is the one
+    # that indexes the generators, and products after it search no keys
     calls = []
     find = engine.GroupTable._find_keys
 
@@ -436,12 +435,13 @@ def test_bfs_layers_match_enumeration_on_matrix_groups(drawn):
 @pytest.mark.parametrize("spec", ["A7", "SL2:13"])
 def test_build_forms_only_the_new_elements_rows(monkeypatch, spec):
     # products are keyed without their rows: the carrier forms the row of
-    # each element once, and the rows keyed as rows are the identity's, the
-    # generators' and, for permutations, the inverses', never the products'
-    formed, keyed = [], []
+    # each element once, and the only rows keyed as rows are the identity's
+    # and the generators', never the products' or the inverses'
+    formed, keyed, given = [], [], []
     carrier, row_keys = engine._carrier, engine._row_keys
 
     def counted_carrier(gens, cap):
+        given.append(len(gens))
         c = carrier(gens, cap)
 
         def products(rows, a, b):
@@ -459,17 +459,44 @@ def test_build_forms_only_the_new_elements_rows(monkeypatch, spec):
     monkeypatch.setattr(engine, "_row_keys", counted_keys)
     g = build_group(parse_spec(spec))
     assert sum(formed) == g.order - 1
-    assert sum(keyed) <= g.order + len(g.gens) + 1
+    assert sum(keyed) == 1 + given[0]
 
 
-@pytest.mark.parametrize("spec", ["SL2:7", "SL3:3", "Sp4:3"])
-def test_bfs_inverses_match_elimination(spec):
-    g = build_group(parse_spec(spec))
+@pytest.mark.parametrize("spec", ["SL2:7", "SL3:3", "Sp4:3", "GL2:7"])
+def test_inverses_match_elimination(spec):
+    if spec == "GL2:7":
+        g = engine.enumerate_group(matrices(7, 2, [(3, 0, 0, 5), (1, 1, 0, 1), (0, 6, 1, 0)]))
+    else:
+        g = build_group(parse_spec(spec))
     p = g.field.p
     rng = np.random.default_rng(2)
     for i in rng.choice(g.order, size=200, replace=False):
         want = gf.ff_inv(g.element(int(i)).entries, p)
         assert np.array_equal(g.element(int(g.inv[i])).entries, want)
+
+
+def test_inverses_on_deep_trees():
+    # element i of C1000 is r^i, the tree one path of 999 layers
+    g = build_group(parse_spec("C1000"))
+    assert g.inv.tolist() == [(-i) % 1000 for i in range(1000)]
+    g = build_group(parse_spec("D500"))
+    identity = tuple(range(500))
+    for i, j in enumerate(g.inv.tolist()):
+        assert oracles.compose(g.element(i).images, g.element(j).images) == identity
+
+
+@pytest.mark.parametrize("spec", ["prod(A5,C3)", "prod(SL2:5,A4)", "SL2:7", "S5"])
+def test_product_and_quotient_inverses_match_their_factors(spec):
+    # a product's inverses are the pairs of its factors' inverses, and a
+    # quotient's the cosets of its parent's inverses of the representatives
+    g = build_group(parse_spec(spec))
+    if g.kind == "prod":
+        g1, g2 = g.factors
+        assert np.array_equal(g.inv, (g1.inv[:, None] * g2.order + g2.inv).reshape(-1))
+    else:
+        q = engine.quotient(g, engine.cosocle(g))
+        assert q.order < g.order
+        assert np.array_equal(q.inv, q.proj[g.inv[q.coset_reps]])
 
 
 # -- class-level subgroup machinery against the oracles ------------------------
