@@ -12,12 +12,13 @@ no floating point appears anywhere in this module.  The eigenspaces of each
 action come from the one elimination kernel in gf: one ff_nullspaces call
 reduces the shifts by every eigenvalue at once.  The class-sum
 multiplication matrices are read from the engine's store of structure rows,
-the one place class products are formed: the generic element asks for every
-row in one call, so each row is walked once per group, and the class-by-class
-pass and every retried prime read the same rows again without a walk, as
-in Dixon's method and Schneider's (Dixon's character table algorithm
-revisited, J. Symbolic Comput. 1990), which form the class matrices once and
-reuse them for every split.
+the one place class products are formed: g.exponent(), which picks the
+primes, walks every row in one call, so each row is walked once per group,
+and the generic element, the class-by-class pass and every retried prime
+read the same rows again without a walk, as in Dixon's method and
+Schneider's (Dixon's character table algorithm revisited, J. Symbolic
+Comput. 1990), which form the class matrices once and reuse them for every
+split.
 D(G) needs no split at all when G is not perfect.
 """
 
@@ -181,8 +182,6 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
         if spaces is None:
             raise _SplitFailure(f"defective action at class {i}")
         if i == 1 and any(b.shape[1] != 1 for b, _ in spaces):
-            # the generic element reads every row: walk them all at once
-            g.class_structure_rows(range(1, r))
             generic = np.zeros((r, r), dtype=np.int64)
             for j, c in enumerate(_generic_coefficients(r, ell).tolist(), 1):
                 generic = (generic + c * (_class_coefficients(g, j).T % ell)) % ell
@@ -274,10 +273,6 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def gowers_mixing(
     g: GroupTable, subsets: Iterable[Iterable[int]], eps1, eps2
 ) -> list[MixingReport]:
@@ -302,7 +297,7 @@ def gowers_mixing(
         mask = np.zeros(g.order, dtype=bool)
         mask[a_idx] = True
         alpha = Fraction(len(a_idx), g.order)
-        threshold_pairs = _ceil_fraction((1 - e2) * alpha * alpha * g.order)
+        threshold_pairs = math.ceil((1 - e2) * alpha * alpha * g.order)
         trials.append((a_idx, mask, alpha, threshold_pairs))
     good = [0] * len(trials)
     for rows in g.row_blocks():

@@ -86,10 +86,13 @@ def _parse_element(g: engine.GroupTable, text: str) -> int:
         return idx
     if text.startswith("mat:"):
         return g.index_of(gf.parse_matrix(text))
-    if g.kind != "perm":
-        forms = "idx:<k> or mat:..." if g.kind == "mat" else "idx:<k>"
+    root = g
+    while root.kind == "quot":
+        root = root.parent
+    if root.kind != "perm":
+        forms = "idx:<k> or mat:..." if root.kind == "mat" else "idx:<k>"
         raise ValueError(f"cycle notation addresses permutation groups; use {forms}")
-    return g.index_of(parse_cycles(text, degree=g.degree))
+    return g.index_of(parse_cycles(text, degree=root.degree))
 
 
 def _parse_m(text: str):

@@ -323,9 +323,10 @@ class GroupTable:
         )
 
     def index_of(self, elt) -> int:
-        """Index of a carrier element (Permutation or FFMatrix)."""
-        if self._rows is None:
-            raise KeyError(f"index_of is not supported for {self.kind} groups")
+        """Index of a carrier element (Permutation or FFMatrix); a quotient
+        maps its parent's element to that element's coset."""
+        if self.kind == "quot":
+            return int(self.proj[self.parent.index_of(elt)])
         if self.kind == "perm" and isinstance(elt, Permutation) and elt.degree == self.degree:
             row = elt.images
         elif (

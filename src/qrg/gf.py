@@ -10,7 +10,8 @@ matrix takes its first row with a nonzero entry as the pivot row, scales
 it to a leading 1, stores it by its column and clears the column in every
 row, the pivot row included, so a used row is zero and never chosen again.
 Pivot inverses come from a per-p table of every inverse mod p for
-p < MAX_PRIME, and from Python's pow on the pivots above it.  The rank is
+p < MAX_PRIME (read-only uint16, at most 128 KiB; the 16 most recently
+used are kept), and from Python's pow on the pivots above it.  The rank is
 read off the pivots; the inverse and the nullspaces of a whole stack
 (ff_nullspaces, one elimination for every matrix) reduce the echelon rows
 fully, _back_substitute, over only the columns they read.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -166,44 +166,11 @@ class FFMatrix:
         return f"FFMatrix({matrix_literal(self)!r})"
 
 
-class _BytesCache:
-    """The results of a one-argument function that returns numpy arrays,
-    kept while their total size is at most limit bytes.  The least recently
-    used go first, and the newest result is always kept."""
-
-    def __init__(self, fn, limit: int):
-        functools.update_wrapper(self, fn)
-        self._fn = fn
-        self._limit = limit
-        self._kept: OrderedDict = OrderedDict()
-        self._bytes = self._hits = self._misses = 0
-
-    def __call__(self, key):
-        got = self._kept.get(key)
-        if got is not None:
-            self._hits += 1
-            self._kept.move_to_end(key)
-            return got
-        self._misses += 1
-        got = self._kept[key] = self._fn(key)
-        self._bytes += got.nbytes
-        while self._bytes > self._limit and len(self._kept) > 1:
-            self._bytes -= self._kept.popitem(last=False)[1].nbytes
-        return got
-
-    def cache_info(self) -> tuple[int, int, int]:
-        """Hits, misses and the bytes kept."""
-        return self._hits, self._misses, self._bytes
-
-    def cache_clear(self):
-        self._kept.clear()
-        self._bytes = self._hits = self._misses = 0
-
-
-# four tables at p near MAX_PRIME, or every table of the small primes at once
-@functools.partial(_BytesCache, limit=1 << 21)
+# 16 tables of at most 2 * 65,521 bytes each: within 2 MiB (2**21 bytes)
+@functools.lru_cache(maxsize=16)
 def _inverse_table(p: int) -> np.ndarray:
-    """x -> x^-1 mod p for every x in GF(p), with 0 -> 0; p < MAX_PRIME (512 KB).
+    """x -> x^-1 mod p for every x in GF(p), with 0 -> 0, as read-only
+    uint16; p < MAX_PRIME, so a table is at most 128 KiB.
 
     x^(p-2) by squaring, over all residues at once: products of two residues
     below 2**16 fit int64.
@@ -217,8 +184,9 @@ def _inverse_table(p: int) -> np.ndarray:
         x = x * x % p
         e >>= 1
     inv[0] = 0
-    inv.setflags(write=False)
-    return inv
+    table = inv.astype(np.uint16)
+    table.setflags(write=False)
+    return table
 
 
 def _eliminate(stack: np.ndarray, p: int):
@@ -250,7 +218,7 @@ def _eliminate(stack: np.ndarray, p: int):
         if not k:
             continue
         if table is not None:
-            inv = table[piv]
+            inv = table[piv]  # uint16: the product below promotes it to int64
         else:
             inv = np.array([pow(v, -1, p) if v else 0 for v in piv.tolist()], dtype=np.int64)
         # A matrix without a pivot here has row = 0, so it is left unchanged.

@@ -315,17 +315,36 @@ def test_non_integer_matrix_entries_are_usage_errors(capsys, argv):
     }]
 
 
+def test_psl2_takes_the_matrices_of_sl2(capsys):
+    # a matrix names its coset: -x is the same element of PSL2, and the
+    # answer is that of the coset's index
+    for element in ("mat:p=7:[[1,1],[0,1]]", "mat:p=7:[[6,6],[0,6]]", "idx:1"):
+        code, lines = run(["covering", "PSL2:7", "--element", element], capsys)
+        assert code == 0 and lines[0]["K"] == 3
+        assert lines[0]["growth_trace"] == [[1, 24], [2, 125], [3, 168]]
+    code, lines = run(["covering", "PSL2:7", "--element", "mat:p=7:[[2,0],[0,4]]"], capsys)
+    assert code == 0 and lines[0]["K"] == 2
+    code, lines = run(["covering", "PSL2:7", "--element", "mat:p=5:[[1,1],[0,1]]"], capsys)
+    assert code == 1
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "KeyError",
+        "message": "element does not belong to this group",
+    }]
+
+
 def test_domain_failures_exit_one(capsys):
     code, lines = run(["covering", "S4", "--element", "idx:99"], capsys)
     assert code == 1 and "out of range" in lines[0]["message"]
     code, lines = run(["covering", "SL2:5", "--element", "(1 2)"], capsys)
     assert code == 1 and lines[0]["error"] == "ValueError"
     assert lines[0]["message"].endswith("use idx:<k> or mat:...")
-    # products and quotients take only idx:<k>
-    for spec in ("PSL2:7", "prod(A5,C3)"):
+    # a quotient of a matrix group takes its parent's matrices; a product
+    # takes only idx:<k>
+    for spec, forms in (("PSL2:7", "idx:<k> or mat:..."), ("prod(A5,C3)", "idx:<k>")):
         code, lines = run(["covering", spec, "--element", "(1 2 3)"], capsys)
         assert code == 1 and lines[0]["error"] == "ValueError"
-        assert lines[0]["message"].endswith("use idx:<k>")
+        assert lines[0]["message"].endswith(f"use {forms}")
     code, lines = run(["analyze", "A5", "--cap-order", "59"], capsys)
     assert code == 1 and lines[0]["error"] == "CapExceeded"
     # a KeyError's message prints as its text, not its repr

@@ -499,6 +499,18 @@ def test_product_and_quotient_inverses_match_their_factors(spec):
         assert np.array_equal(q.inv, q.proj[g.inv[q.coset_reps]])
 
 
+@pytest.mark.parametrize("p", [7, 11])
+def test_quotient_index_of_maps_the_parent_element_to_its_coset(p):
+    sl2 = build_group(parse_spec(f"SL2:{p}"))
+    psl2 = build_group(parse_spec(f"PSL2:{p}"))
+    assert psl2.kind == "quot" and psl2.parent.order == sl2.order
+    for i in range(sl2.order):
+        assert psl2.index_of(sl2.element(i)) == psl2.proj[i]
+    # a product has no carrier of its own: its elements are named by index
+    with pytest.raises(KeyError, match="element does not belong to this group"):
+        build_group(parse_spec("prod(A5,C3)")).index_of(Permutation(tuple(range(5))))
+
+
 # -- class-level subgroup machinery against the oracles ------------------------
 
 

@@ -203,13 +203,18 @@ def test_nullspaces_of_a_mixed_stack_match_single_calls():
 def test_inverse_table():
     for p in (2, 3, 7, 65521):
         table = gf._inverse_table(p)
+        assert table.dtype == np.uint16 and not table.flags.writeable
         assert table[0] == 0
         assert (np.arange(1, p) * table[1:] % p == 1).all()
 
 
 def test_inverse_table_cache_is_bounded_by_bytes():
-    # the six primes of the Jordan queries fit the 2 MB bound together, so
-    # shuffled passes over them build each table once
+    # every table is uint16 below MAX_PRIME entries, so the count bound
+    # keeps the tables within 2 MiB
+    slots = gf._inverse_table.cache_parameters()["maxsize"]
+    assert slots * 2 * gf.MAX_PRIME <= 1 << 21
+    # the six primes of the Jordan queries fit together, so shuffled
+    # passes over them build each table once
     primes = [2, 3, 5, 7, 11, 13]
     rng = np.random.default_rng(5)
     gf._inverse_table.cache_clear()
@@ -217,16 +222,22 @@ def test_inverse_table_cache_is_bounded_by_bytes():
         for _ in range(10):
             for p in rng.permutation(primes).tolist():
                 gf._inverse_table(p)
-        assert gf._inverse_table.cache_info()[:2] == (54, 6)
-        # tables at p near 2**16 hold 512 KB each: four fit, and a fifth
-        # evicts the least recently used
-        big = [65449, 65479, 65497, 65519, 65521]
+        info = gf._inverse_table.cache_info()
+        assert (info.hits, info.misses) == (54, 6)
+        # fill every slot with primes near 2**16: one more evicts the least
+        # recently used, the first, and keeps the other sixteen
+        big = [p for p in range(gf.MAX_PRIME - 1, 60000, -1) if gf.is_prime(p)][:slots + 1]
+        gf._inverse_table.cache_clear()
         for p in big:
             gf._inverse_table(p)
-        hits, misses, kept = gf._inverse_table.cache_info()
-        assert kept <= 1 << 21 and kept == 8 * sum(big[1:])
+        assert gf._inverse_table.cache_info().currsize == slots
+        misses = gf._inverse_table.cache_info().misses
+        kept = [gf._inverse_table(p) for p in big[1:]]
+        assert gf._inverse_table.cache_info().misses == misses
+        assert all(t.dtype == np.uint16 and not t.flags.writeable for t in kept)
+        assert sum(t.nbytes for t in kept) <= 1 << 21
         gf._inverse_table(big[0])
-        assert gf._inverse_table.cache_info()[1] == misses + 1
+        assert gf._inverse_table.cache_info().misses == misses + 1
     finally:
         gf._inverse_table.cache_clear()
 
