@@ -128,6 +128,16 @@ def _positive_int(text: str) -> int:
     return k
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+    return x
+
+
 def _prime_field(text: str) -> gf.PrimeField:
     try:
         return gf.PrimeField(int(text))
@@ -636,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("groupspec")
     p.add_argument("--alpha", type=_parse_alpha, required=True,
                    help="subset density, e.g. 1/2")
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps2", type=float, required=True)
+    p.add_argument("--eps1", type=_finite_float, required=True)
+    p.add_argument("--eps2", type=_finite_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     _add_common(p)
@@ -646,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="named verification suites")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--D", type=_positive_int, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None)

@@ -14,21 +14,22 @@ time: the key of every product x * h of a frontier element x with a
 generator h is formed in one array operation, and the products not seen
 before become the next frontier.  New elements are numbered in order of
 first occurrence over (frontier element, generator), frontier elements taken
-in index order; the first occurrence of a key is the least position in its
-run of an unstable sort.  Each element is found by a key of its flattened
-carrier row: a mixed-radix int64 code while the code space fits (see
-_radix_powers), and the row's bytes for permutations past that.  An int64
-key is linear in the row, so the keys of products are formed without their
-rows: a permutation product's key is one matrix product with the frontier,
-and row r of a matrix product x * h is (row r of x) * h, so a table per
-generator maps each row of an n x n matrix over GF(p), coded below p**n,
-to the code of its product; read as digits base p**n the row codes give
-the entries' key, a sum of n gathers.  The table holds all p**n rows, so a
-matrix group is built only while p**n is within the order cap and
-p**(n*n) within int64 codes, and CapExceeded is raised past either; the
-groups classical_generators admits are within both.  Only the rows of the
-new elements are formed, by gathers, and a matrix is kept as its n row
-codes.
+in index order; the first occurrence of a key starts its run in a stable
+sort, which for int64 keys is one np.sort of each key packed with its
+position, key << s | position (_stable_order).  Each element is found by a
+key of its flattened carrier row: a mixed-radix int64 code while the code
+space fits (see _radix_powers), and the row's bytes for permutations past
+that.  An int64 key is linear in the row, so the keys of products are
+formed without their rows: a permutation product's key is one matrix
+product with the frontier, and row r of a matrix product x * h is (row r
+of x) * h, so a table per generator maps each row of an n x n matrix over
+GF(p), coded below p**n, to the code of its product; read as digits base
+p**n the row codes give the entries' key, a sum of n gathers.  The table
+holds all p**n rows, so a matrix group is built only while p**n is within
+the order cap and p**(n*n) within int64 codes, and CapExceeded is raised
+past either; the groups classical_generators admits are within both.  Only
+the rows of the new elements are formed, by gathers, and a matrix is kept
+as its n row codes.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
@@ -243,9 +244,10 @@ class GroupTable:
 
     def _bijection(self, keys: np.ndarray) -> np.ndarray:
         """Indices of the elements keyed by keys, which hold every element's
-        key once: sorted they are _sorted_codes, so no search is needed."""
+        key once: sorted (_stable_order) they are _sorted_codes, so no
+        search is needed."""
         out = np.empty(self.order, dtype=np.int64)
-        out[np.argsort(keys)] = self._sorted_pos
+        out[_stable_order(keys)[1]] = self._sorted_pos
         return out
 
     def row_blocks(self, xs=None):
@@ -432,8 +434,11 @@ class GroupTable:
         counts), for each j in js.
 
         Codes are i * r + k, ascending, for r classes: the row rep_j * G,
-        counted by (class of y, class of rep_j y) in an r**2 bincount.  Each
-        row is formed once per group and kept, so the store holds at most
+        counted by (class of y, class of rep_j y).  A row's |G| codes are
+        counted in an r**2 bincount, or, where r**2 > 4 |G| and the bincount
+        and its scan would outweigh the row, sorted and counted by runs
+        (np.unique); both give the same codes and counts.  Each row is
+        formed once per group and kept, so the store holds at most
         sum_j min(|G|, r**2) codes and counts; the rows of js not kept yet
         are walked together, in blocks as row_blocks walks them.  Codes stay
         below r**2 <= |G|**2, far inside int64 for any group that can be
@@ -450,9 +455,13 @@ class GroupTable:
             walked = chain.from_iterable(self.row_blocks(self._class_reps[todo]))
             for j, row in zip(todo, walked):
                 # (class of y) * r + (class of rep_j y) for every y
-                counts = np.bincount(class_of[row] + first, minlength=r * r)
-                codes = np.flatnonzero(counts)
-                rows[j] = codes, counts[codes]
+                codes = class_of[row] + first
+                if r * r > 4 * self.order:
+                    rows[j] = np.unique(codes, return_counts=True)
+                else:
+                    counts = np.bincount(codes, minlength=r * r)
+                    codes = np.flatnonzero(counts)
+                    rows[j] = codes, counts[codes]
                 # the classes of x, ..., x^(o-1), then of x^o = 1
                 self._power_classes[j] = tuple(class_of[_cycle(row)[1:] + [0]].tolist())
         return [rows[j] for j in js]
@@ -588,17 +597,37 @@ def _orbit_labels(maps, label: np.ndarray) -> np.ndarray:
         label = new
 
 
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """keys in ascending order, and the positions they come from, equal keys
+    in order of position: np.argsort(keys, kind="stable") and keys at it.
+
+    int64 keys are packed with their positions, key << s | position for s
+    the bit length of len - 1, where every key leaves that room, that is
+    -2**(63 - s) <= key < 2**(63 - s): one np.sort of the packed keys orders
+    them by key, then by position, and the low s bits give the positions
+    back.  Byte keys, and int64 keys without that room, take a stable
+    argsort."""
+    n = len(keys)
+    s = (n - 1).bit_length()
+    room = 1 << 63 - s
+    if keys.dtype == np.int64 and -room <= keys.min() and keys.max() < room:
+        packed = keys << s | np.arange(n)
+        packed.sort()
+        return packed >> s, packed & (1 << s) - 1
+    at = keys.argsort(kind="stable")
+    return keys[at], at
+
+
 def _first_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys, ascending, and the position of the first
-    occurrence of each: np.unique(keys, return_index=True) without its
-    stable sort.  The positions of equal keys form one run of any sorted
-    order, and the first occurrence is the run's smallest position."""
-    at = np.argsort(keys)
-    ordered = keys[at]
-    new = np.ones(len(keys), dtype=bool)
+    occurrence of each: np.unique(keys, return_index=True).  In the stable
+    order of _stable_order the first occurrence of a key starts its run."""
+    ordered, at = _stable_order(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
     new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
-    return ordered[starts], np.minimum.reduceat(at, starts)
+    starts = new.nonzero()[0]
+    return ordered[starts], at[starts]
 
 
 def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -654,7 +683,8 @@ def _radix_powers(base: int, width: int) -> np.ndarray | None:
 
 def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     """One sortable key per row: its int64 code, or its bytes when powers is
-    None.  Both kinds work with np.unique, np.sort and np.searchsorted."""
+    None.  Both kinds work with np.sort and np.searchsorted; _stable_order
+    packs int64 codes with their positions and argsorts bytes."""
     if powers is not None:
         return rows @ powers
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -683,7 +713,7 @@ class _KeySet:
         """Mask of the keys that are not in the set."""
         out = np.ones(len(keys), dtype=bool)
         for run in self.runs:
-            pos = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            pos = np.minimum(run.searchsorted(keys), len(run) - 1)
             out &= run[pos] != keys
         return out
 
@@ -816,7 +846,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key
-    once, so their argsort, composed with the sorted element keys, is R_h.
+    once, so the order that sorts them (_stable_order, a packed sort where
+    the keys leave room), composed with the sorted element keys, is R_h.
     No inverse is formed here; GroupTable.inv reads them off R.
     """
     gens = list(generators)
@@ -841,7 +872,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         fresh = known.missing(uniq)
         if not fresh.any():
             break
-        pick = np.sort(at[fresh])
+        pick = at[fresh]
+        pick.sort()
         if order + len(pick) > cap:
             raise CapExceeded(
                 f"group enumeration passed cap {cap}; raise the cap to continue"
@@ -862,9 +894,7 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g._rows.setflags(write=False)
     keys = np.concatenate(elem_keys)
     g._pow = carrier.powers
-    # keys are distinct, so any sort orders them the same way
-    g._sorted_pos = np.argsort(keys)
-    g._sorted_codes = keys[g._sorted_pos]
+    g._sorted_codes, g._sorted_pos = _stable_order(keys)
     g.gens, cols = _distinct_gens(
         g._find_keys(_row_keys(carrier.gen_rows, carrier.powers)).tolist()
     )

@@ -281,6 +281,25 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv, option, value):
     assert f"expected a positive integer, not '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "x"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["mixing", "A5", "--alpha", "1/2", "--eps2", "0.1", "--seed", "1"], "--eps1"),
+        (["mixing", "A5", "--alpha", "1/2", "--eps1", "0.1", "--seed", "1"], "--eps2"),
+        (["verify", "packing"], "--eps"),
+    ],
+)
+def test_non_finite_eps_is_usage_error(capsys, argv, option, value):
+    # refused by the parser, before any group is built; "--eps1=-inf", as
+    # argparse reads a separate "-inf" as an option
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + [f"{option}={value}"])
+    assert err.value.code == 2
+    message = f"expected a finite number, not {value!r}"
+    assert f"argument {option}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["4", "1", "65537", "x"])
 @pytest.mark.parametrize(
     "argv",

@@ -380,16 +380,41 @@ def test_matrix_build_looks_up_only_the_generators(monkeypatch, p, n, gens, cap)
     st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), min_size=1, max_size=40),
 )
 def test_first_unique_matches_np_unique(ints, rows):
-    # int64 codes and the byte keys of rows past the int64 limit, both with
-    # many repeats
+    # int64 codes, negative ones too, and the byte keys of rows past the
+    # int64 limit, all with many repeats
     for keys in (
         np.array(ints, dtype=np.int64),
         engine._row_keys(np.array(rows, dtype=np.int64), None),
     ):
-        uniq, first = engine._first_unique(keys)
-        want_uniq, want_first = np.unique(keys, return_index=True)
-        assert np.array_equal(uniq, want_uniq)
-        assert np.array_equal(first, want_first)
+        _check_stable_order(keys)
+
+
+def _check_stable_order(keys):
+    """_stable_order against a stable argsort, and _first_unique against
+    np.unique."""
+    ordered, at = engine._stable_order(keys)
+    want = np.argsort(keys, kind="stable")
+    assert at.dtype == want.dtype and np.array_equal(at, want)
+    assert ordered.dtype == keys.dtype and np.array_equal(ordered, keys[want])
+    uniq, first = engine._first_unique(keys)
+    want_uniq, want_first = np.unique(keys, return_index=True)
+    assert np.array_equal(uniq, want_uniq)
+    assert np.array_equal(first, want_first)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 1000, 1025])
+def test_stable_order_at_the_packing_limit(n):
+    # n keys leave room for their positions below 2**(63 - s), s the bit
+    # length of n - 1, and from -2**(63 - s): keys at both ends pack, and a
+    # key one past either end takes the argsort; each drawn with repeats
+    s = (n - 1).bit_length()
+    top = 2 ** (63 - s) - 1
+    rng = np.random.default_rng(n)
+    for lo, hi in ((-top - 1, top), (-top - 2, top), (-top - 1, top + 1)):
+        values = np.array([lo, lo + 1, -1, 0, 1, hi - 1, hi], dtype=np.int64)
+        keys = rng.choice(values, size=n)
+        keys[:2] = hi, lo
+        _check_stable_order(keys)
 
 
 def _check_bfs_numbering(g):
@@ -932,10 +957,19 @@ def _check_structure_rows(g, rng):
 
 
 def test_structure_rows_where_r_squared_exceeds_the_order():
-    # D12: 9 classes, so a row's r**2 = 81 counts outnumber its 24 products
+    # D12: 9 classes, so a row's r**2 = 81 counts outnumber its 24 products,
+    # but not 4 |G| = 96, so the rows are still counted by bincount
     g = build_group(parse_spec("D12"))
-    assert len(g.classes) ** 2 > g.order
+    assert g.order < len(g.classes) ** 2 <= 4 * g.order
     _check_structure_rows(g, np.random.default_rng(12))
+
+
+def test_structure_rows_counted_by_sorting():
+    # C60: r = |G| = 60, and r**2 = 3,600 > 4 |G|, so each row's codes are
+    # sorted and counted by runs
+    g = build_group(parse_spec("C60"))
+    assert len(g.classes) == g.order and len(g.classes) ** 2 > 4 * g.order
+    _check_structure_rows(g, np.random.default_rng(60))
 
 
 def _every_carrier(gens_a, gens_b, gens_c, drawn, rng):
