@@ -10,26 +10,24 @@ read off one walk, the rows x * G over the right regular action R (below),
 on every carrier alike.  No order x order product table is kept.
 
 Permutation and matrix groups are enumerated breadth first, one layer at a
-time: the key of every product x * h of a frontier element x with a
-generator h is formed in one array operation, and the products not seen
-before become the next frontier.  New elements are numbered in order of
-first occurrence over (frontier element, generator), frontier elements taken
-in index order; the first occurrence of a key starts its run in a stable
-sort, which for int64 keys is one np.sort of each key packed with its
-position, key << s | position (_stable_order).  Each element is found by a
-key of its flattened carrier row: a mixed-radix int64 code while the code
-space fits (see _radix_powers), and the row's bytes for permutations past
-that.  An int64 key is linear in the row, so the keys of products are
-formed without their rows: a permutation product's key is one matrix
-product with the frontier, and row r of a matrix product x * h is (row r
-of x) * h, so a table per generator maps each row of an n x n matrix over
-GF(p), coded below p**n, to the code of its product; read as digits base
-p**n the row codes give the entries' key, a sum of n gathers.  The table
-holds all p**n rows, so a matrix group is built only while p**n is within
-the order cap and p**(n*n) within int64 codes, and CapExceeded is raised
-past either; the groups classical_generators admits are within both.  Only
-the rows of the new elements are formed, by gathers, and a matrix is kept
-as its n row codes.
+time, as right actions on points (_action): an element is carried as the
+row of a base's images under it, and the row of x * h is the row of x with
+each point moved by h.  A permutation x is carried as its inverse images,
+as i -> x^-1(i) is a right action, on a base of every point; an n x n
+matrix over GF(p) acts on the p**n row vectors, coded below p**n, and is
+carried as its n row codes, the images of e_0 .. e_(n-1).  One gather from
+the action forms the rows of every product x * h of a frontier element x
+with a generator h, and the products not seen before become the next
+frontier.  New elements are numbered in order of first occurrence over
+(frontier element, generator), frontier elements taken in index order; the
+first occurrence of a key starts its run in a stable sort, which for int64
+keys is one np.sort of each key packed with its position, key << s |
+position (_stable_order).  A row is keyed by a mixed-radix int64 code while
+the code space fits (see _radix_powers), and by its bytes past that, which
+only permutations of degree 16 and up reach.  The action of a matrix group
+holds all p**n row vectors, so one is built only while p**n is within the
+order cap and p**(n*n) within int64 codes, and CapExceeded is raised past
+either; the groups classical_generators admits are within both.
 
 Every group also records its right regular action, R_h(x) = x * h for each
 generator h, as one index array per generator: the coset table of the
@@ -102,7 +100,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,9 +188,10 @@ class GroupTable:
         self._right = None
         self._layers = None
         self._steps = None
-        # perm and mat carriers: one int64 row per element, a permutation's
-        # images or a matrix's n row codes, and the row-key lookup (radix
-        # powers, or None for the byte keys of permutations of degree 16 and up)
+        # perm and mat carriers: one int64 row per element, its base images
+        # (a permutation's inverse images, a matrix's n row codes), and the
+        # row-key lookup (radix powers of the row, or None for the byte keys
+        # of permutations of degree 16 and up)
         self._rows = None
         self._pow = None
         self._sorted_codes = None
@@ -310,11 +308,12 @@ class GroupTable:
 
     def element(self, i: int):
         if self.kind == "perm":
-            return Permutation(self._rows[i])
+            # a row is the inverse images, and argsort inverts it
+            return Permutation(np.argsort(self._rows[i]))
         if self.kind == "mat":
             # digit c of row code r is entry (r, c)
-            codes = self._rows[i]
-            return FFMatrix(self.field, codes[:, None] // self._pow[: len(codes)] % self.field.p)
+            codes, p = self._rows[i], self.field.p
+            return FFMatrix(self.field, codes[:, None] // p ** np.arange(len(codes)) % p)
         if self.kind == "prod":
             g1, g2 = self.factors
             i1, i2 = divmod(int(i), g2.order)
@@ -330,17 +329,17 @@ class GroupTable:
         if self.kind == "quot":
             return int(self.proj[self.parent.index_of(elt)])
         if self.kind == "perm" and isinstance(elt, Permutation) and elt.degree == self.degree:
-            row = elt.images
+            row = np.argsort(elt.images)
         elif (
             self.kind == "mat"
             and isinstance(elt, FFMatrix)
             and elt.field == self.field
             and elt.n == self._rows.shape[1]
         ):
-            row = elt.entries.ravel()
+            row = elt.entries @ self.field.p ** np.arange(elt.n)
         else:
             raise KeyError("element does not belong to this group")
-        i = int(self._find_keys(_row_keys(np.asarray(row, dtype=np.int64), self._pow)))
+        i = int(self._find_keys(_row_keys(row, self._pow)))
         if i < 0:
             raise KeyError("element not in group")
         return i
@@ -670,11 +669,13 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
 def _radix_powers(base: int, width: int) -> np.ndarray | None:
     """Digit weights base**0 .. base**(width - 1) of an int64 row code.
 
-    A row of `width` digits in [0, base) codes to sum(d_k * base**k), which
-    is below base**width.  Codes are used only while base**width <= 2**62, so
-    they and their sums stay inside int64; past that limit this returns None.
-    Permutations of degree 16 and up are then keyed by their bytes, and
-    n x n matrices with p**(n*n) > 2**62 are refused (_carrier).
+    A row of `width` base images below `base` codes to sum(d_k * base**k),
+    which is below base**width: a permutation of degree d is d points below
+    d, an n x n matrix n row codes below p**n.  Codes are used only while
+    base**width <= 2**62, so they and their sums stay inside int64; past
+    that limit this returns None.  Permutations of degree 16 and up are
+    then keyed by their bytes, and matrices with p**(n*n) > 2**62 are
+    refused (_action).
     """
     if base**width > 1 << 62:
         return None
@@ -682,21 +683,26 @@ def _radix_powers(base: int, width: int) -> np.ndarray | None:
 
 
 def _row_keys(rows: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
-    """One sortable key per row: its int64 code, or its bytes when powers is
-    None.  Both kinds work with np.sort and np.searchsorted; _stable_order
-    packs int64 codes with their positions and argsorts bytes."""
-    if powers is not None:
-        return rows @ powers
+    """One sortable key per row of base images, along the last axis: its
+    int64 code, or its bytes when powers is None (_byte_keys).  Both kinds
+    work with np.sort and np.searchsorted; _stable_order packs int64 codes
+    with their positions and argsorts bytes."""
+    return _byte_keys(rows) if powers is None else rows @ powers
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """The bytes of each row along the last axis, as one void scalar."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
 
 
-def _row_table(gen_rows: np.ndarray, p: int, n: int) -> np.ndarray:
+def _row_table(mats: np.ndarray, p: int) -> np.ndarray:
     """act[code, t], the code of v * h_t for every row vector v of GF(p)^n,
-    coded as sum(v_c * p**c), and each generator h_t, formed by one matmul."""
+    coded as sum(v_c * p**c), and each n x n matrix h_t, by one matmul."""
+    n = mats.shape[-1]
     radix = p ** np.arange(n, dtype=np.int64)
     vecs = np.arange(p**n, dtype=np.int64)[:, None] // radix % p
-    return np.ascontiguousarray(((vecs @ gen_rows.reshape(-1, n, n)) % p @ radix).T)
+    return np.ascontiguousarray(((vecs @ mats) % p @ radix).T)
 
 
 class _KeySet:
@@ -727,40 +733,23 @@ class _KeySet:
             self.runs.append(np.sort(np.concatenate((low, top)), kind="stable"))
 
 
-class _Carrier(NamedTuple):
-    """How enumerate_group carries one kind of generating set.
+def _action(gens, cap: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """A generating set as a right action on points: (kind, act, start),
+    act[point, t] the image of each point under gens[t], and start the
+    base, which is the identity's row.
 
-    Each element is carried as one int64 row, the row the group keeps: a
-    permutation's images, or a matrix's n row codes (_row_table).
-    keys(rows) gives the key of every product rows[a] * gens[b], at a * k +
-    b for k generators; products(rows, a, b) forms the carried rows of
-    rows[a] * gens[b] for index arrays a and b.
-    """
-
-    kind: str
-    identity: np.ndarray  # entry row of the identity
-    gen_rows: np.ndarray  # entry rows of the generators
-    powers: np.ndarray | None  # key powers of an entry row (_radix_powers)
-    start: np.ndarray  # carried row of the identity
-    keys: Callable[[np.ndarray], np.ndarray]
-    products: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-def _carrier(gens, cap: int) -> _Carrier:
-    """The _Carrier of a generating set, all permutations of one degree or
-    all invertible matrices of one size over one field.
-
-    With int64 keys the keys of products are formed without their rows.  A
-    permutation product x * h maps i to x(h(i)), so its key sum_i x(h(i)) *
-    d**i is x @ w for w[h(i), h] = d**i.  Matrices are carried as row codes
-    below p**n, and the code of row r of x * h is act[code_r(x), h]
-    (_row_table); read as digits base p**n they key the product, a sum of
-    n gathers from the key tables act * (p**n)**r.  The key tables hold n
-    times the row table's p**n * k int64 entries, and the row table is no
-    larger than the regular action the cap admits, k * cap.  Byte keys form
-    every product's row to key it.  Matrices with p**n > cap, or with
-    p**(n*n) > 2**62 so that n row codes do not fit one int64 key, raise
-    CapExceeded before any table is built.
+    An element x is carried as the images of the base under x, and the row
+    of x * h is act[i, h] for each image i in the row of x.  A permutation
+    x maps i to x(i) and x * h maps i to x(h(i)), so i -> x^-1(i) is a
+    right action: act[h(i), t] = i, and the base is every point, so a row
+    is x's inverse images.  An n x n matrix acts on the row vectors of
+    GF(p)^n, coded below p**n (_row_table); the base is e_0 .. e_(n-1),
+    codes p**r, and a row is x's n row codes.  All generators must be
+    permutations of one degree or invertible matrices of one size over one
+    field.  Matrices with p**n > cap, or with p**(n*n) > 2**62 so that n
+    row codes do not fit one int64 key, raise CapExceeded before the table
+    is built; the table holds p**n * k entries, no more than the regular
+    action the cap admits, k * cap.
     """
     k = len(gens)
     if all(isinstance(x, Permutation) for x in gens):
@@ -768,61 +757,35 @@ def _carrier(gens, cap: int) -> _Carrier:
         if len(degrees) != 1:
             raise MixedCarriers(f"permutation degrees differ: {sorted(degrees)}")
         degree = degrees.pop()
-        gen_rows = np.array([x.images for x in gens], dtype=np.int64).reshape(k, degree)
-        identity = np.arange(degree, dtype=np.int64)
-        powers = _radix_powers(degree, degree)
-
-        def products(rows, a, b):
-            # flat takes: row a, entry h(i) sits at a * degree + h(i)
-            return rows.reshape(-1).take(a[:, None] * degree + gen_rows.take(b, axis=0))
-
-        if powers is None:
-            def keys(rows):
-                return _row_keys(rows[:, gen_rows].reshape(-1, degree), None)
-        else:
-            w = np.zeros((degree, k), dtype=np.int64)
-            w[gen_rows, np.arange(k)[:, None]] = powers
-
-            def keys(rows):
-                return (rows @ w).reshape(-1)
-
-        return _Carrier("perm", identity, gen_rows, powers, identity, keys, products)
+        images = np.array([x.images for x in gens], dtype=np.int64).reshape(k, degree)
+        act = np.empty((degree, k), dtype=np.int64)
+        act[images, np.arange(k)[:, None]] = np.arange(degree)
+        return "perm", act, np.arange(degree, dtype=np.int64)
     if all(isinstance(x, FFMatrix) for x in gens):
         fields = {x.field for x in gens}
         sizes = {x.n for x in gens}
         if len(fields) != 1 or len(sizes) != 1:
             raise MixedCarriers("matrix generators must share field and size")
         p, n = gens[0].field.p, gens[0].n
-        width = n * n
-        gen_rows = np.array([x.entries for x in gens], dtype=np.int64).reshape(k, width)
-        if (ff_rank(gen_rows.reshape(k, n, n), p) < n).any():
+        mats = np.array([x.entries for x in gens], dtype=np.int64).reshape(k, n, n)
+        if (ff_rank(mats, p) < n).any():
             raise SingularMatrix("matrix generators must be invertible")
-        identity = np.eye(n, dtype=np.int64).ravel()
-        powers = _radix_powers(p, width)
-        if p**n > cap or powers is None:
+        if p**n > cap or _radix_powers(p**n, n) is None:
             raise CapExceeded(
                 f"{n} x {n} matrices over GF({p}) are enumerated on a table of p**n = "
                 f"{p**n} row vectors, which needs p**n <= cap {cap} and "
-                f"p**(n*n) = {p}**{width} <= 2**62"
+                f"p**(n*n) = {p}**{n * n} <= 2**62"
             )
-        act = _row_table(gen_rows, p, n)
-        tables = act * (p**n) ** np.arange(n, dtype=np.int64)[:, None, None]
-
-        def keys(rows):
-            out = tables[0].take(rows[:, 0], axis=0)
-            for r in range(1, n):
-                out += tables[r].take(rows[:, r], axis=0)
-            return out.reshape(-1)
-
-        def products(rows, a, b):
-            # flat takes: code c of h_b sits at c * k + b
-            return act.take(rows.take(a, axis=0) * k + b[:, None])
-
-        # row r of the identity is digit 1 at c = r, code p**r
-        return _Carrier("mat", identity, gen_rows, powers, powers[:n], keys, products)
+        return "mat", _row_table(mats, p), p ** np.arange(n, dtype=np.int64)
     raise MixedCarriers(
         "generators must be all Permutation or all FFMatrix, not a mixture"
     )
+
+
+def _products(act: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of rows[a] * gens[b] for index arrays a and b, read as flat
+    takes from act: the image of point i under gens[b] sits at i * k + b."""
+    return act.take(rows.take(a, axis=0) * act.shape[1] + b[:, None])
 
 
 def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -831,18 +794,21 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     All generators must share one carrier: permutations of equal degree or
     matrices over one field and size.  Raises MixedCarriers otherwise.
 
-    The closure is built breadth first, a whole layer per step: the keys of
-    all products x * h of the previous layer with the generators are formed
-    at once (int64 codes, or a permutation's row bytes past the limit in
-    _radix_powers; see _carrier), and the keys already known are dropped by a search in sorted
-    key runs.  The new elements get the next indices in order of first
+    Every group is enumerated as a right action on points (_action): an
+    element is the row of its base images, and the closure is built
+    breadth first, a whole layer per step.  One gather from the action
+    forms the base images of all products x * h of the previous layer with
+    the generators, and they are keyed at once: an int64 code read off the
+    images in radix len(act) while it fits (_radix_powers), their bytes
+    past it.  The keys already known are dropped by a search in sorted key
+    runs.  The new elements get the next indices in order of first
     occurrence over (frontier element, generator), found by _first_unique,
     so index 0 is the identity and the numbering equals that of an
-    element-by-element BFS.  Only the new elements' rows are formed, and
-    their keys are the picked products' keys.  CapExceeded is raised as
-    soon as the order would pass cap, before that layer's rows are formed,
-    and before enumeration for matrices whose row table would pass cap or
-    whose keys would pass int64 (_carrier).
+    element-by-element BFS.  Only the new elements' rows are kept
+    (_products), and their keys are the picked products' keys.
+    CapExceeded is raised as soon as the order would pass cap, before that
+    layer's rows are formed, and before enumeration for matrices whose row
+    table would pass cap or whose keys would pass int64 (_action).
 
     The keys of every product x * h are kept, and at the end they give the
     right regular action: for each generator they are every element's key
@@ -853,21 +819,25 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    carrier = _carrier(gens, cap)
-    k = len(gens)
-    layers = [carrier.start[None]]
+    kind, act, start = _action(gens, cap)
+    k = act.shape[1]
+    powers = _radix_powers(len(act), len(start))
+    layers = [start[None]]
     # for each layer after the first and each y = x * h in it: the index
     # of x and the position of h in gens
     parent, via = [], []
     # the key of element x * gens[b] at x * k + b, and of each element
     cand_keys = []
-    elem_keys = [_row_keys(carrier.identity[None], carrier.powers)]
+    elem_keys = [_row_keys(start[None], powers)]
     known = _KeySet(elem_keys[0])
     order = 1
     while True:
         frontier = layers[-1]
         first = order - len(frontier)
-        cand_keys.append(carrier.keys(frontier))
+        # images[a, r, b]: base image r of frontier[a] * gens[b]
+        images = act.take(frontier, axis=0)
+        keys = _byte_keys(images.swapaxes(1, 2)) if powers is None else powers @ images
+        cand_keys.append(keys.reshape(-1))
         uniq, at = _first_unique(cand_keys[-1])
         fresh = known.missing(uniq)
         if not fresh.any():
@@ -880,24 +850,22 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             )
         known.add(uniq[fresh])
         a, b = np.divmod(pick, k)
-        layers.append(carrier.products(frontier, a, b))
+        layers.append(_products(act, frontier, a, b))
         elem_keys.append(cand_keys[-1][pick])
         parent.append(first + a)
         via.append(b)
         order += len(pick)
 
     g = GroupTable()
-    g.kind = carrier.kind
+    g.kind = kind
     g.order = order
     g._rows = np.concatenate(layers)
-    del layers
+    del layers, images
     g._rows.setflags(write=False)
-    keys = np.concatenate(elem_keys)
-    g._pow = carrier.powers
-    g._sorted_codes, g._sorted_pos = _stable_order(keys)
-    g.gens, cols = _distinct_gens(
-        g._find_keys(_row_keys(carrier.gen_rows, carrier.powers)).tolist()
-    )
+    g._pow = powers
+    g._sorted_codes, g._sorted_pos = _stable_order(np.concatenate(elem_keys))
+    # the generators' rows are the base's images under them
+    g.gens, cols = _distinct_gens(g._find_keys(_row_keys(act[start].T, powers)).tolist())
     cand_keys = np.concatenate(cand_keys).reshape(order, k)
     g._right = np.empty((len(cols), order), dtype=np.int64)
     for t, b in enumerate(cols):

@@ -9,7 +9,8 @@ Grammar:
            | ("A" | "S" | "C" | "D") int
 
 Cycle notation is 1-indexed, as in "(1 2 3)(4 5)".  D<n> is the dihedral
-group of order 2n.  render(parse(s)) is canonical: parsing its output
+group of order 2n; C<n> and D<n> need n >= 1, while A0 and S0 are the
+trivial group.  render(parse(s)) is canonical: parsing its output
 reproduces the same AST.
 """
 
@@ -124,7 +125,10 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
     if cur.pos < len(cur.text) and cur.text[cur.pos] in _FAMILIES:
         fam = cur.text[cur.pos]
         cur.pos += 1
+        at = cur.pos
         n = cur.take_int("index")
+        if n == 0 and fam in "CD":
+            raise ParseError(f"{fam}<n> needs n >= 1", pos=at, expected={"positive integer"})
         return FamilySpec(fam, n)
     raise ParseError(
         "unrecognized group spec",

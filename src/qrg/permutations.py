@@ -1,7 +1,9 @@
 """Permutations on {0, ..., n-1} with cycle-type predicates.
 
 The group engine composes permutations as (p * q)(x) = p(q(x)), i.e. q
-acts first; Permutation itself carries no arithmetic.
+acts first, and carries each one as its inverse images, since
+x -> p^-1(x) is then a right action; Permutation itself carries no
+arithmetic.
 Textual cycle notation is 1-indexed, as in "(1 2 3)(4 5) degree=6".
 """
 

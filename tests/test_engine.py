@@ -84,6 +84,16 @@ def test_index_of_round_trip():
         g.index_of(FFMatrix.identity(PrimeField(5), 3))
 
 
+def test_index_of_refuses_a_transposition():
+    # A5 is keyed by int64 codes, the dihedral group on 17 points by bytes
+    rot = Permutation(tuple((i + 1) % 17 for i in range(17)))
+    ref = Permutation(tuple((17 - i) % 17 for i in range(17)))
+    for g in (build_group(parse_spec("A5")), engine.enumerate_group([rot, ref])):
+        swap = Permutation((1, 0, *range(2, g.degree)))
+        with pytest.raises(KeyError, match="element not in group"):
+            g.index_of(swap)
+
+
 def test_conjugacy_classes_match_bruteforce():
     g = s4()
     sizes = sorted(c.size for c in g.classes)
@@ -265,8 +275,8 @@ def _table(g):
 
 
 def _check_against_bfs(g, gens, mul):
-    """Same elements in the same order, the same generator indices, and
-    inverses that multiply to the identity."""
+    """Same elements in the same order, the same generator indices,
+    inverses that multiply to the identity, and index_of inverting element."""
     want = oracles.bfs_enumeration(gens, mul)
     assert _table(g) == want
     index = {x: i for i, x in enumerate(want)}
@@ -276,6 +286,7 @@ def _check_against_bfs(g, gens, mul):
             want_gens.append(index[h])
     assert g.gens == (want_gens or [0])
     assert all(mul(x, want[i]) == want[0] for x, i in zip(want, g.inv.tolist()))
+    assert all(g.index_of(g.element(i)) == i for i in range(g.order))
 
 
 @st.composite
@@ -342,8 +353,6 @@ def test_wide_keys_match_bfs_oracle():
         g = engine.enumerate_group([Permutation(x) for x in gens])
         assert g._pow is None
         _check_against_bfs(g, gens, oracles.compose)
-        for i in range(g.order):
-            assert g.index_of(g.element(i)) == i
     assert engine._radix_powers(15, 15) is not None
     assert engine._radix_powers(16, 16) is None
 
@@ -459,28 +468,28 @@ def test_bfs_layers_match_enumeration_on_matrix_groups(drawn):
 
 @pytest.mark.parametrize("spec", ["A7", "SL2:13"])
 def test_build_forms_only_the_new_elements_rows(monkeypatch, spec):
-    # products are keyed without their rows: the carrier forms the row of
-    # each element once, and the only rows keyed as rows are the identity's
-    # and the generators', never the products' or the inverses'
+    # products are keyed off one gather of their base images per layer:
+    # _products forms the row of each new element once, and the only rows
+    # keyed by _row_keys are the identity's and the generators', never the
+    # products' or the inverses'
     formed, keyed, given = [], [], []
-    carrier, row_keys = engine._carrier, engine._row_keys
+    action, products, row_keys = engine._action, engine._products, engine._row_keys
 
-    def counted_carrier(gens, cap):
+    def counted_action(gens, cap):
         given.append(len(gens))
-        c = carrier(gens, cap)
+        return action(gens, cap)
 
-        def products(rows, a, b):
-            out = c.products(rows, a, b)
-            formed.append(len(out))
-            return out
-
-        return c._replace(products=products)
+    def counted_products(act, rows, a, b):
+        out = products(act, rows, a, b)
+        formed.append(len(out))
+        return out
 
     def counted_keys(rows, powers):
         keyed.append(len(np.atleast_2d(rows)))
         return row_keys(rows, powers)
 
-    monkeypatch.setattr(engine, "_carrier", counted_carrier)
+    monkeypatch.setattr(engine, "_action", counted_action)
+    monkeypatch.setattr(engine, "_products", counted_products)
     monkeypatch.setattr(engine, "_row_keys", counted_keys)
     g = build_group(parse_spec(spec))
     assert sum(formed) == g.order - 1

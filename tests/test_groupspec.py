@@ -66,6 +66,8 @@ def test_parse_ast_shapes():
         ("prod(A4;C2)", 7),
         ("A5x", 2),
         ("", 0),
+        ("C0", 1),
+        ("D0", 1),
     ],
 )
 def test_parse_errors_carry_position(text, offset):
