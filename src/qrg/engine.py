@@ -18,7 +18,8 @@ matrix over GF(p) acts on the p**n row vectors, coded below p**n, and is
 carried as its n row codes, the images of e_0 .. e_(n-1).  One gather from
 the action forms the rows of every product x * h of a frontier element x
 with a generator h, and the products not seen before become the next
-frontier.  New elements are numbered in order of first occurrence over
+frontier; their rows are read off that gather, not formed again.  New
+elements are numbered in order of first occurrence over
 (frontier element, generator), frontier elements taken in index order; the
 first occurrence of a key starts its run in a stable sort, which for int64
 keys is one np.sort of each key packed with its position, key << s |
@@ -35,18 +36,22 @@ trivial subgroup (Holt, Eick & O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 5).  Enumeration keeps the key of every product x * h
 and reads R off those keys; a direct product builds R from its factors'
 tables and a quotient projects its parent's.  Every group has a
-breadth-first tree from the identity, kept as layers (new, parent, via)
-with new = parent * gens[via]: enumeration records its own, and products
-and quotients search R for theirs, a layer at a time, each new element
-picked at its first occurrence among the layer's products by a scatter-min
-of their positions, so a search of R numbers an enumerated group's
-elements as enumeration did.  Whole-group products are index gathers
-over R along that tree, never carrier arithmetic: rep * y = R_h(rep * x)
-for y = x * h fills a row rep * G, and row_blocks walks the rows of any
-elements, a block of rows at a time, one gather per layer from the
-flattened R.  Inverses are read off R on every carrier alike: h^-1 is the
-x with R_h(x) = 1, and y = x * h has y^-1 = h^-1 * x^-1, the entry at x^-1
-of the row h^-1 * G, so one more gather per layer gives them all.
+breadth-first tree from the identity, kept once as the steps (new, parent,
+via * |G|) with new = parent * gens[via], via * |G| the offset of R_h's row
+in the flattened R.  Enumeration writes its own, one step per layer with
+new a slice; products and quotients search R for theirs (_bfs_steps) on
+their first walk, a layer at a time, each new element picked at its first
+occurrence among the layer's products by a scatter-min of their
+positions, so a search of R numbers an enumerated group's elements as
+enumeration did.  One loop, GroupTable._walk, gathers along that tree:
+given one row of |G| values per generator and the values at 1, f(y) =
+table[via * |G| + f(parent)] fills f for every element, one gather per
+step.  Whole-group products are that walk of R, never carrier arithmetic:
+rep * y = R_h(rep * x) for y = x * h fills a row rep * G, and row_blocks
+walks the rows of any elements, a block of rows at a time.  Inverses are
+read off R on every carrier alike: h^-1 is the x with R_h(x) = 1, and y =
+x * h has y^-1 = h^-1 * x^-1, the entry at x^-1 of the row h^-1 * G, so a
+walk of those rows from 1^-1 = 1 gives them all.
 
 Conjugacy classes are the orbits of the generators' conjugation maps.  With
 R_h^-1(x) = x h^-1 the inverse permutation of R_h, the map x -> h x h^-1 is
@@ -184,9 +189,10 @@ class GroupTable:
         self.degree = None  # perm carrier
         self.field = None  # mat carrier
         # right regular action: _right[t, x] is x * gens[t]; and the BFS tree
-        # over it, layers (new, parent, via) with new = parent * gens[via]
+        # over it, steps (new, parent, via * order) with new = parent *
+        # gens[via], new a slice where enumeration numbered the layer, and
+        # via * order the offset of R_gens[via] in the flattened R (_walk)
         self._right = None
-        self._layers = None
         self._steps = None
         # perm and mat carriers: one int64 row per element, its base images
         # (a permutation's inverse images, a matrix's n row codes), and the
@@ -258,50 +264,33 @@ class GroupTable:
             yield self._row_products(xs[s : s + step])
 
     def _row_products(self, xs) -> np.ndarray:
-        """x * G for each x in xs, a scalar or a vector, walked along the
-        tree: x * y = R_h(x * p) for y = p * h, one gather per layer from
-        the flattened R (_walk_steps)."""
-        out = np.empty((*np.shape(xs), self.order), dtype=np.int64)
-        out[..., 0] = xs
-        right = self._right.reshape(-1)
-        for new, parent, offset in self._walk_steps():
-            out[..., new] = right[offset + out[..., parent]]
-        return out
+        """x * G for each x in xs, a scalar or a vector: x * y = R_h(x * p)
+        for y = p * h, a walk of the flattened R."""
+        return self._walk(self._right.reshape(-1), xs)
 
-    def _walk_steps(self) -> list[tuple[slice | np.ndarray, np.ndarray, np.ndarray]]:
-        """The tree's layers as (new, parent, via * |G|), the offsets of the
-        vias' rows in the flattened R, with new a slice where its elements
-        are consecutive and ascending, as enumeration numbers them; cached."""
+    def _walk(self, table: np.ndarray, first) -> np.ndarray:
+        """The values at every element of a map f along the tree, for each
+        start f(1) in first, a scalar or a vector: f(y) = table[via * |G| +
+        f(p)] for y = p * gens[via], one gather per step.  table holds one
+        row of |G| entries per generator, flattened; the tree's steps are
+        found on the first walk of a group that was not enumerated."""
         if self._steps is None:
-            self._steps = [
-                (
-                    slice(int(new[0]), int(new[-1]) + 1) if (np.diff(new) == 1).all() else new,
-                    parent,
-                    via * self.order,
-                )
-                for new, parent, via in self._tree()
-            ]
-        return self._steps
-
-    def _tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Breadth-first layers (new, parent, via) over the right regular
-        action from the identity, new = parent * gens[via]; cached."""
-        if self._layers is None:
-            self._layers = _bfs_layers(self._right)
-        return self._layers
+            self._steps = _bfs_steps(self._right)
+        out = np.empty((*np.shape(first), self.order), dtype=np.int64)
+        out[..., 0] = first
+        for new, parent, offset in self._steps:
+            out[..., new] = table[offset + out[..., parent]]
+        return out
 
     @property
     def inv(self) -> np.ndarray:
         """Index of the inverse of every element; cached.  h^-1 is the x with
         R_h(x) = 1, and y = x * h has y^-1 = h^-1 * x^-1, the entry at x^-1
-        of the row h^-1 * G: one walk of the generators' inverses, then one
-        gather per layer, with the offsets _row_products reads R with."""
+        of the row h^-1 * G: one row walk of the generators' inverses, then
+        a walk of those rows from 1^-1 = 1."""
         if self._inv is None:
-            left = self._row_products(self._right.argmin(axis=1)).reshape(-1)
-            inv = np.zeros(self.order, dtype=np.int64)
-            for new, parent, offset in self._walk_steps():
-                inv[new] = left[offset + inv[parent]]
-            self._inv = inv
+            left = self._row_products(self._right.argmin(axis=1))
+            self._inv = self._walk(left.reshape(-1), 0)
         return self._inv
 
     # -- elements -----------------------------------------------------------
@@ -629,10 +618,10 @@ def _first_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], at[starts]
 
 
-def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first layers (new, parent, via) of the Cayley graph given by
-    right[t, x] = x * gens[t], from the identity: new elements in order of
-    first occurrence over (frontier element, generator), as enumeration
+def _bfs_steps(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first steps (new, parent, via * |G|) of the Cayley graph given
+    by right[t, x] = x * gens[t], from the identity: new elements in order
+    of first occurrence over (frontier element, generator), as enumeration
     numbers them, with new = parent * gens[via].
 
     Candidates are elements, below |G|, so the first occurrence of each is
@@ -645,13 +634,13 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     # first[x]: the least position at which x is a candidate of the layer
     first = np.empty(n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
-    layers = []
+    steps = []
     while True:
         # candidate a * k + t is frontier[a] * gens[t]
         cand = right[:, frontier].T.reshape(-1)
         fresh = np.flatnonzero(~seen[cand])
         if not fresh.size:
-            return layers
+            return steps
         elems = cand[fresh]
         first[elems] = len(cand)
         np.minimum.at(first, elems, fresh)
@@ -659,7 +648,7 @@ def _bfs_layers(right: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         pick = fresh[first[elems] == fresh]
         new = cand[pick]
         seen[new] = True
-        layers.append((new, frontier[pick // k], pick % k))
+        steps.append((new, frontier[pick // k], pick % k * n))
         frontier = new
 
 
@@ -782,12 +771,6 @@ def _action(gens, cap: int) -> tuple[str, np.ndarray, np.ndarray]:
     )
 
 
-def _products(act: np.ndarray, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of rows[a] * gens[b] for index arrays a and b, read as flat
-    takes from act: the image of point i under gens[b] sits at i * k + b."""
-    return act.take(rows.take(a, axis=0) * act.shape[1] + b[:, None])
-
-
 def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Closure of a generating set under multiplication, identity at index 0.
 
@@ -804,8 +787,10 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     runs.  The new elements get the next indices in order of first
     occurrence over (frontier element, generator), found by _first_unique,
     so index 0 is the identity and the numbering equals that of an
-    element-by-element BFS.  Only the new elements' rows are kept
-    (_products), and their keys are the picked products' keys.
+    element-by-element BFS.  Only the new elements' rows are kept, read
+    off the gathered images, and their keys are the picked products' keys;
+    each layer is one step of the tree, (new, parent, via * |G|), as
+    GroupTable._walk reads it.
     CapExceeded is raised as soon as the order would pass cap, before that
     layer's rows are formed, and before enumeration for matrices whose row
     table would pass cap or whose keys would pass int64 (_action).
@@ -823,9 +808,9 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     k = act.shape[1]
     powers = _radix_powers(len(act), len(start))
     layers = [start[None]]
-    # for each layer after the first and each y = x * h in it: the index
-    # of x and the position of h in gens
-    parent, via = [], []
+    # for each layer after the first, (new, parent, b) with new = parent *
+    # gens[b]
+    steps = []
     # the key of element x * gens[b] at x * k + b, and of each element
     cand_keys = []
     elem_keys = [_row_keys(start[None], powers)]
@@ -850,10 +835,9 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             )
         known.add(uniq[fresh])
         a, b = np.divmod(pick, k)
-        layers.append(_products(act, frontier, a, b))
+        layers.append(images[a, :, b])
         elem_keys.append(cand_keys[-1][pick])
-        parent.append(first + a)
-        via.append(b)
+        steps.append((slice(order, order + len(pick)), first + a, b))
         order += len(pick)
 
     g = GroupTable()
@@ -874,11 +858,7 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     # a new element is first reached by the first copy of its generator
     position = np.zeros(k, dtype=np.int64)
     position[cols] = np.arange(len(cols))
-    sizes = np.cumsum([1] + [len(x) for x in parent])
-    g._layers = [
-        (np.arange(start, stop), x, position[h])
-        for start, stop, x, h in zip(sizes[:-1], sizes[1:], parent, via)
-    ]
+    g._steps = [(new, parent, position[b] * order) for new, parent, b in steps]
     if g.kind == "perm":
         g.degree = g._rows.shape[1]
         g.label = f"permutation group on {g.degree} points"

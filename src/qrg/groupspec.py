@@ -102,17 +102,25 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
         return ProdSpec(left, right)
     if cur.peek("perm:"):
         cur.take("perm:")
-        raw = [cur.take_cycles()]
+        # each cycle string with its offset in the spec
+        raw = [(cur.pos, cur.take_cycles())]
         cur.take(";degree=", expected=";degree=<n>")
         degree = cur.take_int("degree")
         if cur.peek(";gens="):
             cur.take(";gens=")
-            raw.append(cur.take_cycles())
+            raw.append((cur.pos, cur.take_cycles()))
             while cur.peek("|"):
                 cur.take("|")
-                raw.append(cur.take_cycles())
-        gens = tuple(parse_cycles(r, degree=degree) for r in raw)
-        return PermGroupSpec(degree=degree, gens=gens)
+                raw.append((cur.pos, cur.take_cycles()))
+        gens = []
+        for at, cycles in raw:
+            try:
+                gens.append(parse_cycles(cycles, degree=degree))
+            except ParseError as exc:
+                # parse_cycles counts from the start of the cycle string
+                exc.pos += at
+                raise
+        return PermGroupSpec(degree=degree, gens=tuple(gens))
     if cur.peek("PSL2:"):
         cur.take("PSL2:")
         return FamilySpec("PSL2", 2, _take_prime(cur))

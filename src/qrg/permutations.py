@@ -131,10 +131,10 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5) degree=6".
 
     The degree=<n> suffix is mandatory unless a degree is supplied by the
-    caller.  Overlapping cycles are rejected.
+    caller.  Overlapping cycles are rejected at the second occurrence of
+    the shared point.  Error offsets count from the start of text.
     """
-    s = text.strip()
-    m = _DEGREE_RE.search(s)
+    m = _DEGREE_RE.search(text)
     if m:
         deg = int(m.group(1))
         if degree is not None and deg != degree:
@@ -143,8 +143,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
                 pos=m.start(),
             )
         degree = deg
-        cycles_part = s[: m.start()]
-        trailing = s[m.end() :]
+        cycles_part = text[: m.start()]
+        trailing = text[m.end() :]
         if trailing.strip():
             raise ParseError(
                 "unexpected text after degree", pos=m.end(), expected={"end of input"}
@@ -156,10 +156,12 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
                 pos=len(text),
                 expected={"degree=<n>"},
             )
-        cycles_part = s
-    cycles_part = cycles_part.strip().rstrip(";").rstrip(",").strip()
+        cycles_part = text
+    # only the end is stripped, so that offsets stay those of text
+    cycles_part = cycles_part.rstrip().rstrip(";").rstrip(",").rstrip()
 
     cycles = []
+    seen = set()
     pos = 0
     for m in _CYCLE_RE.finditer(cycles_part):
         between = cycles_part[pos : m.start()]
@@ -169,32 +171,32 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
                 pos=pos,
                 expected={"("},
             )
-        body = m.group(1).strip()
-        if body:
+        cycle = []
+        for tok in re.finditer(r"\S+", m.group(1)):
             try:
-                pts = [int(tok) for tok in body.split()]
+                pt = int(tok.group())
             except ValueError:
                 raise ParseError(
                     "cycle entries must be whitespace-separated integers",
                     pos=m.start(1),
                     expected={"integer"},
                 ) from None
-            for pt in pts:
-                if not 1 <= pt <= degree:
-                    raise ParseError(
-                        f"point {pt} outside 1..{degree}", pos=m.start(1)
-                    )
-            cycles.append(tuple(pt - 1 for pt in pts))
+            if not 1 <= pt <= degree:
+                raise ParseError(f"point {pt} outside 1..{degree}", pos=m.start(1))
+            if pt in seen:
+                raise ParseError(
+                    f"point {pt} appears in two cycles", pos=m.start(1) + tok.start()
+                )
+            seen.add(pt)
+            cycle.append(pt - 1)
+        if cycle:
+            cycles.append(tuple(cycle))
         pos = m.end()
     tail = cycles_part[pos:]
     if tail.strip():
         raise ParseError(
             f"unexpected text {tail.strip()!r}", pos=pos, expected={"(", "degree=<n>"}
         )
-    flat = [pt for cyc in cycles for pt in cyc]
-    if len(flat) != len(set(flat)):
-        dup = next(pt for pt in flat if flat.count(pt) > 1)
-        raise ParseError(f"point {dup + 1} appears in two cycles", pos=0)
     return Permutation.from_cycles(cycles, degree)
 
 

@@ -157,6 +157,18 @@ def test_degrees_match_oracles_on_random_permutation_groups(gens):
     assert got == oracles.degrees_class_algebra(gens, oracles.compose, oracles.invert)
     if g.order <= 60:
         assert got == oracles.degrees_regular_rep(gens, oracles.compose, oracles.invert)
+    _check_degree_identities(g, got)
+
+
+def _check_degree_identities(g, degrees):
+    """Three identities that tie the degrees to computations the split
+    shares no code with (Isaacs, Character Theory of Finite Groups, 1976,
+    ch. 3): the linear characters number |G : G'|, the degrees number the
+    classes, and every degree divides |G : Z(G)|."""
+    assert degrees.count(1) == g.order // engine.commutator_subgroup(g).order
+    assert len(degrees) == len(g.classes)
+    index = g.order // engine.center(g).order
+    assert all(index % d == 0 for d in degrees)
 
 
 def test_known_degree_tables():
@@ -188,10 +200,10 @@ CLOSED_FORMS = (
 
 @pytest.mark.parametrize("spec, degrees", CLOSED_FORMS, ids=[s for s, _ in CLOSED_FORMS])
 def test_degrees_match_closed_forms(spec, degrees):
-    # one degree per class, and SL2(p) has center {1, -1}
+    # SL2(p) has center {1, -1}
     g = build(spec)
     assert chars.character_degrees(g, cap=10**6).degrees == degrees
-    assert len(g.classes) == len(degrees)
+    _check_degree_identities(g, degrees)
     if spec.startswith("SL2:"):
         assert engine.center(g).order == 2
 

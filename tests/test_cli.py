@@ -228,6 +228,17 @@ def test_malformed_element_index_is_usage_error(capsys):
     assert "offset 4" in lines[0]["message"]
 
 
+def test_repeated_point_in_element_is_usage_error_at_its_offset(capsys):
+    # the second 2 of the text the user typed
+    code, lines = run(["covering", "A5", "--element", "(1 2)(2 3)"], capsys)
+    assert code == 2
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "parse",
+        "message": "point 2 appears in two cycles (at offset 6)",
+    }]
+
+
 @pytest.mark.parametrize("k_args", [[], ["--K", "2"]])
 def test_malformed_power_range_is_usage_error(capsys, k_args):
     with pytest.raises(SystemExit) as err:

@@ -426,12 +426,19 @@ def test_stable_order_at_the_packing_limit(n):
         _check_stable_order(keys)
 
 
+def _tree_layers(steps, order):
+    """A tree's steps (new, parent, via * order) as index arrays (new,
+    parent, via), slices expanded."""
+    return [(np.arange(order)[new], parent, offset // order) for new, parent, offset in steps]
+
+
 def _check_bfs_numbering(g):
     """The BFS over R picks each new element where enumeration numbered it."""
-    layers = engine._bfs_layers(g._right)
-    assert len(layers) == len(g._layers)
-    for got, want in zip(layers, g._layers):
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    layers = _tree_layers(engine._bfs_steps(g._right), g.order)
+    want = _tree_layers(g._steps, g.order)
+    assert len(layers) == len(want)
+    for got, expected in zip(layers, want):
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,31 +475,24 @@ def test_bfs_layers_match_enumeration_on_matrix_groups(drawn):
 
 @pytest.mark.parametrize("spec", ["A7", "SL2:13"])
 def test_build_forms_only_the_new_elements_rows(monkeypatch, spec):
-    # products are keyed off one gather of their base images per layer:
-    # _products forms the row of each new element once, and the only rows
-    # keyed by _row_keys are the identity's and the generators', never the
-    # products' or the inverses'
-    formed, keyed, given = [], [], []
-    action, products, row_keys = engine._action, engine._products, engine._row_keys
+    # products are keyed off one gather of their base images per layer,
+    # which also holds the new elements' rows: the only rows keyed by
+    # _row_keys are the identity's and the generators', never the products'
+    # or the inverses'
+    keyed, given = [], []
+    action, row_keys = engine._action, engine._row_keys
 
     def counted_action(gens, cap):
         given.append(len(gens))
         return action(gens, cap)
-
-    def counted_products(act, rows, a, b):
-        out = products(act, rows, a, b)
-        formed.append(len(out))
-        return out
 
     def counted_keys(rows, powers):
         keyed.append(len(np.atleast_2d(rows)))
         return row_keys(rows, powers)
 
     monkeypatch.setattr(engine, "_action", counted_action)
-    monkeypatch.setattr(engine, "_products", counted_products)
     monkeypatch.setattr(engine, "_row_keys", counted_keys)
-    g = build_group(parse_spec(spec))
-    assert sum(formed) == g.order - 1
+    build_group(parse_spec(spec))
     assert sum(keyed) == 1 + given[0]
 
 
@@ -1046,13 +1046,16 @@ def _check_regular_action(g, rng):
     for t, h in enumerate(g.gens):
         assert g._right[t].tolist() == [mul(x, h) for x in every]
         assert g._conjugation_map(t).tolist() == [mul(mul(h, x), inverses[h]) for x in every]
+    # the inverses above walked the tree, so a group that was not
+    # enumerated has found its steps
+    layers = _tree_layers(g._steps, g.order)
     depth = {0: 0}
-    for layer, (new, parent, via) in enumerate(g._tree(), 1):
+    for layer, (new, parent, via) in enumerate(layers, 1):
         assert [depth[x] for x in parent.tolist()] == [layer - 1] * len(new)
         assert [mul(x, g.gens[t]) for x, t in zip(parent.tolist(), via.tolist())] == new.tolist()
         depth.update(dict.fromkeys(new.tolist(), layer))
     assert sorted(depth) == list(every)
-    assert len(depth) == sum(len(new) for new, _, _ in g._tree()) + 1
+    assert len(depth) == sum(len(new) for new, _, _ in layers) + 1
 
     sample = rng.choice(g.order, size=min(g.order, 4), replace=False).tolist()
     table = _product_table(g)

@@ -111,6 +111,16 @@ def test_parse_cycles_malformed():
             parse_cycles(bad)
 
 
+@pytest.mark.parametrize(
+    "text,offset",
+    [("(1 2)(2 3) degree=3", 6), ("  (1 2)(3 1) degree=3", 10), ("(1 1 2)", 3)],
+)
+def test_parse_cycles_repeat_points_at_second_occurrence(text, offset):
+    with pytest.raises(ParseError, match="appears in two cycles") as err:
+        parse_cycles(text, degree=3)
+    assert err.value.pos == offset
+
+
 def test_parse_cycles_identity():
     p = parse_cycles("() degree=5")
     assert p.images == (0, 1, 2, 3, 4)
