@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chars, constructions, covering, engine, gf, unitgeom
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, Cursor, ParseError
 from .groupspec import build_group, parse_spec
 from .permutations import cycle_string, parse_cycles
 
@@ -76,15 +76,18 @@ def _build(args) -> engine.GroupTable:
 
 
 def _parse_element(g: engine.GroupTable, text: str) -> int:
-    if text.startswith("idx:"):
+    cur = Cursor(text)
+    cur.skip_space()
+    if cur.accept("idx:"):
+        rest = text[cur.pos:]
         try:
-            idx = int(text[4:])
+            idx = int(rest)
         except ValueError:
-            raise ParseError(f"element index {text[4:]!r} is not an integer", pos=4) from None
+            raise ParseError(f"element index {rest!r} is not an integer", pos=cur.pos) from None
         if not 0 <= idx < g.order:
             raise ValueError(f"element index {idx} out of range for order {g.order}")
         return idx
-    if text.startswith("mat:"):
+    if cur.accept("mat:"):
         return g.index_of(gf.parse_matrix(text))
     root = g
     while root.kind == "quot":

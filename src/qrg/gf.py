@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, Cursor, ParseError
 
 MAX_PRIME = 1 << 16
 # Elimination multiplies two residues below p: p**2 < 2**62 keeps that and
@@ -423,36 +422,38 @@ def classical_generators(
     raise UnsupportedFamily(f"unknown family {family!r}; supported: SL, Sp")
 
 
-_MAT_RE = re.compile(r"^mat:p=(\d+):(\[.*\])$")
+_JSON = json.JSONDecoder()
 
 
 def parse_matrix(text: str) -> FFMatrix:
-    """Parse the literal form "mat:p=<prime>:[[r,..],[..]]"."""
-    s = text.strip()
-    m = _MAT_RE.match(s)
-    if not m:
-        raise ParseError(
-            "matrix literal must look like mat:p=<prime>:[[..],[..]]",
-            pos=0,
-            expected={"mat:p=<prime>:[[..]]"},
-        )
-    p = int(m.group(1))
+    """Parse the literal form "mat:p=<prime>:[[r,..],[..]]".
+
+    Whitespace may come around it and in its JSON body; offsets count from the start of text.
+    """
+    cur = Cursor(text)
+    cur.skip_space()
+    cur.take("mat:p=", expected="mat:p=<prime>:[[..]]")
+    at = cur.pos
+    p = cur.take_int("prime characteristic")
+    cur.take(":", expected=":[[..]]")
+    body = cur.pos
     try:
-        rows = json.loads(m.group(2))
+        rows, cur.pos = _JSON.raw_decode(text, body)
     except json.JSONDecodeError as e:
-        raise ParseError(f"bad matrix body: {e.msg}", pos=m.start(2) + e.pos) from None
+        raise ParseError(f"bad matrix body: {e.msg}", pos=e.pos) from None
+    cur.finish("trailing characters after matrix")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ParseError("matrix body must be a list of rows", pos=m.start(2))
+        raise ParseError("matrix body must be a list of rows", pos=body)
     try:
         field = PrimeField(p)
     except ValueError as e:
-        raise ParseError(str(e), pos=s.index("p=") + 2) from None
+        raise ParseError(str(e), pos=at) from None
     width = {len(r) for r in rows}
     if len(width) != 1 or width.pop() != len(rows):
-        raise ParseError("matrix must be square", pos=m.start(2))
+        raise ParseError("matrix must be square", pos=body)
     # JSON integers only (bool is not one), reduced in Python so any size reads
     if not all(type(x) is int for r in rows for x in r):
-        raise ParseError("matrix entries must be integers", pos=m.start(2))
+        raise ParseError("matrix entries must be integers", pos=body)
     return FFMatrix(field, [[x % p for x in r] for r in rows])
 
 

@@ -8,15 +8,16 @@ Grammar:
            | ("SL" | "Sp") int ":" prime
            | ("A" | "S" | "C" | "D") int
 
-Cycle notation is 1-indexed, as in "(1 2 3)(4 5)".  D<n> is the dihedral
-group of order 2n; C<n> and D<n> need n >= 1, while A0 and S0 are the
-trivial group.  render(parse(s)) is canonical: parsing its output
-reproduces the same AST.
+Cycle notation is 1-indexed, as in "(1 2 3)(4 5)", and read as in element
+strings (permutations.take_cycles); other whitespace may come only before
+and after the spec.  Error offsets count from the start of the text as
+typed.  D<n> is the dihedral group of order 2n; C<n> and D<n> need n >= 1,
+while A0 and S0 are the trivial group.  render(parse(s)) is canonical:
+parsing its output reproduces the same AST.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,14 +29,9 @@ from .engine import (
     enumerate_group,
     quotient,
 )
-from .errors import ParseError
+from .errors import Cursor, ParseError
 from .gf import PrimeField, classical_generators, is_prime
-from .permutations import Permutation, cycle_string, parse_cycles
-
-_INT_RE = re.compile(r"\d+")
-_CYCLES_RE = re.compile(r"(?:\(\s*(?:\d+(?:\s+\d+)*)?\s*\))+")
-
-_FAMILIES = ("A", "S", "C", "D")
+from .permutations import Permutation, cycle_string, cycles_permutation, take_cycles
 
 
 @dataclass(frozen=True)
@@ -60,84 +56,36 @@ class ProdSpec:
 GroupSpec = Union[FamilySpec, PermGroupSpec, ProdSpec]
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def take(self, token: str, expected: str | None = None):
-        if not self.peek(token):
-            raise ParseError(
-                f"expected {token!r}", pos=self.pos, expected={expected or token}
-            )
-        self.pos += len(token)
-
-    def take_int(self, what: str) -> int:
-        m = _INT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"expected {what}", pos=self.pos, expected={"integer"})
-        self.pos = m.end()
-        return int(m.group())
-
-    def take_cycles(self) -> str:
-        m = _CYCLES_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(
-                "expected cycle notation", pos=self.pos, expected={"(…)"}
-            )
-        self.pos = m.end()
-        return m.group()
-
-
-def _parse_spec(cur: _Cursor) -> GroupSpec:
-    if cur.peek("prod("):
-        cur.take("prod(")
+def _parse_spec(cur: Cursor) -> GroupSpec:
+    if cur.accept("prod("):
         left = _parse_spec(cur)
         cur.take(",")
         right = _parse_spec(cur)
         cur.take(")")
         return ProdSpec(left, right)
-    if cur.peek("perm:"):
-        cur.take("perm:")
-        # each cycle string with its offset in the spec
-        raw = [(cur.pos, cur.take_cycles())]
+    if cur.accept("perm:"):
+        gens = [_take_gen(cur)]
         cur.take(";degree=", expected=";degree=<n>")
         degree = cur.take_int("degree")
-        if cur.peek(";gens="):
-            cur.take(";gens=")
-            raw.append((cur.pos, cur.take_cycles()))
-            while cur.peek("|"):
-                cur.take("|")
-                raw.append((cur.pos, cur.take_cycles()))
-        gens = []
-        for at, cycles in raw:
-            try:
-                gens.append(parse_cycles(cycles, degree=degree))
-            except ParseError as exc:
-                # parse_cycles counts from the start of the cycle string
-                exc.pos += at
-                raise
-        return PermGroupSpec(degree=degree, gens=tuple(gens))
-    if cur.peek("PSL2:"):
-        cur.take("PSL2:")
+        if cur.accept(";gens="):
+            gens.append(_take_gen(cur))
+            while cur.accept("|"):
+                gens.append(_take_gen(cur))
+        return PermGroupSpec(degree, tuple(cycles_permutation(c, degree) for c in gens))
+    if cur.accept("PSL2:"):
         return FamilySpec("PSL2", 2, _take_prime(cur))
     for fam in ("SL", "Sp"):
-        if cur.peek(fam):
-            cur.take(fam)
+        if cur.accept(fam):
             n = cur.take_int("matrix size")
             cur.take(":", expected=":<p>")
             return FamilySpec(fam, n, _take_prime(cur))
-    if cur.pos < len(cur.text) and cur.text[cur.pos] in _FAMILIES:
-        fam = cur.text[cur.pos]
-        cur.pos += 1
-        at = cur.pos
-        n = cur.take_int("index")
-        if n == 0 and fam in "CD":
-            raise ParseError(f"{fam}<n> needs n >= 1", pos=at, expected={"positive integer"})
-        return FamilySpec(fam, n)
+    for fam in "ASCD":
+        if cur.accept(fam):
+            at = cur.pos
+            n = cur.take_int("index")
+            if n == 0 and fam in "CD":
+                raise ParseError(f"{fam}<n> needs n >= 1", pos=at, expected={"positive integer"})
+            return FamilySpec(fam, n)
     raise ParseError(
         "unrecognized group spec",
         pos=cur.pos,
@@ -145,7 +93,15 @@ def _parse_spec(cur: _Cursor) -> GroupSpec:
     )
 
 
-def _take_prime(cur: _Cursor) -> int:
+def _take_gen(cur: Cursor) -> list:
+    at = cur.pos
+    cycles = take_cycles(cur)
+    if not cycles:
+        raise ParseError("expected cycle notation", pos=at, expected={"(…)"})
+    return cycles
+
+
+def _take_prime(cur: Cursor) -> int:
     at = cur.pos
     p = cur.take_int("prime characteristic")
     if not is_prime(p):
@@ -154,12 +110,10 @@ def _take_prime(cur: _Cursor) -> int:
 
 
 def parse_spec(text: str) -> GroupSpec:
-    cur = _Cursor(text.strip())
+    cur = Cursor(text)
+    cur.skip_space()
     spec = _parse_spec(cur)
-    if cur.pos != len(cur.text):
-        raise ParseError(
-            "trailing characters after spec", pos=cur.pos, expected={"end of input"}
-        )
+    cur.finish("trailing characters after spec")
     return spec
 
 

@@ -9,10 +9,9 @@ Textual cycle notation is 1-indexed, as in "(1 2 3)(4 5) degree=6".
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import Cursor, ParseError
 
 
 class OddPermutation(ValueError):
@@ -123,81 +122,72 @@ def is_exceptional(p: Permutation) -> bool:
     return all(ln % 2 == 1 for ln in lengths) and len(set(lengths)) == len(lengths)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_DEGREE_RE = re.compile(r"degree=(\d+)")
+def take_cycles(cur: Cursor) -> list[list[tuple[int, int]]]:
+    """Read cycles such as "(1 2 3)(4 5)" at the cursor, possibly none.
+
+    Whitespace may come inside the parentheses and after each cycle.  A
+    point is any word int() reads, kept with its offset in the text so that
+    cycles_permutation can check it once the degree is known.
+    """
+    cycles = []
+    while cur.accept("("):
+        cur.skip_space()
+        cycle = []
+        while not cur.accept(")"):
+            at = cur.pos
+            try:
+                cycle.append((at, int(cur.take_word())))
+            except ValueError:
+                raise ParseError("expected a point or ')'", pos=at) from None
+        cur.skip_space()
+        cycles.append(cycle)
+    return cycles
+
+
+def cycles_permutation(cycles: list[list[tuple[int, int]]], degree: int) -> Permutation:
+    """The permutation of the given degree with the cycles take_cycles read.
+
+    A point outside 1..degree, or one read before, is a ParseError at its offset.
+    """
+    images = list(range(degree))
+    seen = set()
+    for cycle in cycles:
+        for i, (at, pt) in enumerate(cycle):
+            if not 1 <= pt <= degree:
+                raise ParseError(f"point {pt} outside 1..{degree}", pos=at)
+            if pt in seen:
+                raise ParseError(f"point {pt} appears in two cycles", pos=at)
+            seen.add(pt)
+            images[pt - 1] = cycle[(i + 1) % len(cycle)][1] - 1
+    return Permutation(images)
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     """Parse 1-indexed cycle notation like "(1 2 3)(4 5) degree=6".
 
     The degree=<n> suffix is mandatory unless a degree is supplied by the
-    caller.  Overlapping cycles are rejected at the second occurrence of
-    the shared point.  Error offsets count from the start of text.
+    caller; whitespace, commas and semicolons may come before it.
+    Overlapping cycles are rejected at the second occurrence of the shared
+    point.  Error offsets count from the start of text.
     """
-    m = _DEGREE_RE.search(text)
-    if m:
-        deg = int(m.group(1))
+    cur = Cursor(text)
+    cur.skip_space()
+    cycles = take_cycles(cur)
+    while cur.accept(",") or cur.accept(";"):
+        pass
+    cur.skip_space()
+    at = cur.pos
+    if cur.accept("degree="):
+        deg = cur.take_int("degree")
         if degree is not None and deg != degree:
             raise ParseError(
-                f"declared degree {deg} conflicts with expected degree {degree}",
-                pos=m.start(),
+                f"declared degree {deg} conflicts with expected degree {degree}", pos=at
             )
         degree = deg
-        cycles_part = text[: m.start()]
-        trailing = text[m.end() :]
-        if trailing.strip():
-            raise ParseError(
-                "unexpected text after degree", pos=m.end(), expected={"end of input"}
-            )
-    else:
-        if degree is None:
-            raise ParseError(
-                "missing mandatory degree=<n> suffix",
-                pos=len(text),
-                expected={"degree=<n>"},
-            )
-        cycles_part = text
-    # only the end is stripped, so that offsets stay those of text
-    cycles_part = cycles_part.rstrip().rstrip(";").rstrip(",").rstrip()
-
-    cycles = []
-    seen = set()
-    pos = 0
-    for m in _CYCLE_RE.finditer(cycles_part):
-        between = cycles_part[pos : m.start()]
-        if between.strip():
-            raise ParseError(
-                f"unexpected text {between.strip()!r} between cycles",
-                pos=pos,
-                expected={"("},
-            )
-        cycle = []
-        for tok in re.finditer(r"\S+", m.group(1)):
-            try:
-                pt = int(tok.group())
-            except ValueError:
-                raise ParseError(
-                    "cycle entries must be whitespace-separated integers",
-                    pos=m.start(1),
-                    expected={"integer"},
-                ) from None
-            if not 1 <= pt <= degree:
-                raise ParseError(f"point {pt} outside 1..{degree}", pos=m.start(1))
-            if pt in seen:
-                raise ParseError(
-                    f"point {pt} appears in two cycles", pos=m.start(1) + tok.start()
-                )
-            seen.add(pt)
-            cycle.append(pt - 1)
-        if cycle:
-            cycles.append(tuple(cycle))
-        pos = m.end()
-    tail = cycles_part[pos:]
-    if tail.strip():
-        raise ParseError(
-            f"unexpected text {tail.strip()!r}", pos=pos, expected={"(", "degree=<n>"}
-        )
-    return Permutation.from_cycles(cycles, degree)
+    cur.finish("unexpected text")
+    if degree is None:
+        raise ParseError("missing mandatory degree=<n> suffix", pos=at, expected={"degree=<n>"})
+    return cycles_permutation(cycles, degree)
 
 
 def cycle_string(p: Permutation, with_degree: bool = True) -> str:

@@ -222,10 +222,11 @@ def test_bad_groupspec_is_usage_error(capsys):
 
 
 def test_malformed_element_index_is_usage_error(capsys):
-    code, lines = run(["covering", "S4", "--element", "idx:abc"], capsys)
-    assert code == 2
-    assert lines[0]["error"] == "parse"
-    assert "offset 4" in lines[0]["message"]
+    for element, offset in (("idx:abc", 4), (" idx:abc", 5)):
+        code, lines = run(["covering", "S4", "--element", element], capsys)
+        assert code == 2
+        assert lines[0]["error"] == "parse"
+        assert f"offset {offset}" in lines[0]["message"]
 
 
 def test_repeated_point_in_element_is_usage_error_at_its_offset(capsys):
@@ -345,10 +346,56 @@ def test_non_integer_matrix_entries_are_usage_errors(capsys, argv):
     }]
 
 
+# Each parser's text as typed: the rendered form where it is accepted, the
+# offset of the offending character where it is a usage error.
+_PARSED = [
+    ("spec", "A5", "A5"),
+    ("spec", "  prod(A4,C2) ", "prod(A4,C2)"),
+    ("spec", "PSL2:7", "PSL2:7"),
+    ("spec", "perm:( 1 2 3 );degree=3", "perm:(1 2 3);degree=3"),
+    ("spec", "perm:(1 2) (3 4);degree=4", "perm:(1 2)(3 4);degree=4"),
+    ("spec", "perm:(1 2);degree=5;gens=(1 2 3)|(3 4 5)", "perm:(1 2);degree=5;gens=(1 2 3)|(3 4 5)"),
+    ("cycles", "(1 2 3)(4 5)(6 7) degree=7", "(1 2 3)(4 5)(6 7) degree=7"),
+    ("cycles", "  ( 3 1 ) (2 4); degree=4 ", "(1 3)(2 4) degree=4"),
+    ("cycles", "() degree=3", "() degree=3"),
+    ("cycles", "(1 2)(3 +4),degree=4", "(1 2)(3 4) degree=4"),
+    ("matrix", "mat:p=5:[[1,1],[0,1]]", "mat:p=5:[[1,1],[0,1]]"),
+    ("matrix", " mat:p=7:[[1, 8], [0, 1]] ", "mat:p=7:[[1,1],[0,1]]"),
+    ("spec", "perm: (1 2);degree=3", 5),
+    ("spec", "A5x", 2),
+    ("spec", "  X9", 2),
+    ("spec", "perm:(1 5);degree=4", 8),
+    ("cycles", "(1 2", 4),
+    ("cycles", "(1 2) x degree=4", 6),
+    ("cycles", "(1 2)(3 x) degree=4", 8),
+    ("matrix", "mat:p=5:[[1]] x", 14),
+    ("matrix", " mat:p=4:[[1]]", 7),
+]
+_PARSE_COMMANDS = {
+    "spec": (lambda text: ["analyze", text], "spec"),
+    "cycles": (lambda text: ["construct", "embed", "--perm", text, "--pad", "1",
+                             "--field", "5"], "perm"),
+    "matrix": (lambda text: ["jordan", "--matrix", text], "matrix"),
+}
+
+
+@pytest.mark.parametrize("kind,text,want", _PARSED)
+def test_parsed_text_keeps_its_status(capsys, kind, text, want):
+    argv, field = _PARSE_COMMANDS[kind]
+    code, lines = run(argv(text), capsys)
+    if isinstance(want, str):
+        assert code == 0 and lines[0][field] == want
+    else:
+        assert code == 2 and lines[0]["error"] == "parse"
+        assert lines[0]["message"].count(f"(at offset {want})") == 1
+
+
 def test_psl2_takes_the_matrices_of_sl2(capsys):
     # a matrix names its coset: -x is the same element of PSL2, and the
     # answer is that of the coset's index
-    for element in ("mat:p=7:[[1,1],[0,1]]", "mat:p=7:[[6,6],[0,6]]", "idx:1"):
+    for element in (
+        "mat:p=7:[[1,1],[0,1]]", " mat:p=7:[[1,1],[0,1]]", "mat:p=7:[[6,6],[0,6]]", "idx:1"
+    ):
         code, lines = run(["covering", "PSL2:7", "--element", element], capsys)
         assert code == 0 and lines[0]["K"] == 3
         assert lines[0]["growth_trace"] == [[1, 24], [2, 125], [3, 168]]

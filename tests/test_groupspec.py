@@ -69,7 +69,8 @@ def test_parse_ast_shapes():
         ("C0", 1),
         ("D0", 1),
         ("perm:(1 2)(1 3);degree=3", 11),
-        ("perm:(1 5);degree=4", 6),
+        ("perm:(1 5);degree=4", 8),
+        ("  X9", 2),
     ],
 )
 def test_parse_errors_carry_position(text, offset):

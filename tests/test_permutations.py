@@ -121,6 +121,12 @@ def test_parse_cycles_repeat_points_at_second_occurrence(text, offset):
     assert err.value.pos == offset
 
 
+def test_parse_cycles_points_at_a_bad_entry():
+    with pytest.raises(ParseError, match="expected a point") as err:
+        parse_cycles("(1 2)(3 x) degree=4")
+    assert err.value.pos == 8
+
+
 def test_parse_cycles_identity():
     p = parse_cycles("() degree=5")
     assert p.images == (0, 1, 2, 3, 4)
