@@ -220,14 +220,9 @@ def character_degrees(g: GroupTable, cap: int = DEGREE_ORDER_CAP) -> CharacterDe
     """
     if g.order > cap:
         raise CapExceeded(f"order {g.order} exceeds degree cap {cap}")
-    cached = g.cache.get("chardeg")
-    if cached is not None:
-        return cached
     r = len(g.classes)
     if r == g.order:
-        result = CharacterDegrees((1,) * r, g.order)
-        g.cache["chardeg"] = result
-        return result
+        return CharacterDegrees((1,) * r, g.order)
     failures = []
     gen = _suitable_primes(g.exponent(), g.order, r)
     for _ in range(_PRIME_ATTEMPTS):
@@ -237,9 +232,7 @@ def character_degrees(g: GroupTable, cap: int = DEGREE_ORDER_CAP) -> CharacterDe
         except _SplitFailure as exc:
             failures.append(f"ell={ell}: {exc}")
             continue
-        result = CharacterDegrees(tuple(degs), g.order)
-        g.cache["chardeg"] = result
-        return result
+        return CharacterDegrees(tuple(degs), g.order)
     raise NoSuitablePrime("; ".join(failures))
 
 
@@ -248,11 +241,11 @@ def quasirandom_degree(g: GroupTable, cap: int = DEGREE_ORDER_CAP):
 
     A group G other than G' has a nontrivial linear character, one of the
     abelian quotient G/G', so D(G) = 1 is answered without the split while
-    |G| is within the cap and the degrees are not cached yet.
+    |G| is within the cap.
     """
     if g.order == 1:
         return math.inf
-    if g.order <= cap and "chardeg" not in g.cache and not is_perfect(g):
+    if g.order <= cap and not is_perfect(g):
         return 1
     return character_degrees(g, cap=cap).degrees[1]
 

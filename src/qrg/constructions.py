@@ -77,13 +77,10 @@ def double_embed(perm: Permutation, pad: int, field: PrimeField) -> FFMatrix:
     if not perm.cycle_type().is_even:
         raise OddPermutation("double embedding is defined for even permutations")
     n = perm.degree
-    size = 2 * n + pad
-    m = np.zeros((size, size), dtype=np.int64)
-    for j, i in enumerate(perm.images):
-        m[i, j] = 1
-        m[n + i, n + j] = 1
-    for j in range(2 * n, size):
-        m[j, j] = 1
+    block = perm_matrix(perm, field).entries
+    m = np.eye(2 * n + pad, dtype=np.int64)
+    m[:n, :n] = block
+    m[n : 2 * n, n : 2 * n] = block
     return FFMatrix(field, m)
 
 

@@ -83,13 +83,13 @@ the closure of one class, into every normal subgroup found so far.  The
 commutators x^-1 x^h of x in a class C are exactly the products C^-1 * C,
 so the derived subgroup is the normal closure of those pair products.
 
-A GroupTable keeps its own lazy state (classes, power map, the structure
-rows and their support bitmasks, class-set powers) in private fields; the
-rows hold at most sum_j min(|G|, r**2) codes and counts for r classes.
-g.cache holds the lattice, the derived subgroup and the character degrees,
-as class bitmasks, orders and integers rather than objects that point back
-at the group, so no group is part of a reference cycle: a quotient points
-at its parent, and nothing points back.
+A GroupTable keeps its lazy state (classes, power map, the structure rows
+and their support bitmasks, class-set powers) in private fields, the one
+store of what a group derives; the rows hold at most sum_j min(|G|, r**2)
+codes and counts for r classes.  The lattice and the derived subgroup are
+formed from that store on every call and kept by no group, so no group is
+part of a reference cycle: a quotient points at its parent, and nothing
+points back.
 
 Conjugate elements have conjugate powers, (h x h^-1)^i = h x^i h^-1, so the
 class of x^i depends only on the class c of x and on i mod o(c).  This class
@@ -206,7 +206,6 @@ class GroupTable:
         self.factors = None
         # quot carrier
         self.parent = None
-        self.coset_reps = None
         self.proj = None
         # lazy state
         self._inv = None
@@ -220,7 +219,6 @@ class GroupTable:
         self._structure_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._row_bits: dict[int, list[int]] = {}
         self._set_powers: dict[int, tuple[tuple[int, ...], int]] = {}
-        self.cache: dict = {}
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -861,10 +859,8 @@ def enumerate_group(generators, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     g._steps = [(new, parent, position[b] * order) for new, parent, b in steps]
     if g.kind == "perm":
         g.degree = g._rows.shape[1]
-        g.label = f"permutation group on {g.degree} points"
     else:
         g.field = gens[0].field
-        g.label = f"matrix group over {g.field}"
     return g
 
 
@@ -881,7 +877,6 @@ def direct_product(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ORDER_CAP)
     x1, x2 = np.divmod(np.arange(g.order, dtype=np.int64), o2)
     right = [r[x1] * o2 + x2 for r in g1._right] + [x1 * o2 + r[x2] for r in g2._right]
     g._right = np.stack([right[c] for c in cols])
-    g.label = f"({g1.label}) x ({g2.label})"
     return g
 
 
@@ -923,13 +918,11 @@ def quotient(g: GroupTable, n: NormalSubgroup) -> GroupTable:
     q = GroupTable()
     q.kind = "quot"
     q.parent = g
-    q.coset_reps = reps
     q.proj = proj
     q.order = len(reps)
     q.gens, cols = _distinct_gens(proj[g.gens].tolist())
     # the coset of x times that of h is the coset of rep(x) * h
     q._right = proj[g._right[cols][:, reps]]
-    q.label = f"({g.label}) / N of order {n.order}"
     return q
 
 
@@ -965,23 +958,21 @@ def normal_subgroups(g: GroupTable) -> list[NormalSubgroup]:
     classes, and the join of normal subgroups A and B is their product set
     A * B.  So joining each distinct closure N_c into every subgroup found
     so far, from {1}, leaves the joins of all subsets of the closures: the
-    whole lattice (Hulpke, Computing normal subgroups, ISSAC 1998).  Cached
-    as (order, class bitmask) pairs.
+    whole lattice (Hulpke, Computing normal subgroups, ISSAC 1998).  Built
+    on every call; the rows and class-set powers it reads are kept.
     """
-    normals = g.cache.get("normals")
-    if normals is None:
-        classes = g.classes
-        if len(classes) > CLASS_CAP:
-            raise ClassCapExceeded(
-                f"{len(classes)} conjugacy classes exceed the lattice cap {CLASS_CAP}"
-            )
-        # every closure below reads its class's row: walk them all at once
-        g.class_structure_rows(range(1, len(classes)))
-        found: set[int] = {1}  # trivial subgroup: the identity class alone
-        for nc in {g.normal_closure_bits([c]) for c in range(len(classes))}:
-            # A * N_c = A when A already contains N_c
-            found |= {g.class_set_product_bits(a, nc) for a in found if a & nc != nc}
-        normals = g.cache["normals"] = sorted((g.class_bits_size(b), b) for b in found)
+    classes = g.classes
+    if len(classes) > CLASS_CAP:
+        raise ClassCapExceeded(
+            f"{len(classes)} conjugacy classes exceed the lattice cap {CLASS_CAP}"
+        )
+    # every closure below reads its class's row: walk them all at once
+    g.class_structure_rows(range(1, len(classes)))
+    found: set[int] = {1}  # trivial subgroup: the identity class alone
+    for nc in {g.normal_closure_bits([c]) for c in range(len(classes))}:
+        # A * N_c = A when A already contains N_c
+        found |= {g.class_set_product_bits(a, nc) for a in found if a & nc != nc}
+    normals = sorted((g.class_bits_size(b), b) for b in found)
     return [NormalSubgroup(g, bits, order) for order, bits in normals]
 
 
@@ -1011,17 +1002,14 @@ def commutator_subgroup(g: GroupTable) -> NormalSubgroup:
     the products C^-1 * C, so their classes are the supports of the pair
     products, structure row c at the class of inverses of c, for every c.
     """
-    bits = g.cache.get("derived")
-    if bits is None:
-        r = len(g.classes)
-        # every class's row is read: walk them all at once
-        g.class_structure_rows(range(1, r))
-        inverses = g.class_inverses.tolist()
-        seeds = 0
-        for c in range(r):
-            seeds |= g.class_pair_product_bits(inverses[c], c)
-        bits = g.cache["derived"] = g.normal_closure_bits(_iter_bits(seeds))
-    return NormalSubgroup(g, bits)
+    r = len(g.classes)
+    # every class's row is read: walk them all at once
+    g.class_structure_rows(range(1, r))
+    inverses = g.class_inverses.tolist()
+    seeds = 0
+    for c in range(r):
+        seeds |= g.class_pair_product_bits(inverses[c], c)
+    return NormalSubgroup(g, g.normal_closure_bits(_iter_bits(seeds)))
 
 
 def is_perfect(g: GroupTable) -> bool:

@@ -158,6 +158,9 @@ def test_degrees_match_oracles_on_random_permutation_groups(gens):
     if g.order <= 60:
         assert got == oracles.degrees_regular_rep(gens, oracles.compose, oracles.invert)
     _check_degree_identities(g, got)
+    # D(G) from the is_perfect shortcut or the split agrees with the split
+    if g.order > 1:
+        assert chars.quasirandom_degree(g) == got[1]
 
 
 def _check_degree_identities(g, degrees):
@@ -274,7 +277,7 @@ def test_quasirandom_degree_of_a_non_perfect_group_needs_no_split(monkeypatch, s
     assert chars.quasirandom_degree(build(spec)) == want == 1
 
 
-def test_quasirandom_degree_of_perfect_groups_and_cached_degrees(monkeypatch):
+def test_quasirandom_degree_of_perfect_groups_and_above_the_cap(monkeypatch):
     calls = []
     character_degrees = chars.character_degrees
 
@@ -287,11 +290,6 @@ def test_quasirandom_degree_of_perfect_groups_and_cached_degrees(monkeypatch):
     assert chars.quasirandom_degree(build("A5")) == 3
     assert chars.quasirandom_degree(build("SL2:5")) == 2
     assert len(calls) == 2
-    # cached degrees are read as they are, with no derived subgroup formed
-    s4 = build("S4")
-    counted(s4)
-    monkeypatch.setattr(chars, "is_perfect", lambda g: pytest.fail("is_perfect called"))
-    assert chars.quasirandom_degree(s4) == 1
     # above the cap D(G) is not known, perfect or not
     with pytest.raises(CapExceeded):
         chars.quasirandom_degree(build("S5"), cap=100)

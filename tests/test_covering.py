@@ -298,10 +298,12 @@ DEPTHS = st.integers(1, 3)
 
 def _index_oracle(g):
     """Elements 0..|G|-1 with the oracle product of image tuples; a quotient
-    multiplies its coset representatives in the parent and projects."""
+    multiplies its coset representatives, the smallest member of each coset,
+    in the parent and projects."""
     if g.kind == "quot":
         parent = _index_oracle(g.parent)[1]
-        reps, proj = g.coset_reps.tolist(), g.proj.tolist()
+        reps = np.unique(g.proj, return_index=True)[1].tolist()
+        proj = g.proj.tolist()
         return list(range(g.order)), lambda a, b: proj[parent(reps[a], reps[b])]
     images = [g.element(i).images for i in range(g.order)]
     index = {x: i for i, x in enumerate(images)}

@@ -530,7 +530,8 @@ def test_product_and_quotient_inverses_match_their_factors(spec):
     else:
         q = engine.quotient(g, engine.cosocle(g))
         assert q.order < g.order
-        assert np.array_equal(q.inv, q.proj[g.inv[q.coset_reps]])
+        reps = np.unique(q.proj, return_index=True)[1]
+        assert np.array_equal(q.inv, q.proj[g.inv[reps]])
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -787,7 +788,6 @@ def _check_quotients(g):
                 reps.append(i)
         assert q.order == len(reps)
         assert q.proj.tolist() == coset
-        assert q.coset_reps.tolist() == reps
 
         def coset_of_product(a, b):
             return coset[index[mul(elements[reps[a]], elements[reps[b]])]]
@@ -839,10 +839,12 @@ def test_classes_center_and_quotients_match_oracle_on_random_matrix_groups(drawn
 
 def _oracle_index_mul(g):
     """(i, j) -> index of element(i) * element(j) by the oracle products; a
-    quotient projects the product of its coset representatives."""
+    quotient projects the product of its coset representatives, the smallest
+    member of each coset."""
     if g.kind == "quot":
         parent = _oracle_index_mul(g.parent)
-        return lambda i, j: int(g.proj[parent(int(g.coset_reps[i]), int(g.coset_reps[j]))])
+        reps = np.unique(g.proj, return_index=True)[1].tolist()
+        return lambda i, j: int(g.proj[parent(reps[i], reps[j])])
     mul = _oracle_mul(g)
     elements = _elements(g)
     index = {x: k for k, x in enumerate(elements)}
@@ -1137,7 +1139,7 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
 def test_lattice_and_cosocle_leave_no_reference_cycle(spec):
     g = build_group(parse_spec(spec))
     lattice = [(n.order, n.class_bits) for n in engine.normal_subgroups(g)]
-    # read back from the cache
+    # built again from the rows and class-set powers the group keeps
     assert [(n.order, n.class_bits) for n in engine.normal_subgroups(g)] == lattice
     # a quotient points at its parent and nothing points back; PSL2:7 is
     # itself the quotient of SL2:7 by its center
