@@ -29,12 +29,9 @@ from .constructions import (
 )
 from .covering import (
     CoveringReport,
-    class_of_element,
     covering_number,
     covering_property,
     double_covering_feasible,
-    kfold_product,
-    verify_product_preservation,
 )
 from .engine import (
     GroupTable,

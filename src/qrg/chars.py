@@ -88,7 +88,7 @@ def _class_coefficients(g: GroupTable, i: int) -> np.ndarray:
     """
     r = len(g.classes)
     sizes = g.class_sizes
-    codes, counts = g.class_structure_row(i)
+    codes, counts = g.class_structure_rows([i])[0]
     a = np.zeros(r * r, dtype=np.int64)
     a[codes] = counts
     return a.reshape(r, r) * sizes[i] // sizes

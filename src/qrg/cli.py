@@ -71,8 +71,8 @@ def _cap_order(args) -> int:
     return engine.DEFAULT_ORDER_CAP
 
 
-def _build(args) -> engine.GroupTable:
-    return build_group(parse_spec(args.groupspec), cap=_cap_order(args))
+def _build(args, text: str) -> engine.GroupTable:
+    return build_group(parse_spec(text), cap=_cap_order(args))
 
 
 def _parse_element(g: engine.GroupTable, text: str) -> int:
@@ -159,7 +159,7 @@ def _add_common(sub):
 
 
 def cmd_analyze(args) -> int:
-    g = _build(args)
+    g = _build(args, args.groupspec)
     classes = g.classes
     cos = engine.cosocle(g)
     if g.order == 1:
@@ -187,7 +187,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    g = _build(args)
+    g = _build(args, args.groupspec)
     x = _parse_element(g, args.element)
     if args.mod_cosocle:
         q = engine.quotient(g, engine.cosocle(g))
@@ -225,7 +225,7 @@ def cmd_covering(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    g = _build(args)
+    g = _build(args, args.groupspec)
     report = chars.character_degrees(g, cap=args.cap_degree)
     _emit(_report(
         "degree",
@@ -302,7 +302,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    g = _build(args)
+    g = _build(args, args.groupspec)
     size_frac = args.alpha * g.order
     if size_frac.denominator != 1 or not 0 < size_frac.numerator <= g.order:
         raise ValueError(f"alpha {args.alpha} does not give an integer subset size")
@@ -352,22 +352,22 @@ def _suite_brenner(args):
         ("A7", "(1 2 3)(4 5)(6 7)"),
         ("A8", "(1 2 3 4)(5 6 7 8)"),
     ):
-        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
-        x = g.index_of(parse_cycles(cyc, degree=g.degree))
+        g = _build(args, spec_text)
+        x = _parse_element(g, cyc)
         rep = covering.covering_number(g, x)
         yield (
             f"{spec_text} sigma covering number at most 4",
             rep.K is not None and rep.K <= 4,
             {"K": rep.K},
         )
-        full = covering.kfold_product(covering.class_of_element(g, x), 4).is_full()
+        full = g.class_set_power(1 << int(g.class_of[x]), 4) == g.full_class_bits()
         yield (f"{spec_text} 4-fold class product is the whole group", full, {})
 
 
 def _suite_bcc(args):
     ks = ms = (1, 2, 3)
     for spec_text in ("SL2:5", "SL2:7"):
-        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
+        g = _build(args, spec_text)
         reps = [c.rep for c in g.classes]
         factor, mod, minimal = covering.cosocle_inflation(g, reps, ms, ks, reps, ms, ks)
         witnesses, violations = int(mod.sum()), int((mod & (minimal == 0)).sum())
@@ -426,7 +426,7 @@ def _suite_mixing(args):
     rng = np.random.default_rng(seed)
     rates = {}
     for spec_text in ("SL2:5", "SL2:11"):
-        g = build_group(parse_spec(spec_text), cap=_cap_order(args))
+        g = _build(args, spec_text)
         subsets = [rng.choice(g.order, size=g.order // 2, replace=False)
                    for _ in range(args.trials)]
         reps = chars.gowers_mixing(g, subsets, Fraction(1, 10), Fraction(1, 10))
@@ -538,20 +538,19 @@ def _suite_jordan(args):
 
 
 def _suite_preservation(args):
-    cap = _cap_order(args)
-    a5 = build_group(parse_spec("A5"), cap=cap)
-    x = a5.index_of(parse_cycles("(1 2 3 4 5)", degree=5))
+    a5 = _build(args, "A5")
+    x = _parse_element(a5, "(1 2 3 4 5)")
     params = (2, 4, 2, 4)
     base = covering.double_covering_feasible(a5, x, x, *params)
     yield ("A5 witness pair has [(2,4),(2,4)]", base, {})
 
-    ok = covering.verify_product_preservation([(a5, x, x), (a5, x, x)], *params)
+    prod = engine.direct_product(a5, a5, cap=_cap_order(args))
+    xt = covering.product_witness_index([a5, a5], [x, x])
+    ok = base and covering.double_covering_feasible(prod, xt, xt, *params)
     yield ("parameters transfer to A5 x A5", ok, {})
 
-    prod = engine.direct_product(a5, a5, cap=cap)
     sub = engine.normal_subgroup_from_elements(prod, list(range(a5.order)))
     q = engine.quotient(prod, sub)
-    xt = covering.product_witness_index([a5, a5], [x, x])
     back = covering.double_covering_feasible(
         q, int(q.proj[xt]), int(q.proj[xt]), *params
     )

@@ -36,23 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .engine import GroupTable, cosocle, direct_product, quotient
-
-
-@dataclass(frozen=True)
-class ClassSet:
-    """A union of conjugacy classes of one group, as a bitmask."""
-
-    group: GroupTable
-    bits: int
-
-    def is_full(self) -> bool:
-        return self.bits == self.group.full_class_bits()
-
-
-def class_of_element(g: GroupTable, x: int, symmetric: bool = False) -> ClassSet:
-    """C(x), or C(x) union C(x^{-1}) for the symmetric variant."""
-    return ClassSet(g, _class_bits(g, int(g.class_of[x]), symmetric))
+from .engine import GroupTable, cosocle, quotient
 
 
 def _class_bits(g: GroupTable, c: int, symmetric: bool) -> int:
@@ -61,12 +45,6 @@ def _class_bits(g: GroupTable, c: int, symmetric: bool) -> int:
     if symmetric:
         bits |= 1 << int(g.class_inverses[c])
     return bits
-
-
-def kfold_product(base: ClassSet, k: int) -> ClassSet:
-    """Exact k-fold product base^k, k >= 1, read from the group's cached
-    powers of base."""
-    return ClassSet(base.group, base.group.class_set_power(base.bits, k))
 
 
 @dataclass
@@ -140,7 +118,7 @@ def covering_number(
     if x == 0:
         return report(None, [], "trivial class")
     full = g.full_class_bits()
-    powers, start = g.class_set_powers(class_of_element(g, x, symmetric).bits)
+    powers, start = g.class_set_powers(_class_bits(g, int(g.class_of[x]), symmetric))
     if reduce(int.__or__, powers) != full:
         return report(None, [], "proper normal closure")
     trace = []
@@ -241,25 +219,3 @@ def product_witness_index(groups: list[GroupTable], idxs: list[int]) -> int:
     for g, i in zip(groups[1:], idxs[1:]):
         out = out * g.order + i
     return out
-
-
-def verify_product_preservation(
-    witnessed: list[tuple[GroupTable, int, int]], k1: int, m1, k2: int, m2
-) -> bool:
-    """Symmetric double covering parameters transfer to a direct product.
-
-    Each entry of witnessed is (group, x, y).  Verifies the parameters on
-    every factor, then builds the direct product and re-verifies the same
-    parameters on the tuple witnesses.  Returns False as soon as any factor
-    fails.
-    """
-    if not witnessed:
-        raise ValueError("at least one factor is required")
-    for g, x, y in witnessed:
-        if not double_covering_feasible(g, x, y, k1, m1, k2, m2):
-            return False
-    groups = [g for g, _, _ in witnessed]
-    prod = reduce(direct_product, groups)
-    xt = product_witness_index(groups, [x for _, x, _ in witnessed])
-    yt = product_witness_index(groups, [y for _, _, y in witnessed])
-    return double_covering_feasible(prod, xt, yt, k1, m1, k2, m2)

@@ -452,10 +452,6 @@ class GroupTable:
                 self._power_classes[j] = tuple(class_of[_cycle(row)[1:] + [0]].tolist())
         return [rows[j] for j in js]
 
-    def class_structure_row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Structure row j, as class_structure_rows forms and keeps it."""
-        return self.class_structure_rows([j])[0]
-
     def class_pair_product_bits(self, ci: int, cj: int) -> int:
         """Bitmask of classes met by C_i * C_j: the support of structure row
         j at i, each row's supports cached as one bitmask per class.
@@ -470,7 +466,7 @@ class GroupTable:
         if row is None:
             r = len(self.classes)
             row = [0] * r
-            codes, _ = self.class_structure_row(cj)
+            codes, _ = self.class_structure_rows([cj])[0]
             for i, k in zip(*(x.tolist() for x in np.divmod(codes, r))):
                 row[i] |= 1 << k
             self._row_bits[cj] = row

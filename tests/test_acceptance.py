@@ -51,7 +51,7 @@ def test_criterion_01_four_step_covering():
         rep = covering.covering_number(g, x)
         assert rep.K is not None and rep.K <= 4
         assert rep.growth_trace == trace
-        assert covering.kfold_product(covering.class_of_element(g, x), 4).is_full()
+        assert g.class_set_power(1 << int(g.class_of[x]), 4) == g.full_class_bits()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     print(f"PASS criterion 1: A6/A7/A8 witnesses cover in <= 4 steps "
@@ -68,8 +68,8 @@ def test_criterion_02_two_prime_hypotheses_and_power_covering():
     x = g.index_of(parse_cycles("(1 2 3)(4 5 6)", degree=6))
     # power range 4 skipping the identity power: exponents coprime to 3
     for i in (1, 2, 4):
-        cls = covering.class_of_element(g, g.power(x, i))
-        assert covering.kfold_product(cls, 4).is_full()
+        cls = 1 << int(g.class_of[g.power(x, i)])
+        assert g.class_set_power(cls, 4) == g.full_class_bits()
     print("PASS criterion 2: degree-17 and degree-31 witnesses satisfy all "
           "hypotheses; (3,3) powers cover A6 at K=4")
 
@@ -141,11 +141,11 @@ def test_criterion_06_parameters_transfer_to_products_and_back():
     x = a5.index_of(parse_cycles("(1 2 3 4 5)", degree=5))
     params = (2, 4, 2, 4)
     assert covering.double_covering_feasible(a5, x, x, *params)
-    assert covering.verify_product_preservation([(a5, x, x), (a5, x, x)], *params)
     prod = engine.direct_product(a5, a5)
+    xt = covering.product_witness_index([a5, a5], [x, x])
+    assert covering.double_covering_feasible(prod, xt, xt, *params)
     sub = engine.normal_subgroup_from_elements(prod, list(range(a5.order)))
     q = engine.quotient(prod, sub)
-    xt = covering.product_witness_index([a5, a5], [x, x])
     assert covering.double_covering_feasible(q, int(q.proj[xt]), int(q.proj[xt]),
                                              *params)
     print("PASS criterion 6: [(2,4),(2,4)] on A5 transfers to A5 x A5 and "

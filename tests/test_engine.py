@@ -939,7 +939,7 @@ def _check_structure_rows(g, rng):
     ]
     batched = [_rows_in_blocks(g, rows_per_block) for rows_per_block in (1, 3, r)]
     for j in range(r):
-        codes, counts = g.class_structure_row(j)
+        codes, counts = g.class_structure_rows([j])[0]
         assert (np.diff(codes) > 0).all() and (counts > 0).all()
         assert len(codes) <= min(g.order, r * r)
         row = np.zeros(r * r, dtype=np.int64)
@@ -1123,8 +1123,7 @@ def test_whole_group_products_form_no_carrier_products(monkeypatch):
         _forbid_rows(monkeypatch, g)
     quotients = []
     for g in groups:
-        for j in range(len(g.classes)):
-            g.class_structure_row(j)
+        g.class_structure_rows(range(len(g.classes)))
         assert g.exponent() > 1
         engine.commutator_subgroup(g)
         quotients.append(engine.quotient(g, engine.cosocle(g)))
