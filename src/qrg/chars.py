@@ -124,11 +124,21 @@ def _charpoly_mod(a: np.ndarray, ell: int) -> list[int]:
 
 
 def _poly_roots_mod(coeffs: Sequence[int], ell: int) -> list[int]:
+    """The roots in F_ell, ascending, of the polynomial with coefficients
+    coeffs mod ell, leading first: Horner's rule at every point of F_ell
+    at once, in place, reducing only when the next step could pass 2**63."""
     xs = np.arange(ell, dtype=np.int64)
-    acc = np.full(ell, coeffs[0], dtype=np.int64)
+    acc = np.full(ell, coeffs[0] % ell, dtype=np.int64)
+    # acc <= top; a step with x and c below ell leaves acc <= (top + 1)(ell - 1)
+    top = ell - 1
     for c in coeffs[1:]:
-        acc = (acc * xs + c) % ell
-    return [int(x) for x in xs[acc == 0]]
+        if (top + 1) * (ell - 1) >= 1 << 63:
+            acc %= ell
+            top = ell - 1
+        acc *= xs
+        acc += c % ell
+        top = (top + 1) * (ell - 1)
+    return [int(x) for x in xs[acc % ell == 0]]
 
 
 class _SplitFailure(Exception):
@@ -182,9 +192,11 @@ def _degrees_at_prime(g: GroupTable, ell: int) -> list[int]:
         if spaces is None:
             raise _SplitFailure(f"defective action at class {i}")
         if i == 1 and any(b.shape[1] != 1 for b, _ in spaces):
+            # r - 1 products of two residues, within the bound checked above
             generic = np.zeros((r, r), dtype=np.int64)
             for j, c in enumerate(_generic_coefficients(r, ell).tolist(), 1):
-                generic = (generic + c * (_class_coefficients(g, j).T % ell)) % ell
+                generic += c * (_class_coefficients(g, j).T % ell)
+            generic %= ell
             spaces = _split_spaces(spaces, generic, ell) or spaces
     if any(b.shape[1] != 1 for b, _ in spaces):
         raise _SplitFailure("class matrices exhausted before full split")

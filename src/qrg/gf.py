@@ -21,9 +21,19 @@ ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
 those ranks (jordan_numerators, in integers).  The two-prime witness's
 length needs no elimination: constructions reads the ranks of its cycle
 blocks off x^k = 1.
-The kernel multiplies two residues below p, so it requires p < 2**31
-(p**2 < 2**62), checked where it is entered; callers such as the character
-degrees pass primes above MAX_PRIME.
+The kernel's stack is not reduced after every column.  Only the column
+that pivots are read from is reduced mod p, so every subtracted product is
+of two residues, below (p - 1)**2, and j such updates leave the entries in
+[-j (p-1)**2, p).  The pivot row is read unreduced and multiplied by an
+inverse below p, up to j (p-1)**3 in magnitude, so the whole stack is
+reduced once j reaches the period (2**63 - 1) // (p-1)**3, computed from p
+at entry: never for p < 2**16 in practice, every few columns near 10**6 and
+every column from 2**21 up.  At a period of one column every product is
+of two residues, so the kernel requires p < 2**31 (p**2 < 2**62), checked
+where it is entered; callers such as the character degrees pass primes
+above MAX_PRIME.
+_back_substitute reduces the same way, each row it reads and the whole
+stack every (2**63 - 1) // (p-1)**2 rows.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ import numpy as np
 from .errors import CapExceeded, Cursor, ParseError
 
 MAX_PRIME = 1 << 16
-# Elimination multiplies two residues below p: p**2 < 2**62 keeps that and
-# the difference it is subtracted from inside int64.
+# Elimination reduced after every column multiplies two residues below p:
+# p**2 < 2**62 keeps that and the difference it is subtracted from inside int64.
 _ELIM_PRIME_LIMIT = 1 << 31
 
 # Matrix entries per rank call in shift_ranks: with the (n, n) echelon rows
@@ -197,11 +207,18 @@ def _eliminate(stack: np.ndarray, p: int):
     then on and is never chosen again.  Returns the stored rows as a
     (b, m, m) stack, rows[:, c] the scaled pivot row of column c or zero,
     and the pivots before scaling as a (b, m) array, 0 where there is none.
+    Both are reduced; the working stack is congruent mod p but reduced only
+    in the column read and when the period set below runs out.
     """
     if not 2 <= p < _ELIM_PRIME_LIMIT:
         raise ValueError(f"elimination needs 2 <= p < 2**31, got {p}")
     a = np.asarray(stack, dtype=np.int64, order="C") % p
     table = _inverse_table(p) if p < MAX_PRIME else None
+    # j column updates after a reduction leave a in [-j (p-1)**2, p), and
+    # the pivot row read then meets an inverse below p: up to j (p-1)**3,
+    # which stays below 2**63 while j < period.
+    period = max(1, ((1 << 63) - 1) // (p - 1) ** 3)
+    since = 0
     b, n, m = a.shape
     at = np.arange(b)
     rows = np.zeros((b, m, m), dtype=np.int64)
@@ -210,7 +227,7 @@ def _eliminate(stack: np.ndarray, p: int):
     for c in range(m):
         if not left:
             break
-        col = a[:, :, c]
+        col = a[:, :, c] % p
         r = (col != 0).argmax(axis=1)
         piv = col[at, r]
         k = np.count_nonzero(piv)
@@ -223,7 +240,10 @@ def _eliminate(stack: np.ndarray, p: int):
         # A matrix without a pivot here has row = 0, so it is left unchanged.
         row = a[at, r] * inv[:, None] % p
         a -= col[:, :, None] * row[:, None, :]
-        a %= p
+        since += 1
+        if since == period:
+            a %= p
+            since = 0
         rows[:, c] = row
         pivots[:, c] = piv
         left -= k
@@ -235,12 +255,20 @@ def _back_substitute(rows: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     (b, m, m) echelon rows of _eliminate, the last column first: the same
     columns of the fully reduced rows.  Row c of an echelon stack is zero
     before column c, so clearing column c touches only the rows above it,
-    and a row without a pivot adds nothing."""
+    and a row without a pivot adds nothing.  Each row of y is reduced as it
+    is read, the whole of y when the period set below runs out and once at
+    the end, so the result is reduced."""
+    # Row c is reduced before it is read, so each step subtracts products
+    # below (p-1)**2, and j steps after a reduction leave y in
+    # [-j (p-1)**2, p): below 2**63 in magnitude while j <= period.
+    period = ((1 << 63) - 1) // (p - 1) ** 2
     y = y.copy()
-    for c in range(rows.shape[1] - 1, 0, -1):
+    for j, c in enumerate(range(rows.shape[1] - 1, 0, -1), 1):
         above = y[:, :c]
-        above -= rows[:, :c, c, None] * y[:, c, None, :]
-        above %= p
+        above -= rows[:, :c, c, None] * (y[:, c, None, :] % p)
+        if j % period == 0:
+            y %= p
+    y %= p
     return y
 
 

@@ -627,6 +627,19 @@ def jordan_length_reference(entries, p: int) -> Fraction:
     return Fraction(n - best, n)
 
 
+def poly_roots_bruteforce(coeffs, ell: int):
+    """The x in F_ell, ascending, at which the polynomial with coefficients
+    coeffs, leading first, vanishes mod ell: Horner's rule in Python ints."""
+    roots = []
+    for x in range(ell):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % ell
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
 # -- unitary geometry at 50 digits -------------------------------------------
 
 def packing_m_highprec(eps: Fraction) -> int:

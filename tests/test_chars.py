@@ -190,7 +190,7 @@ def build_degrees(spec):
 CLOSED_FORMS = (
     [(f"A{n}", oracles.alternating_degrees(n)) for n in range(5, 10)]
     + [(f"S{n}", oracles.symmetric_degrees(n)) for n in range(5, 8)]
-    + [(f"SL2:{p}", oracles.sl2_degrees(p)) for p in (5, 7, 11, 13, 17, 29, 31)]
+    + [(f"SL2:{p}", oracles.sl2_degrees(p)) for p in (5, 7, 11, 13, 17, 29, 31, 79)]
     + [(f"PSL2:{p}", oracles.psl2_degrees(p)) for p in (7, 11, 29, 31)]
     + [
         ("prod(A5,A6)", oracles.product_degrees(
@@ -242,6 +242,52 @@ def test_charpoly_int64_limit():
     for past in (2**31 + 1, 2**31 + 11):
         with pytest.raises(OverflowError):
             chars._charpoly_mod(np.eye(2, dtype=np.int64), past)
+
+
+def _poly_mul(f, g, ell):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % ell
+    return out
+
+
+def _split_poly(roots, ell, rng):
+    """A monic polynomial mod ell, leading first, with exactly the given
+    roots, repeats kept, times x**2 - n for a non-residue n, which has none."""
+    n = next(x for x in rng.integers(2, ell, size=64).tolist()
+             if pow(x, (ell - 1) // 2, ell) == ell - 1)
+    f = [1, 0, ell - n]
+    for r in roots:
+        f = _poly_mul(f, [1, -r % ell], ell)
+    return f
+
+
+@pytest.mark.parametrize("ell", [12241, 29761])
+def test_poly_roots_match_bruteforce(ell):
+    # random polynomials, and split ones with repeated roots and root 0
+    rng = np.random.default_rng(ell)
+    polys = [[1] + rng.integers(0, ell, size=d).tolist() for d in (1, 2, 3, 6, 11)]
+    polys.append(rng.integers(0, ell, size=8).tolist())
+    for k in (1, 4, 9):
+        roots = rng.integers(0, ell, size=k).tolist()
+        polys.append(_split_poly(roots + [roots[0], 0, 0], ell, rng))
+    for f in polys:
+        assert chars._poly_roots_mod(f, ell) == oracles.poly_roots_bruteforce(f, ell)
+
+
+@pytest.mark.parametrize("ell", [985921, 2097169])
+def test_poly_roots_past_the_int64_bound(ell):
+    # From a residue, Horner's accumulator takes two steps below 2**63 at
+    # 985,921 (ell**4 > 2**63) and one past 2**21 (ell**3 > 2**63), so it is
+    # reduced every second step or every step; the roots are known by
+    # construction
+    rng = np.random.default_rng(ell)
+    for roots in ([0], [0, 0, 1, ell - 1], rng.integers(0, ell, size=10).tolist() * 2):
+        f = _split_poly(roots, ell, rng)
+        assert chars._poly_roots_mod(f, ell) == sorted(set(roots))
+    rootless = _poly_mul(_split_poly([], ell, rng), _split_poly([], ell, rng), ell)
+    assert chars._poly_roots_mod(rootless, ell) == []
 
 
 def test_degree_normalization_int64_limit():

@@ -87,8 +87,12 @@ def test_nullspace_kills_and_completes_rank():
 
 
 @st.composite
-def stacks(draw, primes=(2, 3, 5, 7, 65521), max_dim=6):
-    """(p, stack): a (b, n, m) stack mod p, some matrices zero or of low rank."""
+def stacks(draw, primes=(2, 3, 5, 7, 65521, 985921), max_dim=12):
+    """(p, stack): a (b, n, m) stack mod p, some matrices zero or of low rank.
+
+    985,921 is past the inverse table, and 12 columns are more than the 9
+    that _eliminate clears there between two reductions of the whole stack.
+    """
     p = draw(st.sampled_from(primes))
     b = draw(st.integers(1, 4))
     n = draw(st.integers(1, max_dim))
@@ -200,6 +204,47 @@ def test_nullspaces_of_a_mixed_stack_match_single_calls():
         assert (free == alone_free).all()
 
 
+def edge_stack(rng, p, n):
+    """Four n x n matrices mod p: random, zero, the last row a multiple of
+    the first, and zero in the first half of its columns."""
+    a = rng.integers(0, p, size=(4, n, n))
+    a[1] = 0
+    a[2, -1] = a[2, 0] * 5 % p
+    a[3, :, : n // 2] = 0
+    return a
+
+
+# (p, n): 985,921 and 2**31 - 1 clear more columns than _eliminate's period,
+# (2**63 - 1) // (p - 1)**3 columns between reductions of the whole stack,
+# and 2**31 - 1 more rows than _back_substitute's, (2**63 - 1) // (p - 1)**2;
+# 65,537 inverts its pivots by pow just above the inverse table, and p = 2
+# runs 40 columns without a reduction.
+_EDGE_CASES = [(985921, 12), (985921, 24), (2**31 - 1, 12), (2**31 - 1, 20), (65537, 16), (2, 40)]
+
+
+@pytest.mark.parametrize("p, n", _EDGE_CASES)
+def test_kernel_past_its_reduction_periods(p, n):
+    rng = np.random.default_rng(n)
+    a = edge_stack(rng, p, n)
+    _, pivots = gf._eliminate(a, p)
+    if p in (985921, 2**31 - 1):
+        assert np.count_nonzero(pivots.any(axis=0)) > ((1 << 63) - 1) // (p - 1) ** 3
+    if p == 2**31 - 1:
+        assert n - 1 > ((1 << 63) - 1) // (p - 1) ** 2
+    check_echelon(a, p)
+    check_echelon(np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)], 2), p)
+    check_nullspaces(a, p)
+    for x in a:
+        inv = gf.ff_inv(x, p)
+        if oracles.det_mod_p(x.tolist(), p) == 0:
+            assert inv is None
+        else:
+            # Python ints: products of residues near 2**31 overflow int64 sums
+            eye = np.eye(n, dtype=np.int64)
+            assert ((x.astype(object) @ inv.astype(object)) % p == eye).all()
+            assert ((inv.astype(object) @ x.astype(object)) % p == eye).all()
+
+
 def test_inverse_table():
     for p in (2, 3, 7, 65521):
         table = gf._inverse_table(p)
@@ -257,7 +302,7 @@ def test_inverse_round_trips_on_stacks(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stacks(primes=(2, 3, 5, 7)), st.data())
+@given(stacks(primes=(2, 3, 5, 7), max_dim=6), st.data())
 def test_stacked_jordan_lengths_match_reference(case, data):
     p, a = case
     k = min(a.shape[1:])
