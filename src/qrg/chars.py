@@ -307,7 +307,7 @@ def gowers_mixing(
     good = [0] * len(trials)
     for rows in g.row_blocks():
         for t, (a_idx, mask, _, threshold_pairs) in enumerate(trials):
-            pairs = mask[rows[:, a_idx]].sum(axis=1)
+            pairs = mask.take(rows.take(a_idx, axis=1)).sum(axis=1)
             good[t] += int(np.count_nonzero(pairs >= threshold_pairs))
     return [
         MixingReport(

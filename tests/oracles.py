@@ -112,6 +112,27 @@ def group_closure(gens, mul):
     return elements
 
 
+def orbit_minima(n: int, maps):
+    """The smallest member of the orbit of each of the points 0 .. n - 1
+    under the permutations maps (sequences of images), by union-find: each
+    root is the smallest point of its tree, as the larger root is always
+    hung under the smaller."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m in maps:
+        for x, y in enumerate(m):
+            a, b = find(x), find(int(y))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
 def bfs_enumeration(gens, mul):
     """Group elements in first-seen breadth-first order: the identity, then
     for each frontier element x in order and each generator h in order the

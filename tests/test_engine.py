@@ -63,15 +63,21 @@ def test_inverses_and_powers():
 
 
 def test_batched_multiplication_matches_scalar():
-    # rows x * G walked three at a time equal the rows walked one at a time
-    g = a5()
-    rng = np.random.default_rng(5)
-    xs = rng.integers(0, g.order, size=40)
-    with mock.patch.object(engine, "_ROW_BLOCK", 3 * g.order):
-        blocks = list(g.row_blocks(xs))
-    assert [len(rows) for rows in blocks] == [3] * 13 + [1]
-    for x, row in zip(xs.tolist(), np.concatenate(blocks)):
-        assert row.tolist() == g._row_products(x).tolist()
+    # rows x * G walked three at a time equal the rows walked one at a time;
+    # A5's tree steps are slices, while a product's and a quotient's come
+    # from a search of R (_bfs_steps) and index the walk by arrays
+    for spec, sliced in [("A5", True), ("prod(A5,C3)", False), ("PSL2:7", False)]:
+        g = build_group(parse_spec(spec))
+        rng = np.random.default_rng(5)
+        xs = rng.integers(0, g.order, size=40)
+        with mock.patch.object(engine, "_ROW_BLOCK", 3 * g.order):
+            blocks = list(g.row_blocks(xs))
+        assert [len(rows) for rows in blocks] == [3] * 13 + [1]
+        assert all(isinstance(new, slice) == sliced for new, _, _ in g._steps)
+        for x, row in zip(xs.tolist(), np.concatenate(blocks)):
+            scalar = g._row_products(x)
+            assert row.dtype == scalar.dtype == np.int64
+            assert row.tolist() == scalar.tolist()
 
 
 def test_index_of_round_trip():
@@ -424,6 +430,28 @@ def test_stable_order_at_the_packing_limit(n):
         keys = rng.choice(values, size=n)
         keys[:2] = hi, lo
         _check_stable_order(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbit_labels_match_union_find(seed):
+    # maps are random permutations, some with long cycles; the starting
+    # labels are the smallest members of the orbits of the first few maps,
+    # as quotient passes them, each point but those minima relabelled by a
+    # random member of its own orbit
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    maps = [rng.permutation(n) for _ in range(rng.integers(1, 4))]
+    maps.append(np.roll(np.arange(n), int(rng.integers(0, n))))
+    done = int(rng.integers(0, len(maps)))
+    finer = np.array(oracles.orbit_minima(n, maps[:done]))
+    label = finer.copy()
+    for x in range(n):
+        block = np.flatnonzero(finer == finer[x])
+        if x != finer[x]:
+            label[x] = rng.choice(block)
+    got = engine._orbit_labels(maps, label)
+    assert got.tolist() == oracles.orbit_minima(n, maps)
 
 
 def _tree_layers(steps, order):
