@@ -239,7 +239,8 @@ def cmd_degree(args) -> int:
 
 
 def cmd_jordan(args) -> int:
-    if args.matrix is not None:
+    given = [x is not None for x in (args.n, args.p, args.q, args.field)]
+    if args.matrix is not None and not any(given):
         m = gf.parse_matrix(args.matrix)
         value = gf.jordan_length(m)
         _emit(_report(
@@ -250,9 +251,9 @@ def cmd_jordan(args) -> int:
             jordan_length=gf.format_rational(value),
         ), args.fmt)
         return EXIT_PASS
-    if args.n is None or args.p is None or args.q is None or args.field is None:
+    if args.matrix is not None or not all(given):
         raise ParseError("jordan needs either --matrix or all of --n --p --q --field")
-    value = constructions.jordan_of_sigma(args.n, args.p, args.q, args.field)
+    value = constructions.jordan_of_sigma(args.n, args.p, args.q)
     a, b = constructions.solve_two_prime(args.n, args.p, args.q)
     _emit(_report(
         "jordan",
@@ -281,7 +282,7 @@ def cmd_construct(args) -> int:
             "fixed_point_free": sigma.is_fixed_point_free(),
         }
         if args.field is not None:
-            value = constructions.jordan_of_sigma(args.n, args.p, args.q, args.field)
+            value = constructions.jordan_of_sigma(args.n, args.p, args.q)
             fields["field"] = args.field.p
             fields["jordan_length"] = gf.format_rational(value)
         _emit(_report("construct", **fields), args.fmt)
@@ -443,26 +444,11 @@ def _suite_mixing(args):
     )
 
 
-def _random_invertible(rng, n: int, field: gf.PrimeField) -> gf.FFMatrix:
+def _random_invertible(rng, n: int, p: int) -> np.ndarray:
     while True:
-        entries = rng.integers(0, field.p, size=(n, n))
-        if gf.ff_rank(entries, field.p) == n:
-            return gf.FFMatrix(field, entries)
-
-
-def _jordan_lengths_grouped(rows):
-    """Jordan lengths of rows of FFMatrix, in the same shape; the matrices
-    sharing a size and a field are ranked in one gf.jordan_lengths call."""
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for r, row in enumerate(rows):
-        for k, m in enumerate(row):
-            groups.setdefault((m.n, m.field.p), []).append((r, k))
-    out = [[None] * len(row) for row in rows]
-    for (_, p), spots in groups.items():
-        stack = np.array([rows[r][k].entries for r, k in spots])
-        for (r, k), length in zip(spots, gf.jordan_lengths(stack, p)):
-            out[r][k] = length
-    return out
+        entries = rng.integers(0, p, size=(n, n))
+        if gf.ff_rank(entries, p) == n:
+            return entries
 
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:
@@ -480,36 +466,48 @@ def _cycle_counts(images: np.ndarray) -> np.ndarray:
 def _suite_jordan(args):
     seed = args.seed if args.seed is not None else SUITE_SEEDS["jordan"]
     rng = np.random.default_rng(seed)
-    fields = [gf.PrimeField(p) for p in (2, 3, 5, 7)]
+    primes = (2, 3, 5, 7)
 
     # every matrix is drawn first, in the order the samples consume the
-    # generator, then the lengths come from one batched call per (n, p)
-    pairs = []
+    # generator, and kept by (n, p), whose lengths share the denominator n
+    cells = {}
     for _ in range(args.samples):
-        field = fields[rng.integers(len(fields))]
+        p = primes[rng.integers(4)]
         n = int(rng.integers(1, 7))
-        pairs.append((_random_invertible(rng, n, field), _random_invertible(rng, n, field)))
+        cells.setdefault((n, p), []).append((_random_invertible(rng, n, p),
+                                             _random_invertible(rng, n, p)))
     axiom_failures = 0
-    for la, l_inv, l_conj, l_prod, lb in _jordan_lengths_grouped(
-        [(a, a.inverse(), b * a * b.inverse(), a * b, b) for a, b in pairs]
-    ):
-        axiom_failures += not (la >= 0 and l_inv == la and l_conj == la and l_prod <= la + lb)
+    for (n, p), pairs in cells.items():
+        a, b = map(np.array, zip(*pairs))
+        inv = gf.ff_inv(np.concatenate([a, b]), p)
+        conj = b @ a % p @ inv[len(a):] % p
+        la, l_inv, l_conj, l_prod, lb = gf.jordan_numerators(
+            np.concatenate([a, inv[: len(a)], conj, a @ b % p, b]), p
+        ).reshape(5, -1)
+        bad = (l_inv != la) | (l_conj != la) | (l_prod > la + lb)
+        axiom_failures += int(np.count_nonzero(bad))
     yield (
         f"jordan pseudo-length axioms exact on {args.samples} samples",
         axiom_failures == 0,
         {"failures": axiom_failures, "seed": seed},
     )
 
-    pairs = []
+    # for the block sum s of a and b, l(s) >= (n1 l(a) + n2 l(b)) / (n1 + n2)
+    # over the one denominator n1 + n2 is num(s) >= num(a) + num(b)
+    cells = {}
     for _ in range(args.samples):
-        field = fields[rng.integers(len(fields))]
+        p = primes[rng.integers(4)]
         n1 = int(rng.integers(1, 7))
         n2 = int(rng.integers(1, 7))
-        pairs.append((_random_invertible(rng, n1, field), _random_invertible(rng, n2, field)))
+        cells.setdefault((n1, n2, p), []).append((_random_invertible(rng, n1, p),
+                                                  _random_invertible(rng, n2, p)))
     sum_failures = 0
-    lengths = _jordan_lengths_grouped([(gf.direct_sum(a, b), a, b) for a, b in pairs])
-    for (a, b), (lhs, la, lb) in zip(pairs, lengths):
-        sum_failures += not lhs >= (a.n * la + b.n * lb) / (a.n + b.n)
+    for (n1, n2, p), pairs in cells.items():
+        a, b = map(np.array, zip(*pairs))
+        zero = np.zeros((len(a), n1, n2), dtype=np.int64)
+        both = np.block([[a, zero], [zero.swapaxes(1, 2), b]])
+        bound = gf.jordan_numerators(a, p) + gf.jordan_numerators(b, p)
+        sum_failures += int(np.count_nonzero(gf.jordan_numerators(both, p) < bound))
     yield (
         f"jordan direct-sum lower bound exact on {args.samples} pairs",
         sum_failures == 0,
@@ -518,7 +516,6 @@ def _suite_jordan(args):
 
     perm_failures = 0
     checked = 0
-    perm_fields = [gf.PrimeField(p) for p in (2, 3, 5)]
     for n in range(2, 9):
         images = np.array(list(itertools.permutations(range(n))))
         # the bound (n - cycles)/n and the lengths share the denominator n
@@ -526,8 +523,8 @@ def _suite_jordan(args):
         # 0/1 entries, the same over every field: row images[k, j] of column j
         mats = np.zeros((len(images), n, n), dtype=np.int64)
         mats[np.arange(len(images))[:, None], images, np.arange(n)] = 1
-        for field in perm_fields:
-            numerators = gf.jordan_numerators(mats, field.p)
+        for p in (2, 3, 5):
+            numerators = gf.jordan_numerators(mats, p)
             perm_failures += int(np.count_nonzero(numerators < bounds))
             checked += len(images)
     yield (

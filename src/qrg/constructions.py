@@ -88,11 +88,11 @@ def symplectic_check(m: FFMatrix) -> bool:
     """Whether m preserves the standard form: m^T J m = J."""
     if m.n % 2 != 0:
         raise ValueError("the standard form needs even dimension")
-    j = symplectic_form(m.field, m.n)
-    return m.transpose() * j * m == j
+    p, j = m.field.p, symplectic_form(m.field, m.n).entries
+    return np.array_equal(m.entries.T @ j % p @ m.entries % p, j)
 
 
-def jordan_of_sigma(n: int, p: int, q: int, field: PrimeField) -> Fraction:
+def jordan_of_sigma(n: int, p: int, q: int) -> Fraction:
     """Exact Jordan length of the witness's permutation matrix, from its cycles.
 
     The witness's cycles are consecutive ranges, so its matrix P is block

@@ -1,7 +1,9 @@
 """Exact linear algebra over prime fields GF(p), p < 2**16.
 
 Matrices are numpy int64 arrays reduced mod p; all elimination is exact.
-Extension fields GF(p^k), k >= 2, are out of scope.
+Extension fields GF(p^k), k >= 2, are out of scope.  FFMatrix is a value
+type with no arithmetic: products are reduced matmuls on int64 entries, and
+rank, inverse and Jordan length take (b, n, n) stacks.
 
 Every elimination runs through one kernel, _eliminate, which brings a
 (b, n, m) stack of matrices to echelon form: a loop over the m columns,
@@ -12,9 +14,9 @@ row, the pivot row included, so a used row is zero and never chosen again.
 Pivot inverses come from a per-p table of every inverse mod p for
 p < MAX_PRIME (read-only uint16, at most 128 KiB; the 16 most recently
 used are kept), and from Python's pow on the pivots above it.  The rank is
-read off the pivots; the inverse and the nullspaces of a whole stack
-(ff_nullspaces, one elimination for every matrix) reduce the echelon rows
-fully, _back_substitute, over only the columns they read.
+read off the pivots; the inverses and the nullspaces of a whole stack
+(ff_inv, ff_nullspaces, one elimination for every matrix) reduce the
+echelon rows fully, _back_substitute, over only the columns they read.
 The character degrees read the kernels of all eigenvalue shifts of one
 class-algebra action from a single ff_nullspaces call.  shift_ranks
 ranks a*I - g for every a in GF(p) at once; the Jordan length is read off
@@ -63,10 +65,6 @@ DEFAULT_ORDER_CAP = 500_000
 
 class SingularMatrix(ValueError):
     """Raised where an invertible matrix is required."""
-
-
-class FieldMismatch(ValueError):
-    """Operands live over different prime fields."""
 
 
 class UnsupportedFamily(ValueError):
@@ -123,7 +121,8 @@ def _as_array(entries, p: int) -> np.ndarray:
 
 
 class FFMatrix:
-    """Square matrix over a prime field."""
+    """Square matrix over a prime field: an immutable value with validated,
+    reduced entries and no arithmetic; computations read .entries."""
 
     __slots__ = ("field", "n", "entries")
 
@@ -140,25 +139,6 @@ class FFMatrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FFMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    def _check(self, other: "FFMatrix"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __mul__(self, other: "FFMatrix") -> "FFMatrix":
-        self._check(other)
-        return FFMatrix(self.field, (self.entries @ other.entries) % self.field.p)
-
-    def inverse(self) -> "FFMatrix":
-        inv = ff_inv(self.entries, self.field.p)
-        if inv is None:
-            raise SingularMatrix("matrix is singular")
-        return FFMatrix(self.field, inv)
-
-    def transpose(self) -> "FFMatrix":
-        return FFMatrix(self.field, self.entries.T)
 
     def __eq__(self, other):
         return (
@@ -280,15 +260,19 @@ def ff_rank(a: np.ndarray, p: int):
     return int(ranks[0]) if a.ndim == 2 else ranks
 
 
-def ff_inv(a: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse mod p, or None when singular: the right half of the reduced [A | I]."""
+def ff_inv(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a matrix, or the inverses of a (b, n, n) stack: the
+    right half of each reduced [A | I].  Raises SingularMatrix when any
+    matrix is singular."""
     a = np.asarray(a, dtype=np.int64)
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    rows, pivots = _eliminate(aug[None], p)
-    if not pivots[0, :n].all():
-        return None
-    return _back_substitute(rows[:, :n, :n], rows[:, :n, n:], p)[0]
+    stack = a[None] if a.ndim == 2 else a
+    n = stack.shape[1]
+    aug = np.concatenate([stack, np.broadcast_to(np.eye(n, dtype=np.int64), stack.shape)], axis=2)
+    rows, pivots = _eliminate(aug, p)
+    if not pivots[:, :n].all():
+        raise SingularMatrix("matrix is singular")
+    inv = _back_substitute(rows[:, :n, :n], rows[:, :n, n:], p)
+    return inv[0] if a.ndim == 2 else inv
 
 
 def ff_nullspaces(stack: np.ndarray, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -342,28 +326,12 @@ def jordan_numerators(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks[:, 1:].min(axis=1)
 
 
-def jordan_lengths(stack: np.ndarray, p: int) -> list[Fraction]:
-    """Jordan lengths (n - m_g)/n of a (b, n, n) stack of invertible matrices g."""
-    n = np.shape(stack)[1]
-    return [Fraction(int(k), n) for k in jordan_numerators(stack, p)]
-
-
 def jordan_length(g: FFMatrix) -> Fraction:
     """(n - m_g)/n where m_g = max over a in F* of dim ker(a - g), exact.
 
     Only defined for invertible g.
     """
-    return jordan_lengths(g.entries[None], g.field.p)[0]
-
-
-def direct_sum(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field} vs {b.field}")
-    n, m = a.n, b.n
-    out = np.zeros((n + m, n + m), dtype=np.int64)
-    out[:n, :n] = a.entries
-    out[n:, n:] = b.entries
-    return FFMatrix(a.field, out)
+    return Fraction(int(jordan_numerators(g.entries[None], g.field.p)[0]), g.n)
 
 
 def sl_order(n: int, q: int) -> int:

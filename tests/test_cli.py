@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from qrg import cli, gf
 
 
@@ -152,6 +153,19 @@ def test_jordan_requires_one_mode(capsys):
     code, lines = run(["jordan"], capsys)
     assert code == 2
     assert lines[0]["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--n", "17"], ["--p", "5"], ["--q", "7"], ["--field", "5"]]
+)
+def test_jordan_refuses_matrix_with_witness_options(capsys, extra):
+    code, lines = run(["jordan", "--matrix", "mat:p=5:[[1,1],[0,1]]"] + extra, capsys)
+    assert code == 2
+    assert lines == [{
+        "schema": "qrg/1",
+        "error": "parse",
+        "message": "jordan needs either --matrix or all of --n --p --q --field",
+    }]
 
 
 def test_construct_sigma(capsys):
@@ -558,15 +572,112 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     assert [code for code, _ in got] == [0, 0, 2, 0]
 
 
-def test_grouped_jordan_lengths_match_one_at_a_time():
-    # rows mix sizes and fields, so matrices of one row land in different calls
-    rng = np.random.default_rng(4)
-    rows = []
-    for _ in range(30):
-        field = gf.PrimeField(int(rng.choice([2, 3, 5, 7])))
-        rows.append([cli._random_invertible(rng, int(rng.integers(1, 5)), field) for _ in range(3)])
-    want = [[gf.jordan_length(m) for m in row] for row in rows]
-    assert cli._jordan_lengths_grouped(rows) == want
+def _jordan_draws(samples, seed):
+    """Reference draw loop of verify jordan's first two parts: the pairs of
+    each cell, (n, p) and then (n1, n2, p), in the order the generator gives
+    them, each singular draw rejected by the oracle's rank."""
+    rng = np.random.default_rng(seed)
+
+    def invertible(n, p):
+        while True:
+            x = rng.integers(0, p, size=(n, n))
+            if oracles.rank_mod_p(x.tolist(), p) == n:
+                return x
+
+    axioms, sums = {}, {}
+    for _ in range(samples):
+        p = (2, 3, 5, 7)[rng.integers(4)]
+        n = int(rng.integers(1, 7))
+        axioms.setdefault((n, p), []).append((invertible(n, p), invertible(n, p)))
+    for _ in range(samples):
+        p = (2, 3, 5, 7)[rng.integers(4)]
+        n1 = int(rng.integers(1, 7))
+        n2 = int(rng.integers(1, 7))
+        sums.setdefault((n1, n2, p), []).append((invertible(n1, p), invertible(n2, p)))
+    return axioms, sums
+
+
+def test_verify_jordan_ranks_every_draw_once_in_seed_order(monkeypatch):
+    # the stacks ranked by the axiom and direct-sum parts, in call order:
+    # per (n, p) cell one stack [a, a^-1, b a b^-1, a b, b], then per
+    # (n1, n2, p) cell the a, the b and the block sums a + b
+    ranked = []
+    numerators = gf.jordan_numerators
+
+    def record(stack, p):
+        ranked.append((p, np.array(stack)))
+        return numerators(stack, p)
+
+    monkeypatch.setattr(cli.gf, "jordan_numerators", record)
+    suite = cli._suite_jordan(cli._PARSER.parse_args(
+        ["verify", "jordan", "--samples", "150", "--seed", "3"]
+    ))
+    assert next(suite)[1] and next(suite)[1]
+    axioms, sums = _jordan_draws(150, 3)
+    assert len(ranked) == len(axioms) + 3 * len(sums)
+    for (p, stack), ((n, q), pairs) in zip(ranked, axioms.items()):
+        a, b = np.array(pairs).swapaxes(0, 1)
+        k = len(pairs)
+        assert p == q and stack.shape == (5 * k, n, n)
+        inv, conj, prod = stack[k : 2 * k], stack[2 * k : 3 * k], stack[3 * k : 4 * k]
+        assert np.array_equal(stack[:k], a) and np.array_equal(stack[4 * k :], b)
+        assert (a @ inv % p == np.eye(n, dtype=np.int64)).all()
+        assert np.array_equal(conj @ b % p, b @ a % p)
+        assert np.array_equal(prod, a @ b % p)
+    rest = ranked[len(axioms):]
+    for i, ((n1, n2, q), pairs) in enumerate(sums.items()):
+        a = np.array([x for x, _ in pairs])
+        b = np.array([y for _, y in pairs])
+        both = np.zeros((len(pairs), n1 + n2, n1 + n2), dtype=np.int64)
+        both[:, :n1, :n1] = a
+        both[:, n1:, n1:] = b
+        (pa, got_a), (pb, got_b), (pab, got_both) = rest[3 * i : 3 * i + 3]
+        assert pa == pb == pab == q
+        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+        assert np.array_equal(got_both, both)
+
+
+def test_verify_jordan_fails_on_a_wrong_inverse(monkeypatch, capsys):
+    # the identity in place of every inverse: a^-1 and b a b^-1 then lose
+    # the length of a, and the integer comparisons must see it
+    def identities(a, p):
+        return np.broadcast_to(np.eye(a.shape[1], dtype=np.int64), a.shape)
+
+    monkeypatch.setattr(cli.gf, "ff_inv", identities)
+    code, lines = run(["verify", "jordan", "--samples", "50"], capsys)
+    assert code == 1
+    assert lines[0]["assertion"] == "jordan pseudo-length axioms exact on 50 samples"
+    assert lines[0]["pass"] is False and lines[0]["failures"] > 0
+    assert [line["pass"] for line in lines[1:3]] == [True, True]
+
+
+# each fault leaves every other comparison of the first two parts true, so
+# each check of the axiom part and the direct-sum bound is needed:
+# a-inverse, the identity for a^-1: l(a^-1) = 0 != l(a);
+# b-inverse, the identity for b^-1: b a in place of b a b^-1;
+# minus-one, every numerator less 1: l(ab) <= l(a) + l(b) - 1 fails where equal;
+# plus-one, every numerator plus 1: num(a + b) >= num(a) + num(b) + 1 likewise
+@pytest.mark.parametrize("fault", ["a-inverse", "b-inverse", "minus-one", "plus-one"])
+def test_verify_jordan_sees_each_fault(monkeypatch, fault):
+    inverse, numerators = gf.ff_inv, gf.jordan_numerators
+    if fault.endswith("inverse"):
+        # ff_inv inverts the a of a cell, then its b, in one stack
+        def wrong(x, p):
+            inv = inverse(x, p)
+            k = len(x) // 2
+            half = inv[:k] if fault == "a-inverse" else inv[k:]
+            half[:] = np.eye(x.shape[1], dtype=np.int64)
+            return inv
+
+        monkeypatch.setattr(cli.gf, "ff_inv", wrong)
+    else:
+        shift = 1 if fault == "plus-one" else -1
+        monkeypatch.setattr(cli.gf, "jordan_numerators", lambda x, p: numerators(x, p) + shift)
+    suite = cli._suite_jordan(cli._PARSER.parse_args(
+        ["verify", "jordan", "--samples", "200", "--seed", "7"]
+    ))
+    want = (True, False) if fault == "plus-one" else (False, True)
+    assert (next(suite)[1], next(suite)[1]) == want
 
 
 def test_bcc_counts(capsys):
